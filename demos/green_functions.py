@@ -38,7 +38,7 @@ for n, a, label in CASES:
     param = helmholtz_parameter(ctx, a)
     row = green_tables.lookup(n, a)
     print(f"\nn = {n}, a = {a}  ({label})")
-    print(f"  tabulated form: {row.text}")
+    print(f"  tabulated form: {row.text()}")
     print(f"  {'t':>6} {'closed':>16} {'series':>16} {'integral':>16}")
     for t in (-0.8, -0.2, 0.4, 0.9):
         c = green_eval_closed(param, t)

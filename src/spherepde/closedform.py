@@ -66,13 +66,17 @@ The final collected expression has the shape
     rational(t) / ((1-t)^p (1+t)^q)  +  c(t) * ln((1-t)/2);
 
 sqrt(1-t) and ln(1-t+sqrt(2(1-t))) contributions must cancel identically
-for even n, and the assembler asserts that they do.
+for even n, and the assembler asserts that they do.  It is returned as a
+ClosedForm, the exact type the green_tables registry rows share, so a
+derived form and a registry row compare with ==.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, log, sqrt
+from math import factorial, lcm, log, pi, sqrt
+
+import numpy as np
 
 from .errors import NoClosedFormError, SphereDomainError
 
@@ -121,10 +125,6 @@ def ppow(a, m, bivariate=None):
     for _ in range(m):
         out = pmul(out, a)
     return out
-
-
-def uni_eval(p, t):
-    return sum(float(c) * t ** i for i, c in p.items())
 
 
 def bi_eval(p, t, v):
@@ -640,124 +640,173 @@ class Collector:
 
 
 # ---------------------------------------------------------------------------
-# final expression
+# the closed-form type (tabulated and derived forms alike)
 # ---------------------------------------------------------------------------
+# Atoms, as functions of t = cos(theta):
+#   "1"  1;   "lg"  ln((1-t)/2);   "pi-th"  pi - theta;   "pi*sqrt2"  pi sqrt(2).
 
-@dataclass
-class GreenClosedForm:
-    """rational(t)/((1-t)^{pow_1mt}(1+t)^{pow_1pt}) + log_coef(t) ln((1-t)/2)."""
+ATOMS = ("1", "lg", "pi-th", "pi*sqrt2")
+_ATOM_TEXT = {"lg": "log((1-t)/2)", "pi-th": "(pi-acos(t))", "pi*sqrt2": "pi*sqrt(2)"}
+_ATOM_LATEX = {"lg": r"\ln\frac{1-t}{2}", "pi-th": r"(\pi-\theta)", "pi*sqrt2": r"\pi\sqrt{2}"}
 
-    n: int
-    L: int
-    num: dict
-    pow_1mt: int
-    pow_1pt: int
-    log_coef: dict
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """G(t) = sum_k p_k(t) atom_k / ((1-t)^{a_k/2} (1+t)^{b_k/2}), held exactly.
+
+    terms is a tuple of (atom, a, b, coefficients): atom one of ATOMS, a and
+    b integer exponents in half units, and p_k given by its Fraction
+    coefficients in ascending powers of t.  Construction makes the terms
+    canonical -- like terms merged over a common denominator, common (1-t)
+    and (1+t) factors cancelled, zero terms dropped, sorted -- so == holds
+    exactly when two forms are the same function.  n, L, a and table only
+    label the form (table: the registry table, None for a derived form) and
+    take no part in comparisons.
+    """
+
+    terms: tuple
+    n: int | None = field(default=None, compare=False)
+    L: Fraction | None = field(default=None, compare=False)
+    table: int | None = field(default=None, compare=False)
+    a: Fraction | None = field(init=False, default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", _canonical_terms(self.terms))
+        if self.L is not None:
+            L = Fraction(self.L)
+            object.__setattr__(self, "L", L)
+            object.__setattr__(self, "a", L * (self.n + L - 1))
+        plan = []
+        for atom, a, b, coeffs in self.terms:
+            scale = pi * sqrt(2.0) if atom == "pi*sqrt2" else 1.0
+            plan.append((tuple(float(c) * scale for c in reversed(coeffs)), atom, a, b))
+        object.__setattr__(self, "_plan", tuple(plan))
 
     def eval(self, t):
-        t = float(t)
-        val = uni_eval(self.num, t)
-        if self.pow_1mt:
-            val /= (1.0 - t) ** self.pow_1mt
-        if self.pow_1pt:
-            val /= (1.0 + t) ** self.pow_1pt
-        if self.log_coef:
-            val += uni_eval(self.log_coef, t) * log((1.0 - t) / 2.0)
-        return val
-
-    def __call__(self, t):
-        return self.eval(t)
+        """G at t: a float for a scalar t, an array of the same shape for an array."""
+        scalar = isinstance(t, (float, int)) or np.ndim(t) == 0
+        t = float(t) if scalar else np.asarray(t, dtype=float)
+        total = 0.0 * t
+        for coeffs, atom, a, b in self._plan:
+            val = coeffs[0]
+            for c in coeffs[1:]:
+                val = val * t + c
+            if atom == "lg":
+                val = val * np.log((1.0 - t) / 2.0)
+            elif atom == "pi-th":
+                val = val * np.arccos(-t)      # pi - arccos(t), accurate near t = -1
+            if a == b:
+                if a:
+                    val = val / _half_power((1.0 - t) * (1.0 + t), a)
+            else:
+                val = val / (_half_power(1.0 - t, a) * _half_power(1.0 + t, b))
+            total = total + val
+        return float(total) if scalar else total
 
     def text(self):
-        parts = []
-        if self.num:
-            rat = _format_poly(self.num, latex=False)
-            den = _format_denominator(self.pow_1mt, self.pow_1pt, latex=False)
-            parts.append(f"({rat})/({den})" if den else f"({rat})" if "+" in rat or "-" in rat[1:] else rat)
-        if self.log_coef:
-            parts.append(f"({_format_poly(self.log_coef, latex=False)})*log((1-t)/2)")
-        return " + ".join(parts) if parts else "0"
+        """The form as a Python expression in t (names from math)."""
+        return self._format(latex=False)
 
     def latex(self):
-        parts = []
-        if self.num:
-            rat = _format_poly(self.num, latex=True)
-            den = _format_denominator(self.pow_1mt, self.pow_1pt, latex=True)
-            parts.append(rf"\frac{{{rat}}}{{{den}}}" if den else rat)
-        if self.log_coef:
-            parts.append(
-                rf"\left({_format_poly(self.log_coef, latex=True)}\right)"
-                rf"\ln\frac{{1-t}}{{2}}")
-        return " + ".join(parts) if parts else "0"
+        return self._format(latex=True)
+
+    def _format(self, latex):
+        parts = [_format_term(term, latex) for term in self.terms]
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-def _format_poly(p, latex):
-    if not p:
-        return "0"
-    terms = []
-    for i in sorted(p):
-        c = p[i]
-        if c == 0:
+def _half_power(x, e):
+    """x^{e/2} for an integer e >= 0, by multiplication and one sqrt."""
+    out = np.sqrt(x) if e % 2 else 1.0
+    for _ in range(e // 2):
+        out = out * x
+    return out
+
+
+def _cancel_factor(num, e, root):
+    """Cancel whole factors (1 - t/root), root = +-1, from num / (1 - t/root)^{e/2}."""
+    while e >= 2 and _vanishes_at(num, root):
+        # synthetic division by (t - root) = -root (1 - t/root)
+        rem = F0
+        quot = {}
+        for i in range(max(num), 0, -1):
+            rem = rem * root + num.get(i, F0)
+            quot[i - 1] = -root * rem
+        num = _clean(quot)
+        e -= 2
+    return num, e
+
+
+def _vanishes_at(num, root):
+    """num(root) == 0 for root = +-1, in integer arithmetic."""
+    den = lcm(*(c.denominator for c in num.values()))
+    return sum(c.numerator * (den // c.denominator) * root ** i for i, c in num.items()) == 0
+
+
+def _canonical_terms(terms):
+    groups = {}
+    for atom, a, b, coeffs in terms:
+        if atom not in ATOMS:
+            raise ValueError(f"unknown closed-form atom {atom!r}")
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        poly = _clean({i: c if isinstance(c, Fraction) else Fraction(c) for i, c in items})
+        if poly:
+            groups.setdefault((atom, a % 2, b % 2), []).append((a, b, poly))
+    out = []
+    for (atom, a_par, b_par), members in groups.items():
+        # common denominator of the group; negative exponents lift to >= 0
+        A = max([a_par] + [m[0] for m in members])
+        B = max([b_par] + [m[1] for m in members])
+        num = {}
+        for a, b, poly in members:
+            if a != A or b != B:
+                poly = pmul(poly, pmul(ppow(P_1MT, (A - a) // 2), ppow(P_1PT, (B - b) // 2)))
+            num = padd(num, poly) if num else poly
+        if not num:
             continue
-        if c.denominator == 1:
-            cs = str(c.numerator)
-        else:
-            cs = (rf"\frac{{{c.numerator}}}{{{c.denominator}}}" if latex
-                  else f"{c.numerator}/{c.denominator}")
-        if i == 0:
-            terms.append(cs)
-        else:
-            var = "t" if i == 1 else (f"t^{{{i}}}" if latex else f"t^{i}")
-            if c == 1:
-                terms.append(var)
-            elif c == -1:
-                terms.append(f"-{var}")
-            else:
-                sep = "" if latex else "*"
-                terms.append(f"{cs}{sep}{var}")
-    return " + ".join(terms).replace("+ -", "- ")
+        num, A = _cancel_factor(num, A, 1)
+        num, B = _cancel_factor(num, B, -1)
+        out.append((atom, A, B, tuple(num.get(i, F0) for i in range(max(num) + 1))))
+    return tuple(sorted(out, key=lambda term: (ATOMS.index(term[0]), term[1], term[2])))
 
 
-def _format_denominator(p1m, p1p, latex):
-    bits = []
-    if p1m:
-        bits.append("(1-t)" if p1m == 1 else (f"(1-t)^{{{p1m}}}" if latex else f"(1-t)^{p1m}"))
-    if p1p:
-        bits.append("(1+t)" if p1p == 1 else (f"(1+t)^{{{p1p}}}" if latex else f"(1+t)^{p1p}"))
-    return "".join(bits)
+def _format_term(term, latex):
+    """One term as text (a Python expression, names from math) or as LaTeX."""
+    atom, a, b, coeffs = term
+    den = lcm(*(c.denominator for c in coeffs))
+    mul = "" if latex else "*"
+    parts = []
+    for i, c in enumerate(coeffs):
+        c = int(c * den)
+        if c:
+            var = "" if i == 0 else "t" if i == 1 else f"t^{{{i}}}" if latex else f"t**{i}"
+            parts.append(str(c) if not var else var if c == 1 else f"-{var}" if c == -1
+                         else f"{c}{mul}{var}")
+    num = " + ".join(parts).replace("+ -", "- ")
+    dens = [str(den)] if den != 1 else []
+    bases = [("(1-t^2)" if latex else "(1-t**2)", a)] if a == b else [("(1-t)", a), ("(1+t)", b)]
+    dens += [_power(base, e, latex) for base, e in bases if e]
+    if len(parts) > 1 and (atom != "1" or (dens and not latex)):
+        num = rf"\left({num}\right)" if latex else f"({num})"
+    if atom != "1":
+        name = (_ATOM_LATEX if latex else _ATOM_TEXT)[atom]
+        num = name if num == "1" else f"-{name}" if num == "-1" else f"{num}{mul}{name}"
+    if not dens:
+        return num
+    if latex:
+        return rf"\frac{{{num}}}{{{''.join(dens)}}}"
+    return f"{num}/{dens[0]}" if len(dens) == 1 else f"{num}/({'*'.join(dens)})"
 
 
-def _poly_divide_root(p, root):
-    """Exact division of p(t) by (t - root) when p(root) = 0, else None."""
-    if not p:
-        return {}
-    deg = max(p)
-    rem = F0
-    out = {}
-    for i in range(deg, -1, -1):
-        rem = rem * root + p.get(i, F0)
-        if i > 0:
-            out[i - 1] = rem
-    if rem != 0:
-        return None
-    return _clean(out)
-
-
-def _reduce_quotient(num, p1m, p1p):
-    """Cancel (1-t) and (1+t) factors common to numerator and denominator."""
-    while p1m > 0 and num:
-        q = _poly_divide_root(num, F1)
-        if q is None:
-            break
-        num = pscale(q, -1)       # (t - 1) = -(1 - t)
-        p1m -= 1
-    while p1p > 0 and num:
-        q = _poly_divide_root(num, -F1)
-        if q is None:
-            break
-        num = q
-        p1p -= 1
-    return num, p1m, p1p
+def _power(base, e, latex):
+    """base^{e/2} for an integer e >= 1."""
+    if e == 2:
+        return base
+    if latex:
+        return f"{base}^{{{e // 2 if e % 2 == 0 else f'{e}/2'}}}"
+    if e == 1:
+        return f"sqrt{base}"
+    return f"{base}**{e // 2}" if e % 2 == 0 else f"{base}**({e}/2)"
 
 
 # ---------------------------------------------------------------------------
@@ -901,30 +950,9 @@ def _assemble_via_order_swap(collector, n, J, lam, L, sub_top, geg):
 
 
 def _finalise(collector, n, L):
-    """Assert surd cancellations, merge logs, reduce the rational quotient."""
-    # surd log must vanish over its common denominator
-    ls_num, _ = collector.log_total("LS")
-    if ls_num:
+    """Assert the surd and log cancellations; return the canonical ClosedForm."""
+    if collector.log_total("LS")[0]:
         raise AssertionError(f"surd log did not cancel for n={n}, L={L}")
-    # sqrt(2)*sqrt(1-t) rational atoms must vanish as a group
-    surd = {}
-    plain = {}
-    for (e1m2, e1p, s2), poly in collector.rat.items():
-        if s2 == 1 and e1m2 % 2 == 1:
-            surd[(e1m2, e1p)] = padd(surd.get((e1m2, e1p), {}), poly)
-        elif s2 == 0 and e1m2 % 2 == 0:
-            plain[(e1m2, e1p)] = padd(plain.get((e1m2, e1p), {}), poly)
-        else:
-            raise AssertionError(f"mismatched surd parity in atom {(e1m2, e1p, s2)}")
-    if surd:
-        top1m = max(k[0] for k in surd)
-        top1p = max(k[1] for k in surd)
-        total = {}
-        for (e1m2, e1p), poly in surd.items():
-            lift = pmul(ppow(P_1MT, (top1m - e1m2) // 2), ppow(P_1PT, top1p - e1p))
-            total = padd(total, pmul(poly, lift))
-        if _clean(total):
-            raise AssertionError(f"sqrt atoms did not cancel for n={n}, L={L}: {total}")
     # logs: ln(1-t) and ln 2 merge into ln((1-t)/2)
     l1_num, l1_tp = collector.log_total("L1MT")
     l2_num, l2_tp = collector.log_total("L2")
@@ -934,20 +962,21 @@ def _finalise(collector, n, L):
     if _clean(padd(l1_lift, l2_lift)):
         raise AssertionError(
             f"log coefficients do not merge to ln((1-t)/2) for n={n}, L={L}")
-    logc, lp, lq = _reduce_quotient(l1_lift, top, top)
-    if lp or lq:
-        raise AssertionError(f"log coefficient is not polynomial for n={n}, L={L}")
-    # rational part over the common denominator (1-t)^P (1+t)^Q
-    P = max((k[0] // 2 for k in plain), default=0)
-    Q = max((k[1] for k in plain), default=0)
-    P = max(P, 0)
-    Q = max(Q, 0)
-    num = {}
-    for (e1m2, e1p), poly in plain.items():
-        lift = pmul(ppow(P_1MT, P - e1m2 // 2), ppow(P_1PT, Q - e1p))
-        num = padd(num, pmul(poly, lift))
-    num, P, Q = _reduce_quotient(num, P, Q)
-    return GreenClosedForm(n=n, L=L, num=num, pow_1mt=P, pow_1pt=Q, log_coef=logc)
+    # the sqrt(2) sqrt(1-t) atoms (odd e1m2) enter without their common
+    # factor sqrt(2): they must cancel as a group, so the canonical form may
+    # keep no odd exponent
+    terms = [("lg", 2 * l1_tp, 2 * l1_tp, l1_num)]
+    for (e1m2, e1p, s2), poly in collector.rat.items():
+        if s2 != e1m2 % 2:
+            raise AssertionError(f"mismatched surd parity in atom {(e1m2, e1p, s2)}")
+        terms.append(("1", e1m2, 2 * e1p, poly))
+    form = ClosedForm(terms, n=n, L=L)
+    for atom, a, b, _coeffs in form.terms:
+        if a % 2:
+            raise AssertionError(f"sqrt atoms did not cancel for n={n}, L={L}")
+        if atom == "lg" and (a or b):
+            raise AssertionError(f"log coefficient is not polynomial for n={n}, L={L}")
+    return form
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ integral  -- nested adaptive quadrature of the double-integral
              Poisson kernel, switching to its geometric tail series for
              small r where the closed-form difference would cancel
              catastrophically.
-closed    -- the tabulated closed forms (green_tables registry).
+closed    -- the tabulated closed forms (green_tables registry, exact
+             closedform.ClosedForm rows).
 
 All Green functions are singular on the diagonal t = 1 (logarithmically
 for n = 2); evaluation there is rejected except for the n = 2 series,
@@ -53,8 +54,8 @@ from .errors import (
     SphereDomainError,
 )
 from .geometry import (
+    _T_SLACK,
     SphereContext,
-    _clamp_t,
     gegenbauer_bound,
     gegenbauer_matrix,
 )
@@ -165,7 +166,11 @@ def condition_warnings(param, l_max):
 
 
 def _check_t_for_eval(param, t, allow_diag_n2=False):
-    t = float(_clamp_t(t))
+    """Scalar t clamped to [-1, 1] as _clamp_t does; rejects the diagonal."""
+    t = float(t)
+    if abs(t) > 1.0 + _T_SLACK:
+        raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {abs(t)}")
+    t = min(max(t, -1.0), 1.0)
     if t >= 1.0 - _DIAG_TOL:
         if allow_diag_n2 and param.ctx.n == 2:
             warnings.warn(
@@ -389,20 +394,22 @@ def green_eval_integral(param, t, abs_tol=1e-8):
 # closed-form backend and facade
 # ---------------------------------------------------------------------------
 
-def green_eval_closed(param, t):
-    """Tabulated closed form; raises NoClosedFormError for uncovered (n, a)."""
-    row = green_tables.lookup(param.ctx.n, param.a)
+def closed_form_row(param):
+    """The registry row for (n, a), or None."""
+    return green_tables.lookup(param.ctx.n, param.a)
+
+
+def _closed_eval(row, param, t):
     if row is None:
         raise NoClosedFormError(
             f"no closed form tabulated for n={param.ctx.n}, a={param.a}; "
             "use the series or integral backend")
-    t = _check_t_for_eval(param, t)
-    return row.eval(t)
+    return row.eval(_check_t_for_eval(param, t))
 
 
-def closed_form_row(param):
-    """The registry row for (n, a), or None."""
-    return green_tables.lookup(param.ctx.n, param.a)
+def green_eval_closed(param, t):
+    """Tabulated closed form; raises NoClosedFormError for uncovered (n, a)."""
+    return _closed_eval(closed_form_row(param), param, t)
 
 
 @dataclass
@@ -410,13 +417,22 @@ class GreenFunction:
     """Evaluator facade over one parameter with a chosen backend.
 
     backend: 'closed', 'series', 'integral', or 'auto' (closed when
-    tabulated, else adaptive series).
+    tabulated, else adaptive series).  The registry row and the backend
+    are resolved once, at construction.
     """
 
     param: HelmholtzParameter
     backend: str = "auto"
     series_l_max: int | None = None
     integral_abs_tol: float = 1e-8
+
+    def __post_init__(self):
+        self._row = None
+        self._kind = self.backend
+        if self.backend in ("auto", "closed"):
+            self._row = closed_form_row(self.param)
+            if self.backend == "auto":
+                self._kind = "closed" if self._row is not None else "series"
 
     def coefficient(self, l):
         return green_coefficient(self.param, l)
@@ -427,15 +443,13 @@ class GreenFunction:
     def resolved_backend(self):
         if self.backend != "auto":
             return self.backend
-        row = closed_form_row(self.param)
+        row = self._row
         return f"closed_form(table{row.table})" if row is not None else "series"
 
     def __call__(self, t):
-        kind = self.backend
-        if kind == "auto":
-            kind = "closed" if closed_form_row(self.param) is not None else "series"
+        kind = self._kind
         if kind == "closed":
-            return green_eval_closed(self.param, t)
+            return _closed_eval(self._row, self.param, t)
         if kind == "series":
             return green_eval_series(self.param, t, self.series_l_max)
         if kind == "integral":

@@ -79,8 +79,8 @@ def test_criterion_2_assembled_expression():
     row = green_tables.lookup_by_root(2, 0)
     ts = np.linspace(-0.999, 0.999, 100)
     worst = max(abs(form.eval(t) - row.eval(t)) for t in ts)
-    structural = (form.num == {0: Fraction(1)} and form.log_coef == {0: Fraction(1)}
-                  and form.pow_1mt == 0 and form.pow_1pt == 0)
+    # exactly 1 + 1*ln((1-t)/2), with no denominator
+    structural = form.terms == (("1", 0, 0, (Fraction(1),)), ("lg", 0, 0, (Fraction(1),)))
     _report(2, worst <= 1e-12 and structural,
             f"expression '{form.text()}', max |diff| {worst:.2e} <= 1e-12 "
             f"at 100 points")

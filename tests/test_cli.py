@@ -130,6 +130,15 @@ class TestGreen:
         out = capsys.readouterr().out
         assert "log((1-t)/2)" in out and "latex" in out
 
+    def test_derive_needs_an_integer_real_root(self, capsys):
+        # L = 1/2 on S^4 is neither derivable nor tabulated; a = -10 has no real root
+        assert main(["green", "derive", "--n", "4", "--L", "0.5"]) == 3
+        assert main(["green", "derive", "--n", "4", "--a", "-10"]) == 3
+        assert capsys.readouterr().out == ""
+        # on S^3 the half-integer root falls back to its registry row
+        assert main(["green", "derive", "--n", "3", "--L", "0.5"]) == 0
+        assert "tabulated form" in capsys.readouterr().out
+
     def test_negative_t0_value(self, capsys):
         # n=7, a=-9 at t=0: -(pi/2)/48 = -pi/96
         assert main(["green", "--n", "7", "--a", "-9", "--t", "0",

@@ -222,10 +222,8 @@ class TestRadialAntiderivative:
 class TestAssembler:
     def test_poisson_n2_expression(self):
         form = cf.derive_green_closed_form(2, 0)
-        # the assembled expression is literally 1 + ln((1-t)/2)
-        assert form.num == {0: Fraction(1)}
-        assert form.pow_1mt == 0 and form.pow_1pt == 0
-        assert form.log_coef == {0: Fraction(1)}
+        # the assembled expression is literally 1 + 1*ln((1-t)/2), no denominator
+        assert form.terms == (("1", 0, 0, (Fraction(1),)), ("lg", 0, 0, (Fraction(1),)))
         row = green_tables.lookup_by_root(2, 0)
         for t in np.linspace(-0.99, 0.99, 100):
             assert form.eval(t) == pytest.approx(row.eval(t), abs=1e-12)
@@ -251,6 +249,12 @@ class TestAssembler:
                 ref = row.eval(t)
                 assert abs(form.eval(t) - ref) <= 1e-10 * (1.0 + abs(ref)), (n, L, t)
 
+    @pytest.mark.parametrize("row", [r for r in green_tables.rows_for()
+                                     if r.n % 2 == 0 and r.L.denominator == 1],
+                             ids=lambda r: f"n{r.n}-L{r.L}")
+    def test_equals_registry_row_exactly(self, row):
+        assert cf.derive_green_closed_form(row.n, row.L) == row
+
     def test_beyond_registry_against_series(self):
         # the engine extends past the tabulated rows (here n=10, L=1)
         from spherepde import green_eval_series, parameter_from_root
@@ -275,5 +279,7 @@ class TestAssembler:
 
     def test_printer_output(self):
         form = cf.derive_green_closed_form(2, 0)
-        assert form.text() == "(1) + (1)*log((1-t)/2)" or "log((1-t)/2)" in form.text()
-        assert "\\ln" in form.latex()
+        assert form.text() == "1 + log((1-t)/2)"
+        assert form.latex() == "1 + \\ln\\frac{1-t}{2}"
+        form = cf.derive_green_closed_form(4, 0)
+        assert form.text() == "(4 - 7*t)/(9*(1-t)) + log((1-t)/2)/3"

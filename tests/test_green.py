@@ -238,8 +238,7 @@ class TestClosed:
             if n not in rules:
                 rules[n] = default_rule(ctx, 32, margin=2 * 12000)
             rule = rules[n]
-            spec = analyze(ctx, np.vectorize(lambda t: green_eval_closed(p, t)),
-                           32, rule=rule)
+            spec = analyze(ctx, green_tables.lookup(n, a).eval, 32, rule=rule)
             want = green_coefficients(p, 32)
             assert_allclose(spec.coeffs, want, rtol=1e-6, atol=1e-6)
             if p.resonant:

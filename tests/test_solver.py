@@ -18,7 +18,7 @@ from spherepde import (
     synthesize,
     verify_solution,
 )
-from spherepde.green import green_eval_closed
+from spherepde import green_tables
 from spherepde.spectra import default_rule
 
 from oracles import zonal_convolution_quadrature
@@ -193,7 +193,10 @@ class TestVerify:
             rep = solve_resonant(req) if (p.resonant and p.L_res >= 1) \
                 else solve_helmholtz(req)
 
-            g_vec = np.vectorize(lambda x: green_eval_closed(p, min(x, 1 - 1e-13)))
+            row = green_tables.lookup(n, a)
+
+            def g_vec(x):
+                return row.eval(np.minimum(x, 1 - 1e-13))
 
             def u_pointwise(alpha):
                 return zonal_convolution_quadrature(
