@@ -4,8 +4,9 @@ The solver's kernel has per-degree coefficients 1/(a - l(n+l-1)) (lam+l)/lam,
 and this script evaluates it three independent ways:
 
   * the tabulated closed forms,
-  * adaptive summation of the coefficient series (Abel-accelerated for n >= 3),
-  * nested quadrature of the double-integral representation built from the
+  * adaptive summation of the coefficient series (Abel summation with
+    Richardson extrapolation, for every n),
+  * one quadrature of the radial integral representation built from the
     Poisson kernel.
 
 It then re-derives the even-dimension closed forms from scratch with the

@@ -6,6 +6,7 @@ from .errors import (
     QuadratureError,
     ResonanceError,
     SolvabilityError,
+    SpectrumParseError,
     SphereDomainError,
 )
 from .geometry import (

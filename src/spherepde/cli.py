@@ -33,6 +33,7 @@ from .errors import (
     QuadratureError,
     ResonanceError,
     SolvabilityError,
+    SpectrumParseError,
     SphereDomainError,
 )
 from .closedform import derive_green_closed_form
@@ -260,7 +261,8 @@ def cmd_green(args):
     kv = {"n": ctx.n, "a": _fmt(param.a),
           "L": "none" if param.L is None else _fmt(param.L),
           "backends": "+".join(backends),
-          "tolerances": "series adaptive 1e-7, integral abs 1e-8"}
+          "tolerances": "series Abel cut 1e-14 with Richardson tail estimate, "
+                        "integral 1e-8 (1+|G|)"}
     if args.lmax:
         kv["series Lmax"] = args.lmax
     if tail is not None:
@@ -374,9 +376,9 @@ def cmd_verify(args):
     for row in rows:
         ctx = make_context(row.n)
         param = helmholtz_parameter(ctx, float(row.a))
-        for t in ts:
+        series, _tails = green_series_batch(param, ts)
+        for t, s in zip(ts, series):
             c = row.eval(t)
-            s = green_eval_series(param, t)
             gi = green_eval_integral(param, t)
             worst_s = max(worst_s, abs(s - c) / (1 + abs(c)))
             worst_i = max(worst_i, abs(gi - c) / (1 + abs(c)))
@@ -518,7 +520,7 @@ def main(argv=None):
     except ResonanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESONANCE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, SpectrumParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolvabilityError, SphereDomainError, NoClosedFormError) as exc:

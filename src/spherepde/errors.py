@@ -9,6 +9,10 @@ class SphereDomainError(ValueError):
     """Argument outside the mathematical domain (t outside [-1,1], n < 2, ...)."""
 
 
+class SpectrumParseError(SphereDomainError):
+    """A spectrum file that cannot be read; the message names the line."""
+
+
 class ResonanceError(ValueError):
     """Helmholtz parameter sits on (or was queried at) an eigenvalue l(n+l-1)."""
 

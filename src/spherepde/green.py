@@ -1,4 +1,4 @@
-"""Green functions of Delta* + a on S^n: series, double-integral, closed form.
+"""Green functions of Delta* + a on S^n: series, radial integral, closed form.
 
 The zonal Green function solving Delta* u + a u = f via u = f * G has the
 Gegenbauer coefficients
@@ -12,25 +12,30 @@ G-hat(l) = -1/(l(n+l-1)) (lambda+l)/lambda).
 Three interchangeable evaluation backends:
 
 series    -- partial sums of the coefficient series; with an explicit
-             L_max a plain partial sum, otherwise adaptive (direct
-             doubling for n = 2, Abel summation through the
-             Poisson-kernel-weighted series with Richardson
-             extrapolation r -> 1 for n >= 3, where partial sums
-             converge too slowly or not at all).
-integral  -- nested adaptive quadrature of the double-integral
-             representation
+             L_max a plain partial sum, otherwise adaptive for every n:
+             Abel summation through the Poisson-kernel-weighted series
+             at five radii r = 1 - eps, with Richardson extrapolation
+             r -> 1 (partial sums converge too slowly or not at all).
+integral  -- one adaptive quadrature of the radial integral
+             representation.  Swapping the order of the double integral
 
-    G(t) = -int_0^1 R^{-(n+2L)} int_0^R r^{n+L-2}
-               (Sigma_n p_r(t) - sum_{l<=M} r^l (lambda+l)/lambda C_l(t)) dr dR
+    G(t) = -int_0^1 R^{-(n+2L)} int_0^R r^{n+L-2} S(r) dr dR + correction
+
+             leaves the single integral
+
+    G(t) = -int_0^1 S(r) w(r) dr
            + sum_{l<=M'} 1/(a-l(n+l-1)) (lambda+l)/lambda C_l(t),
+    w(r) = (r^{-L-1} - r^{n+L-2}) / (n+2L-1),
+    S(r) = Sigma_n p_r(t) - sum_{l<=M} r^l (lambda+l)/lambda C_l(t),
 
              where a = L(n+L-1), M = floor(L) for noninteger L (M' = M),
              M = L with M' = L-1 in the resonant integer case, and both
-             sums are empty when M < 0 (always so for a < 0).  The
-             subtracted integrand is evaluated from the closed-form
-             Poisson kernel, switching to its geometric tail series for
-             small r where the closed-form difference would cancel
-             catastrophically.
+             sums are empty when M < 0 (always so for a < 0).  At the
+             double root n + 2L - 1 = 0, a = -(n-1)^2/4, the weight is
+             its limit -r^{(n-3)/2} ln r.  The subtracted integrand is
+             evaluated from the closed-form Poisson kernel, switching to
+             its geometric tail series for small r where the closed-form
+             difference would cancel catastrophically.
 closed    -- the tabulated closed forms (green_tables registry, exact
              closedform.ClosedForm rows).
 
@@ -41,11 +46,10 @@ which only warns.
 
 import warnings
 from dataclasses import dataclass
-from math import floor, sqrt
+from math import floor, log, sqrt
 
 import numpy as np
 from scipy import integrate
-from scipy.special import roots_jacobi
 
 from .errors import (
     ConvergenceError,
@@ -187,6 +191,10 @@ def _check_t_for_eval(param, t, allow_diag_n2=False):
 # series backend
 # ---------------------------------------------------------------------------
 
+_ABEL_EPS = (0.05, 0.025, 0.0125, 0.00625, 0.003125)   # radii r = 1 - eps
+_ABEL_L_CUT_MAX = 2_000_000
+
+
 def _partial_sum(param, t, l_max):
     coef = green_coefficients(param, l_max)
     C = gegenbauer_matrix(param.ctx, l_max, t)[:, 0]
@@ -198,8 +206,7 @@ def crude_tail_term(param, l):
 
     (lambda+l)/(lambda |a - l(n+l-1)|) * (n+l-2)^{n-2}.  The full tail sum
     of these bounds diverges for every n >= 2, so only the leading term is
-    reported; the adaptive driver relies on empirical stabilisation (n=2)
-    or Abel summation (n>=3) instead.
+    reported; the adaptive driver relies on Abel summation instead.
     """
     lam = param.ctx.lam
     gap = abs(float(eigen_gap(param, l)))
@@ -207,23 +214,23 @@ def crude_tail_term(param, l):
 
 
 def _abel_values(param, ts, eps_list, rtol=1e-14):
-    """Abel sums sum_l G-hat(l) r^l C_l(t) at r = 1 - eps, batched over ts."""
-    ctx = param.ctx
-    out = np.empty((len(eps_list), ts.size))
-    for i, eps in enumerate(eps_list):
-        r = 1.0 - eps
-        # geometric cut: (lambda+l)/lambda (n+l-2)^{n-2} r^l / gap below rtol
-        l_cut = 64
-        while True:
-            lead = crude_tail_term(param, l_cut) * r ** l_cut / (1.0 - r)
-            if lead < rtol or l_cut > 2_000_000:
-                break
-            l_cut = int(l_cut * 1.6) + 8
-        coef = green_coefficients(param, l_cut)
-        C = gegenbauer_matrix(ctx, l_cut, ts)
-        rl = r ** np.arange(l_cut + 1)
-        out[i] = (coef * rl) @ C
-    return out
+    """Abel sums sum_l G-hat(l) r^l C_l(t) at r = 1 - eps, batched over ts.
+
+    One cut, set by the largest radius, and one Gegenbauer matrix serve
+    every radius; only the powers r^l change between them.
+    """
+    r = 1.0 - min(eps_list)
+    # geometric cut: (lambda+l)/lambda (n+l-2)^{n-2} r^l / gap below rtol
+    l_cut = 64
+    while crude_tail_term(param, l_cut) * r ** l_cut / (1.0 - r) >= rtol:
+        l_cut = int(l_cut * 1.6) + 8
+        if l_cut > _ABEL_L_CUT_MAX:
+            raise ConvergenceError(
+                f"Abel sum at r = {r} needs more than {_ABEL_L_CUT_MAX} degrees")
+    coef = green_coefficients(param, l_cut)
+    C = gegenbauer_matrix(param.ctx, l_cut, ts)
+    ls = np.arange(l_cut + 1)
+    return np.stack([(coef * (1.0 - eps) ** ls) @ C for eps in eps_list])
 
 
 def _richardson_batch(eps, vals):
@@ -235,34 +242,17 @@ def _richardson_batch(eps, vals):
 def green_series_batch(param, ts):
     """Adaptive series values of G at an array of points (one shared pass).
 
-    n = 2 sums directly with doubling until stabilised; n >= 3 uses Abel
-    summation through the Poisson-kernel-weighted series with Richardson
-    extrapolation r -> 1 (the fallback where partial sums converge too
-    slowly or not at all).  Returns (values, tail_estimates).
+    Abel summation through the Poisson-kernel-weighted series at the
+    radii 1 - _ABEL_EPS, with Richardson extrapolation r -> 1, for every
+    n.  Returns (values, tail_estimates); a tail is the change from
+    dropping the innermost radius from the extrapolation.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     for t in ts:
         _check_t_for_eval(param, float(t), allow_diag_n2=True)
-    ctx = param.ctx
-    if ctx.n == 2:
-        l_max = 4000
-        coef = green_coefficients(param, l_max)
-        prev = coef @ gegenbauer_matrix(ctx, l_max, ts)
-        for _ in range(8):
-            l_max *= 2
-            coef = green_coefficients(param, l_max)
-            cur = coef @ gegenbauer_matrix(ctx, l_max, ts)
-            delta = np.max(np.abs(cur - prev) / (1.0 + np.abs(cur)))
-            if delta <= 1e-7:
-                break
-            prev = cur
-        else:
-            raise ConvergenceError("n=2 series did not stabilise", achieved=delta)
-        return cur, np.abs(cur - prev)
-    eps = (0.05, 0.025, 0.0125, 0.00625, 0.003125)
-    vals = _abel_values(param, ts, eps)
-    full = _richardson_batch(eps, vals)
-    short = _richardson_batch(eps[:-1], vals[:-1])
+    vals = _abel_values(param, ts, _ABEL_EPS)
+    full = _richardson_batch(_ABEL_EPS, vals)
+    short = _richardson_batch(_ABEL_EPS[:-1], vals[:-1])
     return full, np.abs(full - short)
 
 
@@ -295,6 +285,7 @@ def green_eval_series(param, t, l_max=None, with_tail=False):
 
 _R_SWITCH = 0.25     # below this radius the subtracted kernel uses its tail series
 _TAIL_TERMS = 96     # geometric tail length at r <= _R_SWITCH (error < 1e-30 for n <= 10)
+_QUAD_RTOL = 1e-8    # quadrature error target, relative to 1 + |G|
 
 
 class _SubtractedKernel:
@@ -331,12 +322,12 @@ class _SubtractedKernel:
         return out
 
 
-def green_eval_integral(param, t, abs_tol=1e-8):
-    """Nested adaptive quadrature of the double-integral representation.
+def green_eval_integral(param, t):
+    """One adaptive quadrature of the order-swapped integral representation.
 
-    Outer integral over R by adaptive Gauss-Kronrod; inner integral over
-    r = R s by a fixed Gauss-Jacobi rule in s absorbing the r^{n+L-2}
-    weight (validated by order doubling).  Requires a real root L, i.e.
+    G(t) = -int_0^1 S(r) w(r) dr + correction (module docstring), by
+    adaptive Gauss-Kronrod in r; the error estimate must stay within
+    _QUAD_RTOL (1 + |G|).  Requires a real root L, i.e.
     a >= -(n-1)^2/4.
     """
     if param.L is None:
@@ -345,48 +336,36 @@ def green_eval_integral(param, t, abs_tol=1e-8):
             "root L; use the series backend")
     t = _check_t_for_eval(param, t)
     ctx = param.ctx
-    n, lam, L = ctx.n, ctx.lam, param.L
+    n, L = ctx.n, param.L
     if param.resonant:
         sub_top, corr_top = param.L_res, param.L_res - 1
     else:
         sub_top = corr_top = param.L0 if param.L0 >= 0 else -1
     S = _SubtractedKernel(param, t, sub_top)
 
-    beta = n + L - 2.0
-    if beta <= -1.0:  # cannot happen for L > -(n-1)/2, kept as a guard
-        raise SphereDomainError(f"inner exponent n+L-2 = {beta} is not integrable")
-    xj, wj = roots_jacobi(64, 0.0, beta)
-    s_nodes = (xj + 1.0) / 2.0
-    s_weights = wj * 2.0 ** (-beta - 1.0)
-    xj2, wj2 = roots_jacobi(96, 0.0, beta)
-    s_nodes2 = (xj2 + 1.0) / 2.0
-    s_weights2 = wj2 * 2.0 ** (-beta - 1.0)
-
-    check = {"worst": 0.0}
-
-    def outer(R):
-        if R <= 0.0:
-            return 0.0
-        inner = s_weights @ S(R * s_nodes)
-        inner2 = s_weights2 @ S(R * s_nodes2)
-        check["worst"] = max(check["worst"], abs(inner - inner2))
-        # R^{n+L-1} from the substitution, R^{-(n+2L)} from the outer weight
-        return R ** (-L - 1.0) * inner2
+    k = n + 2.0 * L - 1.0
+    if k == 0.0:
+        # double root a = -(n-1)^2/4: the k -> 0 limit of the weight
+        def integrand(r):
+            return -S(r) * r ** ((n - 3) / 2.0) * log(r)
+    else:
+        def integrand(r):
+            return S(r) * (r ** (-L - 1.0) - r ** (n + L - 2.0)) / k
 
     with warnings.catch_warnings():
         # the explicit error check below governs; quad's certification
         # warning near roundoff level is redundant with it
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(outer, 0.0, 1.0, epsabs=abs_tol / 4.0,
+        val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=_QUAD_RTOL / 4.0,
                                   epsrel=1e-11, limit=400)
-    if err > abs_tol or check["worst"] > abs_tol / 4.0:
-        raise ConvergenceError(
-            f"double-integral backend did not reach {abs_tol:.1e} at t = {t} "
-            f"(outer error {err:.2e}, inner mismatch {check['worst']:.2e})",
-            achieved=max(err, check["worst"]))
     total = -val
     for l in range(0, corr_top + 1):
         total += green_coefficient(param, l) * gegenbauer_matrix(ctx, l, t)[l, 0]
+    if err > _QUAD_RTOL * (1.0 + abs(total)):
+        raise ConvergenceError(
+            f"integral backend did not reach {_QUAD_RTOL:.0e} (1 + |G|) at t = {t} "
+            f"(error estimate {err:.2e}, |G| = {abs(total):.3g})",
+            achieved=err)
     return total
 
 
@@ -423,8 +402,6 @@ class GreenFunction:
 
     param: HelmholtzParameter
     backend: str = "auto"
-    series_l_max: int | None = None
-    integral_abs_tol: float = 1e-8
 
     def __post_init__(self):
         self._row = None
@@ -451,7 +428,7 @@ class GreenFunction:
         if kind == "closed":
             return _closed_eval(self._row, self.param, t)
         if kind == "series":
-            return green_eval_series(self.param, t, self.series_l_max)
+            return green_eval_series(self.param, t)
         if kind == "integral":
-            return green_eval_integral(self.param, t, self.integral_abs_tol)
+            return green_eval_integral(self.param, t)
         raise SphereDomainError(f"unknown Green backend {kind!r}")

@@ -34,7 +34,7 @@ from math import gamma, sqrt, pi
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import QuadratureError, SphereDomainError
+from .errors import QuadratureError, SphereDomainError, SpectrumParseError
 from .geometry import (
     SphereContext,
     _clamp_t,
@@ -347,12 +347,17 @@ def save_spectrum(spec, path, extra_comments=(), fmt="%.17g"):
 
 
 def parse_spectrum(text):
-    """Parse the text format; returns ZonalSpectrum or GeneralSpectrum."""
+    """Parse the text format; returns ZonalSpectrum or GeneralSpectrum.
+
+    A malformed header or row, a negative degree, a zonal degree above
+    Lmax and a repeated degree (zonal) or (degree, token) pair (general)
+    raise SpectrumParseError naming the line.
+    """
     kind = None
     n = None
     l_max = None
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -360,34 +365,56 @@ def parse_spectrum(text):
             body = line[1:].split()
             if body and body[0] in ("zonal", "general") and kind is None:
                 kind = body[0]
-                for tok in body[1:]:
-                    if tok.startswith("n="):
-                        n = int(tok[2:])
-                    elif tok.startswith("Lmax="):
-                        l_max = int(tok[5:])
+                try:
+                    for tok in body[1:]:
+                        if tok.startswith("n="):
+                            n = int(tok[2:])
+                        elif tok.startswith("Lmax="):
+                            l_max = int(tok[5:])
+                except ValueError:
+                    raise _line_error(lineno, line, "malformed header") from None
             continue
-        rows.append(line.split("\t"))
+        rows.append((lineno, line))
     if kind is None or n is None:
-        raise SphereDomainError("missing '# zonal n=... Lmax=...' or '# general n=...' header")
+        raise SpectrumParseError(
+            "missing '# zonal n=... Lmax=...' or '# general n=...' header")
     ctx = make_context(n)
-    if kind == "zonal":
-        if l_max is None:
-            l_max = max(int(r[0]) for r in rows) if rows else 0
-        coeffs = np.zeros(l_max + 1, dtype=complex)
-        for r in rows:
-            l = int(r[0])
-            re = float(r[1])
-            im = float(r[2]) if len(r) > 2 else 0.0
-            coeffs[l] = complex(re, im)
-        if np.all(coeffs.imag == 0.0):
-            coeffs = coeffs.real
-        return ZonalSpectrum(ctx, coeffs)
-    entries = {}
-    for r in rows:
-        if len(r) != 4:
-            raise SphereDomainError(f"general spectrum rows need 'l k re im', got {r!r}")
-        entries[(int(r[0]), r[1])] = complex(float(r[2]), float(r[3]))
-    return GeneralSpectrum(ctx, entries)
+    zonal = kind == "zonal"
+    top = l_max if zonal and l_max is not None else float("inf")
+    values = {}
+    for lineno, line in rows:
+        r = line.split("\t")
+        try:
+            if zonal and 2 <= len(r) <= 3:
+                key = l = int(r[0])
+                v = complex(float(r[1]), float(r[2]) if len(r) == 3 else 0.0)
+            elif not zonal and len(r) == 4:
+                l = int(r[0])
+                key = (l, r[1])
+                v = complex(float(r[2]), float(r[3]))
+            else:
+                raise ValueError
+        except ValueError:
+            shape = "l <TAB> re [<TAB> im]" if zonal else "l <TAB> k <TAB> re <TAB> im"
+            raise _line_error(lineno, line, f"expected '{shape}'") from None
+        if not 0 <= l <= top:
+            raise _line_error(lineno, line, f"degree {l} outside 0..{top}")
+        if key in values:
+            raise _line_error(lineno, line, f"repeated {key!r}")
+        values[key] = v
+    if not zonal:
+        return GeneralSpectrum(ctx, values)
+    if l_max is None:
+        l_max = max(values, default=0)
+    coeffs = np.zeros(l_max + 1, dtype=complex)
+    coeffs[list(values)] = list(values.values())
+    if np.all(coeffs.imag == 0.0):
+        coeffs = coeffs.real
+    return ZonalSpectrum(ctx, coeffs)
+
+
+def _line_error(lineno, line, what):
+    return SpectrumParseError(f"spectrum line {lineno}: {what}: {line!r}")
 
 
 def load_spectrum(path):

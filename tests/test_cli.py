@@ -83,6 +83,16 @@ class TestSolve:
             main(["solve", "--n", "2"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("row", ["-1\t5", "7\t5", "1\tabc", "2\t0.5"])
+    def test_bad_spectrum_line_exit1(self, tmp_path, capsys, row):
+        f = tmp_path / "f.spec"
+        _write_spec(f, ["# zonal n=2 Lmax=3", "0\t0", "2\t1", row])
+        code = main(["solve", "--n", "2", "--a", "0",
+                     "--in", str(f), "--out", str(tmp_path / "u.spec")])
+        assert code == 1
+        assert "line 4" in capsys.readouterr().err
+        assert not (tmp_path / "u.spec").exists()
+
     def test_general_spectrum_solve(self, tmp_path):
         f = tmp_path / "g.spec"
         _write_spec(f, ["# general n=3", "2\tk1\t1\t0", "0\tk0\t2\t0"])
@@ -124,6 +134,12 @@ class TestGreen:
         assert main(["green", "--n", "6", "--a", "100.5", "--t", "0",
                      "--backend", "series", "--lmax", "600"]) == 0
         assert "tail estimate" in capsys.readouterr().out
+
+    def test_integral_table_near_diagonal(self, capsys):
+        # |G| ~ 2e4 near t = 1: the error target is relative to |G|
+        assert main(["green", "table", "--n", "8", "--a", "0", "--grid", "199",
+                     "--backend", "integral"]) == 0
+        assert "integral 1e-8 (1+|G|)" in capsys.readouterr().out
 
     def test_derive(self, capsys):
         assert main(["green", "derive", "--n", "2", "--L", "0"]) == 0

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spherepde import (
+    ConvergenceError,
     GreenFunction,
     NoClosedFormError,
     SphereDomainError,
@@ -21,7 +22,12 @@ from spherepde import (
     make_context,
     parameter_from_root,
 )
-from spherepde.green import condition_warnings, eigen_gap
+from spherepde.green import (
+    _abel_values,
+    condition_warnings,
+    eigen_gap,
+    green_series_batch,
+)
 from spherepde.spectra import default_rule
 from spherepde import green_tables
 
@@ -154,6 +160,24 @@ class TestSeries:
         assert np.isfinite(v1)
         assert coef[0] == pytest.approx((ctx.lam + 0) / ctx.lam / -30.0)
 
+    def test_n2_rows_near_diagonal(self):
+        # the Abel path serves n = 2 too: each value meets the benchmark's
+        # check, within 1e-4 (1 + |G|) or within its own tail estimate
+        ts = np.array([0.99, 0.999])
+        for row in green_tables.rows_for(n=2):
+            p = helmholtz_parameter(make_context(2), float(row.a))
+            vals, tails = green_series_batch(p, ts)
+            for v, tail, t in zip(vals, tails, ts):
+                c = row.eval(t)
+                err = abs(v - c)
+                assert err <= 1e-4 * (1 + abs(c)) or err <= tail, (row.L, t, err, tail)
+
+    def test_abel_cut_cap_raises(self):
+        # r = 1 - 1e-6 needs far more than the 2 000 000-degree cap
+        p = helmholtz_parameter(make_context(3), 0.0)
+        with pytest.raises(ConvergenceError):
+            _abel_values(p, np.array([0.3]), (1e-6,))
+
     def test_diagonal_warns_n2_raises_n3(self):
         p2 = helmholtz_parameter(make_context(2), 0.0)
         with pytest.warns(UserWarning):
@@ -182,6 +206,19 @@ class TestIntegral:
         row = green_tables.lookup(5, -4.0)
         for t in (-0.5, 0.3):
             assert abs(green_eval_integral(p, t) - row.eval(t)) < 1e-7
+
+    def test_registry_near_diagonal(self):
+        # relative error control: |G| reaches 2e7 at t = 0.999 (row (8, 3))
+        double_roots = []
+        for row in green_tables.rows_for():
+            p = helmholtz_parameter(make_context(row.n), float(row.a))
+            if row.n + 2 * p.L - 1 == 0.0:      # the limit weight applies
+                double_roots.append((row.n, row.L))
+            for t in (0.99, 0.999):
+                c = row.eval(t)
+                err = abs(green_eval_integral(p, t) - c)
+                assert err <= 1e-6 * (1 + abs(c)), (row.n, row.L, t, err)
+        assert sorted(double_roots) == [(5, -2), (7, -3)]
 
     def test_rejects_complex_root(self):
         p = helmholtz_parameter(make_context(2), -1.0)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from spherepde import (
     GeneralSpectrum,
     QuadratureError,
+    SpectrumParseError,
     SphereDomainError,
     ZonalSpectrum,
     analyze,
@@ -296,6 +297,31 @@ class TestFileFormat:
     def test_header_required(self):
         with pytest.raises(SphereDomainError):
             parse_spectrum("0\t1.0\n")
+
+    ZONAL = "# zonal n=2 Lmax=3\n0\t1\n2\t3\n"
+
+    def _raises_at_line(self, text, lineno, match):
+        with pytest.raises(SpectrumParseError, match=f"line {lineno}: {match}"):
+            parse_spectrum(text)
+
+    def test_negative_degree_rejected(self):
+        self._raises_at_line(self.ZONAL + "-1\t5\n", 4, "degree -1 outside 0..3")
+
+    def test_degree_above_lmax_rejected(self):
+        self._raises_at_line(self.ZONAL + "7\t5\n", 4, "degree 7 outside 0..3")
+
+    def test_malformed_number_rejected(self):
+        self._raises_at_line(self.ZONAL + "1\tabc\n", 4, "expected")
+
+    def test_repeated_degree_rejected(self):
+        self._raises_at_line(self.ZONAL + "2\t0.5\n", 4, "repeated 2")
+        text = "# general n=3\n2\tk1\t1\t0\n2\tk2\t1\t0\n2\tk1\t5\t0\n"
+        self._raises_at_line(text, 4, "repeated \\(2, 'k1'\\)")
+
+    def test_parse_error_is_a_domain_error(self):
+        # library callers that catch SphereDomainError keep catching it
+        with pytest.raises(SphereDomainError):
+            parse_spectrum(self.ZONAL + "7\t5\n")
 
     def test_parses_with_leading_metadata(self):
         text = "# spherepde v0\n# zonal n=2 Lmax=1\n0\t1\n1\t2\n"
