@@ -262,7 +262,7 @@ def cmd_green(args):
           "L": "none" if param.L is None else _fmt(param.L),
           "backends": "+".join(backends),
           "tolerances": "series Abel cut 1e-14 with Richardson tail estimate, "
-                        "integral 1e-8 (1+|G|)"}
+                        "1-t >= 6e-5 n; integral 1e-8 (1+|G|)"}
     if args.lmax:
         kv["series Lmax"] = args.lmax
     if tail is not None:

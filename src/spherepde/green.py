@@ -40,8 +40,9 @@ closed    -- the tabulated closed forms (green_tables registry, exact
              closedform.ClosedForm rows).
 
 All Green functions are singular on the diagonal t = 1 (logarithmically
-for n = 2); evaluation there is rejected except for the n = 2 series,
-which only warns.
+for n = 2); evaluation there is rejected except for the n = 2 partial sum
+with an explicit L_max, which only warns.  The adaptive series also
+rejects 1 - t < 6e-5 n, which its radii do not resolve.
 """
 
 import warnings
@@ -192,7 +193,11 @@ def _check_t_for_eval(param, t, allow_diag_n2=False):
 # ---------------------------------------------------------------------------
 
 _ABEL_EPS = (0.05, 0.025, 0.0125, 0.00625, 0.003125)   # radii r = 1 - eps
+_ABEL_RTOL = 1e-14          # geometric cut of the Abel sums
 _ABEL_L_CUT_MAX = 2_000_000
+# The extrapolation resolves the diagonal only down to 1 - t = n * this:
+# its tail estimate falls below the error from ~3.3e-5 n (n = 2..16).
+_ABEL_DIAG_GAP = 6e-5
 
 
 def _partial_sum(param, t, l_max):
@@ -213,16 +218,19 @@ def crude_tail_term(param, l):
     return (lam + l) / (lam * gap) * gegenbauer_bound(param.ctx, l)
 
 
-def _abel_values(param, ts, eps_list, rtol=1e-14):
-    """Abel sums sum_l G-hat(l) r^l C_l(t) at r = 1 - eps, batched over ts.
+def _abel_values(param, ts):
+    """Abel sums sum_l G-hat(l) r^l C_l(t) at r = 1 - _ABEL_EPS, batched over ts.
 
     One cut, set by the largest radius, and one Gegenbauer matrix serve
-    every radius; only the powers r^l change between them.
+    every radius; only the powers r^l change between them.  The cut cap
+    only guards against a change to _ABEL_EPS: at r = 1 - 0.003125 the
+    cut stays below 250 000 degrees up to n = 54, beyond which the
+    float bound in crude_tail_term overflows first.
     """
-    r = 1.0 - min(eps_list)
-    # geometric cut: (lambda+l)/lambda (n+l-2)^{n-2} r^l / gap below rtol
+    r = 1.0 - min(_ABEL_EPS)
+    # geometric cut: (lambda+l)/lambda (n+l-2)^{n-2} r^l / gap below _ABEL_RTOL
     l_cut = 64
-    while crude_tail_term(param, l_cut) * r ** l_cut / (1.0 - r) >= rtol:
+    while crude_tail_term(param, l_cut) * r ** l_cut / (1.0 - r) >= _ABEL_RTOL:
         l_cut = int(l_cut * 1.6) + 8
         if l_cut > _ABEL_L_CUT_MAX:
             raise ConvergenceError(
@@ -230,7 +238,7 @@ def _abel_values(param, ts, eps_list, rtol=1e-14):
     coef = green_coefficients(param, l_cut)
     C = gegenbauer_matrix(param.ctx, l_cut, ts)
     ls = np.arange(l_cut + 1)
-    return np.stack([(coef * (1.0 - eps) ** ls) @ C for eps in eps_list])
+    return np.stack([(coef * (1.0 - eps) ** ls) @ C for eps in _ABEL_EPS])
 
 
 def _richardson_batch(eps, vals):
@@ -245,12 +253,19 @@ def green_series_batch(param, ts):
     Abel summation through the Poisson-kernel-weighted series at the
     radii 1 - _ABEL_EPS, with Richardson extrapolation r -> 1, for every
     n.  Returns (values, tail_estimates); a tail is the change from
-    dropping the innermost radius from the extrapolation.
+    dropping the innermost radius from the extrapolation.  Points with
+    1 - t < n * _ABEL_DIAG_GAP raise ConvergenceError: there the radii
+    no longer resolve the singularity and the tail understates the error.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     for t in ts:
-        _check_t_for_eval(param, float(t), allow_diag_n2=True)
-    vals = _abel_values(param, ts, _ABEL_EPS)
+        _check_t_for_eval(param, float(t))
+    gap = param.ctx.n * _ABEL_DIAG_GAP
+    if np.any(ts > 1.0 - gap):
+        raise ConvergenceError(
+            f"the series backend needs 1 - t >= {gap:.1e} at n = {param.ctx.n}, "
+            f"got t = {float(ts.max())}; use the integral backend")
+    vals = _abel_values(param, ts)
     full = _richardson_batch(_ABEL_EPS, vals)
     short = _richardson_batch(_ABEL_EPS[:-1], vals[:-1])
     return full, np.abs(full - short)
@@ -265,7 +280,7 @@ def green_eval_series(param, t, l_max=None, with_tail=False):
 
     With l_max None: adaptive, via green_series_batch.
     """
-    t = _check_t_for_eval(param, t, allow_diag_n2=True)
+    t = _check_t_for_eval(param, t, allow_diag_n2=l_max is not None)
     if l_max is not None:
         if l_max < 1:
             raise SphereDomainError(f"series needs l_max >= 1, got {l_max}")
@@ -356,8 +371,11 @@ def green_eval_integral(param, t):
         # the explicit error check below governs; quad's certification
         # warning near roundoff level is redundant with it
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        # quad's relative target is relative to the integral, which the
+        # correction sum can cancel to a much smaller G (integral 12.9,
+        # G = 0.64 at n = 3, a = 3.3, t = 0.993), so it aims well below
         val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=_QUAD_RTOL / 4.0,
-                                  epsrel=1e-11, limit=400)
+                                  epsrel=_QUAD_RTOL * 1e-3, limit=400)
     total = -val
     for l in range(0, corr_top + 1):
         total += green_coefficient(param, l) * gegenbauer_matrix(ctx, l, t)[l, 0]

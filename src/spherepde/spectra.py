@@ -371,6 +371,8 @@ def parse_spectrum(text):
                             n = int(tok[2:])
                         elif tok.startswith("Lmax="):
                             l_max = int(tok[5:])
+                    if (n is not None and n < 2) or (l_max is not None and l_max < 0):
+                        raise ValueError
                 except ValueError:
                     raise _line_error(lineno, line, "malformed header") from None
             continue
@@ -380,7 +382,7 @@ def parse_spectrum(text):
             "missing '# zonal n=... Lmax=...' or '# general n=...' header")
     ctx = make_context(n)
     zonal = kind == "zonal"
-    top = l_max if zonal and l_max is not None else float("inf")
+    capped = zonal and l_max is not None
     values = {}
     for lineno, line in rows:
         r = line.split("\t")
@@ -397,8 +399,10 @@ def parse_spectrum(text):
         except ValueError:
             shape = "l <TAB> re [<TAB> im]" if zonal else "l <TAB> k <TAB> re <TAB> im"
             raise _line_error(lineno, line, f"expected '{shape}'") from None
-        if not 0 <= l <= top:
-            raise _line_error(lineno, line, f"degree {l} outside 0..{top}")
+        if l < 0:
+            raise _line_error(lineno, line, f"negative degree {l}")
+        if capped and l > l_max:
+            raise _line_error(lineno, line, f"degree {l} above Lmax={l_max}")
         if key in values:
             raise _line_error(lineno, line, f"repeated {key!r}")
         values[key] = v

@@ -22,8 +22,9 @@ from spherepde import (
     make_context,
     parameter_from_root,
 )
+from spherepde import green
 from spherepde.green import (
-    _abel_values,
+    _ABEL_DIAG_GAP,
     condition_warnings,
     eigen_gap,
     green_series_batch,
@@ -172,11 +173,36 @@ class TestSeries:
                 err = abs(v - c)
                 assert err <= 1e-4 * (1 + abs(c)) or err <= tail, (row.L, t, err, tail)
 
-    def test_abel_cut_cap_raises(self):
-        # r = 1 - 1e-6 needs far more than the 2 000 000-degree cap
+    def test_abel_cut_cap_raises(self, monkeypatch):
+        # a radius r = 1 - 1e-6 would need far more than the 2 000 000-degree cap
+        monkeypatch.setattr(green, "_ABEL_EPS", (0.05, 1e-6))
         p = helmholtz_parameter(make_context(3), 0.0)
+        with pytest.raises(ConvergenceError, match="2000000 degrees"):
+            green_series_batch(p, np.array([0.3]))
+
+    def test_adaptive_rejects_unresolved_diagonal(self):
+        # n = 2: the diagonal itself and a point the radii cannot resolve
+        p = helmholtz_parameter(make_context(2), 0.0)
+        with pytest.raises(SphereDomainError):
+            green_series_batch(p, np.array([0.0, 1.0]))
         with pytest.raises(ConvergenceError):
-            _abel_values(p, np.array([0.3]), (1e-6,))
+            green_series_batch(p, np.array([0.0, 0.9999999]))
+        with pytest.raises(ConvergenceError):
+            green_eval_series(p, 0.9999999)
+        with pytest.raises(ConvergenceError):     # untabulated a: auto is series
+            GreenFunction(helmholtz_parameter(make_context(2), 0.7), "auto")(0.9999999)
+        # n = 3 at 1 - t = 1e-4: a tail of 0.59 would understate an error of 1.02
+        with pytest.raises(ConvergenceError):
+            green_series_batch(helmholtz_parameter(make_context(3), 0.0), np.array([0.9999]))
+
+    def test_tail_honest_at_the_diagonal_limit(self):
+        # just outside the rejected band each value is within its tail
+        for n in (2, 3, 5, 8, 10):
+            t = 1.0 - 1.05 * n * _ABEL_DIAG_GAP
+            vals, tails = green_series_batch(helmholtz_parameter(make_context(n), 0.0),
+                                             np.array([t]))
+            c = green_tables.lookup(n, 0.0).eval(t)
+            assert abs(vals[0] - c) <= tails[0], (n, t, vals[0], c, tails[0])
 
     def test_diagonal_warns_n2_raises_n3(self):
         p2 = helmholtz_parameter(make_context(2), 0.0)

@@ -305,10 +305,16 @@ class TestFileFormat:
             parse_spectrum(text)
 
     def test_negative_degree_rejected(self):
-        self._raises_at_line(self.ZONAL + "-1\t5\n", 4, "degree -1 outside 0..3")
+        self._raises_at_line(self.ZONAL + "-1\t5\n", 4, "negative degree -1")
+        self._raises_at_line("# general n=3\n-2\tk1\t1\t0\n", 2, "negative degree -2")
 
     def test_degree_above_lmax_rejected(self):
-        self._raises_at_line(self.ZONAL + "7\t5\n", 4, "degree 7 outside 0..3")
+        self._raises_at_line(self.ZONAL + "7\t5\n", 4, "degree 7 above Lmax=3")
+
+    def test_header_out_of_range_rejected(self):
+        self._raises_at_line("# zonal n=2 Lmax=-1\n0\t1\n", 1, "malformed header")
+        self._raises_at_line("# general n=-3\n2\tk1\t1\t0\n", 1, "malformed header")
+        self._raises_at_line("# zonal n=1 Lmax=2\n0\t1\n", 1, "malformed header")
 
     def test_malformed_number_rejected(self):
         self._raises_at_line(self.ZONAL + "1\tabc\n", 4, "expected")
