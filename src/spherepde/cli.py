@@ -233,9 +233,9 @@ def cmd_green(args):
 
     backends = (["closed", "series", "integral"] if args.backend == "all"
                 else [args.backend])
-    have_closed = closed_form_row(param) is not None
+    row = closed_form_row(param)
     notes = {}
-    if "closed" in backends and not have_closed:
+    if "closed" in backends and row is None:
         backends[backends.index("closed")] = "series"
         notes["fallback"] = "no closed form for (n, a); 'closed' column uses series"
         backends = list(dict.fromkeys(backends))
@@ -254,7 +254,13 @@ def cmd_green(args):
                 vals = list(arr)
                 tail = float(np.max(tails))
         elif b == "closed":
-            vals = [green_eval_closed(param, t) for t in ts]
+            # a --t point gets the domain and diagonal check of
+            # green_eval_closed; the grid lies inside (-1, 1) and goes to the
+            # row as one array
+            if args.t is not None:
+                vals = [green_eval_closed(param, args.t)]
+            else:
+                vals = list(row.eval(ts))
         else:
             vals = [green_eval_integral(param, t) for t in ts]
         cols[b] = vals

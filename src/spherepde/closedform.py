@@ -10,9 +10,10 @@ algebra: bivariate rational terms over powers of
 half-integer powers of u (sqrt(u) factors), powers of 1 - t^2, and the
 logarithms ln(v - t + sqrt(u)), ln(1 - t v + sqrt(u)), ln v.  This module
 implements that algebra with exact Fraction coefficients, the recurrence
-tables behind four antiderivative families, and the assembler that chains
-them into the closed form of the Green function for even n and integer L
-(a = L(n+L-1)).  Floating point enters only at evaluation time.
+tables behind four antiderivative families, and the assembler that turns
+the kernel_power family into the closed form of the Green function for
+even n and integer L (a = L(n+L-1)).  Floating point enters only at
+evaluation time.
 
 Antiderivative families (constants of integration fixed to the displayed
 forms, C = 0):
@@ -40,8 +41,8 @@ forms, C = 0):
       v ln(1 - t v + sqrt(u)) - v + ln(v - t + sqrt(u)).
 
 Assembly.  With J = n/2, lambda = J - 1/2, and S(r) = Sigma_n p_r(t) minus
-its partial sum through degree M, the Green function is the double radial
-integral
+its partial sum through degree M = max(L, -1), the Green function is the
+double radial integral
 
     G(t) = -int_0^1 R^{-(n+2L)} int_0^R r^{n+L-2} S(r) dr dR + correction.
 
@@ -50,23 +51,26 @@ Swapping the integration order collapses it to two single integrals
     G(t) = -(D1 - D2)/(n+2L-1) + correction,
     D1 = int_0^1 r^{-L-1} S(r) dr,    D2 = int_0^1 r^{n+L-2} S(r) dr
 
-(n+2L-1 is odd, hence nonzero, for even n).  D2 and the L < 0 form of D1
-are direct kernel_power antiderivatives.  For L = 0 the assembler follows
-the two-step route instead: gamma = the zonal-kernel radial
-antiderivative, zeta = int R^{n-2} (gamma(R) - gamma(0)) dR composed from
-kernel_power and kernel_log antiderivatives, and G = zeta(0) - zeta(1);
-the order swap shows the two routes agree.  For L >= 1 the D1 integrand
-is mapped by r = 1/w onto [1, infinity); the finite part of its
-antiderivative at w -> infinity is extracted from exact asymptotic series
+(n+2L-1 is odd, hence nonzero, for even n).  One route serves every
+integer L, the Poisson case L = 0 and L < 0 included: D2 is a direct
+kernel_power antiderivative, and the D1 integrand is mapped by r = 1/w
+onto [1, infinity), where it is again a kernel_power antiderivative; the
+finite part at w -> infinity is extracted from exact asymptotic series
 (generating-function expansions of the u powers), and every divergent
 power of w - and the ln w coefficient - is asserted to cancel exactly.
+The radial-split and kernel_log families are not used by the assembler:
+they give the two-step route for L = 0 (radial antiderivative, then the
+back integral), which the order swap makes unnecessary.  They stay public
+as the appendix machinery of the paper, checked on their own.
 
-The final collected expression has the shape
+The collected endpoint values have the shape
 
     rational(t) / ((1-t)^p (1+t)^q)  +  c(t) * ln((1-t)/2);
 
 sqrt(1-t) and ln(1-t+sqrt(2(1-t))) contributions must cancel identically
-for even n, and the assembler asserts that they do.  It is returned as a
+for even n, and ln 2 must pair with ln(1-t).  Each cancellation is
+asserted by merging the terms concerned with the canonical ClosedForm
+construction and checking that nothing is left.  The result is a
 ClosedForm, the exact type the green_tables registry rows share, so a
 derived form and a registry row compare with ==.
 """
@@ -74,7 +78,7 @@ derived form and a registry row compare with ==.
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, log, pi, sqrt
+from math import factorial, inf, lcm, log, pi, sqrt
 
 import numpy as np
 
@@ -172,7 +176,7 @@ def gegenbauer_poly(lam, l_max):
 # ---------------------------------------------------------------------------
 # RatTerm: num(t, v) * u^{uhalf/2} / (1-t^2)^{tpow}
 # LogTerm: coef(t, v) / (1-t^2)^{tpow} * ln(arg), arg keyed by kind:
-#   "A" -> v - t + sqrt(u);  "B" -> 1 - t v + sqrt(u);  "V" -> v;  "2" -> 2.
+#   "A" -> v - t + sqrt(u);  "B" -> 1 - t v + sqrt(u);  "V" -> v.
 
 @dataclass(frozen=True)
 class RatTerm:
@@ -205,12 +209,6 @@ def _mul_tpoly(term, tpoly):
     return LogTerm(pmul(term.coef, bi), term.kind, term.tpow)
 
 
-def _raise_tpow(term, extra):
-    if isinstance(term, RatTerm):
-        return RatTerm(term.num, term.uhalf, term.tpow + extra)
-    return LogTerm(term.coef, term.kind, term.tpow + extra)
-
-
 def expr_eval(terms, t, v):
     """Floating-point value of an expression at (t, v)."""
     u = 1.0 - 2.0 * t * v + v * v
@@ -227,8 +225,6 @@ def expr_eval(terms, t, v):
                 arg = 1.0 - t * v + sqrt(u)
             elif term.kind == "V":
                 arg = v
-            elif term.kind == "2":
-                arg = 2.0
             else:
                 raise ValueError(term.kind)
             val = bi_eval(term.coef, t, v) * log(arg)
@@ -499,147 +495,6 @@ def kernel_log_antiderivative(k):
 
 
 # ---------------------------------------------------------------------------
-# asymptotics at v -> infinity (exact, coefficients in Q[t])
-# ---------------------------------------------------------------------------
-
-class _Asym:
-    """Divergent powers, ln v coefficient, and finite parts of an antiderivative.
-
-    Every piece keeps its (1-t^2)^tpow denominator as a dict key, so exact
-    cancellation can be tested over a common denominator.
-    """
-
-    def __init__(self):
-        self.powers = {}        # m >= 1 -> {tpow -> poly}
-        self.logv = {}          # tpow -> poly
-        self.const = {}         # tpow -> poly
-        self.const_log2 = {}    # tpow -> poly
-
-    @staticmethod
-    def _fold(slot, tpow, poly):
-        if poly:
-            slot[tpow] = padd(slot.get(tpow, {}), poly)
-
-    def add_rat(self, term):
-        """num(t,v) u^{h/2}: expand via (1-2tx+x^2)^{h/2}, x = 1/v."""
-        h = term.uhalf
-        deg_v = max((j for (_i, j) in term.num), default=0)
-        top = deg_v + h
-        series = gegenbauer_poly(Fraction(-h, 2), max(top, 0) + 1)
-        for (i, j), c in term.num.items():
-            for kk in range(0, j + h + 1):
-                m = j + h - kk
-                contrib = pscale(pmul({i: F1}, series[kk]), c)
-                if m > 0:
-                    self.powers.setdefault(m, {})
-                    self._fold(self.powers[m], term.tpow, contrib)
-                elif m == 0:
-                    self._fold(self.const, term.tpow, contrib)
-
-    def add_log(self, term):
-        """v-free-coefficient logs: A -> ln v + ln 2 + O(1/v); V -> ln v."""
-        if any(j != 0 for (_i, j) in term.coef):
-            raise SphereDomainError("asymptotics need v-free log coefficients")
-        coef = bi_sub_v0(term.coef, 0)
-        if term.kind == "A":
-            self._fold(self.logv, term.tpow, coef)
-            self._fold(self.const_log2, term.tpow, coef)
-        elif term.kind == "V":
-            self._fold(self.logv, term.tpow, coef)
-        else:
-            raise SphereDomainError(f"log kind {term.kind} has no v->inf limit here")
-
-    @staticmethod
-    def total_over_common(slot):
-        """sum of poly/(1-t^2)^tpow lifted over the common denominator."""
-        if not slot:
-            return {}
-        top = max(slot)
-        total = {}
-        for tp, poly in slot.items():
-            total = padd(total, pmul(poly, ppow({0: F1, 2: -F1}, top - tp)))
-        return _clean(total)
-
-
-# ---------------------------------------------------------------------------
-# endpoint collection
-# ---------------------------------------------------------------------------
-# Atoms of the collected closed form, as functions of t:
-#   rational atoms keyed (e1m2, e1p, s2):
-#       poly(t) * sqrt(2)^{s2} / ((1-t)^{e1m2/2} (1+t)^{e1p})
-#   log atoms keyed (name, tpow) with name in:
-#       "L1MT" ln(1-t);  "L2" ln 2;  "LS" ln(1-t+sqrt(2(1-t))).
-
-class Collector:
-    def __init__(self):
-        self.rat = {}
-        self.logs = {}
-
-    def add_rat(self, key, poly):
-        if poly:
-            self.rat[key] = padd(self.rat.get(key, {}), poly)
-
-    def add_log(self, name, tpow, poly):
-        if poly:
-            key = (name, tpow)
-            self.logs[key] = padd(self.logs.get(key, {}), poly)
-
-    def add_term_at(self, term, v0, sign):
-        """Fold one term evaluated at v = v0 (0 or 1), scaled by sign."""
-        if isinstance(term, RatTerm):
-            poly = pscale(bi_sub_v0(term.num, v0), sign)
-            if not poly:
-                return
-            if v0 == 0:
-                # u -> 1
-                self.add_rat((2 * term.tpow, term.tpow, 0), poly)
-            else:
-                # u -> 2(1-t): u^{h/2} = 2^{(h-s2)/2} sqrt(2)^{s2} (1-t)^{h/2}
-                h = term.uhalf
-                twos, s2 = divmod(h, 2)      # s2 in {0,1} for either sign of h
-                poly = pscale(poly, Fraction(2) ** twos)
-                self.add_rat((2 * term.tpow - h, term.tpow, s2), poly)
-        else:
-            poly = pscale(bi_sub_v0(term.coef, v0), sign)
-            if not poly:
-                return
-            if term.kind == "2":
-                self.add_log("L2", term.tpow, poly)
-            elif v0 == 0:
-                if term.kind == "A":
-                    self.add_log("L1MT", term.tpow, poly)
-                elif term.kind == "B":
-                    self.add_log("L2", term.tpow, poly)
-                else:
-                    raise SphereDomainError(
-                        "ln v evaluated at v = 0 with a nonzero coefficient")
-            else:
-                if term.kind in ("A", "B"):
-                    # both arguments become 1 - t + sqrt(2(1-t))
-                    self.add_log("LS", term.tpow, poly)
-                # kind "V": ln 1 = 0
-
-    def add_expression_at(self, terms, v0, sign):
-        for term in terms:
-            self.add_term_at(term, v0, sign)
-
-    def log_total(self, name):
-        """Combined coefficient of a log atom over its (1-t^2) denominators.
-
-        Returns (numerator poly, tpow) with the common denominator
-        (1-t^2)^tpow.
-        """
-        slot = {tp: poly for (nm, tp), poly in self.logs.items() if nm == name}
-        if not slot:
-            return {}, 0
-        top = max(slot)
-        total = {}
-        for tp, poly in slot.items():
-            total = padd(total, pmul(poly, ppow({0: F1, 2: -F1}, top - tp)))
-        return _clean(total), top
-
-
-# ---------------------------------------------------------------------------
 # the closed-form type (tabulated and derived forms alike)
 # ---------------------------------------------------------------------------
 # Atoms, as functions of t = cos(theta):
@@ -810,11 +665,100 @@ def _power(base, e, latex):
 
 
 # ---------------------------------------------------------------------------
+# endpoint collection
+# ---------------------------------------------------------------------------
+# The collector evaluates antiderivatives at v = 0, v = 1 and v -> infinity
+# and adds each piece poly(t) / ((1-t)^{a/2} (1+t)^{b/2}) to the polynomial
+# kept under (a, b) in a bucket named after its factor:
+#   "1"     rational;
+#   "sqrt"  rational with an odd power of sqrt(1-t), the common sqrt(2) dropped;
+#   "L1MT"  ln(1-t);   "L2"  ln 2;   "LS"  ln(1-t+sqrt(2(1-t)));
+#   "lnw"   ln w and ("w", m) w^m, m >= 1, as w -> infinity.
+# ClosedForm of a bucket's terms merges them over a common denominator
+# exactly, so a combination that must cancel is one whose ClosedForm has no
+# terms.
+
+class Collector:
+    def __init__(self):
+        self.buckets = {}
+
+    def add(self, bucket, a, b, poly):
+        if poly:
+            slot = self.buckets.setdefault(bucket, {})
+            slot[a, b] = padd(slot.get((a, b), {}), poly)
+
+    def terms(self, bucket, atom="1"):
+        return [(atom, a, b, poly) for (a, b), poly in self.buckets.get(bucket, {}).items()]
+
+    def merged(self, *buckets):
+        """The buckets' terms together, as one canonical ClosedForm."""
+        return ClosedForm([term for name in buckets for term in self.terms(name)])
+
+    def add_definite(self, terms, lo, hi, scale):
+        """Fold scale * (F(hi) - F(lo)), F the sum of terms, lo and hi in {0, 1, inf}."""
+        for v0, s in ((hi, scale), (lo, -scale)):
+            for term in terms:
+                if v0 == inf:
+                    self._add_at_infinity(term, s)
+                else:
+                    self._add_at(term, v0, s)
+
+    def _add_at(self, term, v0, s):
+        tp = term.tpow
+        if isinstance(term, RatTerm):
+            poly = pscale(bi_sub_v0(term.num, v0), s)
+            if v0 == 0:
+                # u -> 1
+                self.add("1", 2 * tp, 2 * tp, poly)
+            else:
+                # u -> 2(1-t): u^{h/2} = 2^{h//2} sqrt(2)^{h%2} (1-t)^{h/2}
+                h = term.uhalf
+                self.add("sqrt" if h % 2 else "1", 2 * tp - h, 2 * tp,
+                         pscale(poly, Fraction(2) ** (h // 2)))
+            return
+        poly = pscale(bi_sub_v0(term.coef, v0), s)
+        if term.kind == "A":
+            # v - t + sqrt(u) -> 1 - t at v = 0, 1 - t + sqrt(2(1-t)) at v = 1
+            self.add("L1MT" if v0 == 0 else "LS", 2 * tp, 2 * tp, poly)
+        elif poly and (term.kind != "V" or v0 == 0):
+            raise SphereDomainError(f"log kind {term.kind} has no collected value at v = {v0}")
+        # kind "V" at v = 1: ln 1 = 0
+
+    def _add_at_infinity(self, term, s):
+        tp = term.tpow
+        if isinstance(term, RatTerm):
+            # num(t,v) u^{h/2}, u^{h/2} = v^h sum_k C_k^{-h/2}(t) v^{-k}
+            h = term.uhalf
+            top = max((j for (_i, j) in term.num), default=0) + h
+            series = gegenbauer_poly(Fraction(-h, 2), max(top, 0))
+            for (i, j), c in term.num.items():
+                for k in range(j + h + 1):
+                    m = j + h - k
+                    self.add(("w", m) if m else "1", 2 * tp, 2 * tp,
+                             pscale(pmul({i: F1}, series[k]), c * s))
+            return
+        if any(j != 0 for (_i, j) in term.coef):
+            raise SphereDomainError("asymptotics need v-free log coefficients")
+        coef = pscale(bi_sub_v0(term.coef, 0), s)
+        # A: ln(v - t + sqrt(u)) = ln v + ln 2 + O(1/v);  V: ln v
+        if term.kind not in ("A", "V"):
+            raise SphereDomainError(f"log kind {term.kind} has no v->inf limit here")
+        self.add("lnw", 2 * tp, 2 * tp, coef)
+        if term.kind == "A":
+            self.add("L2", 2 * tp, 2 * tp, coef)
+
+
+# ---------------------------------------------------------------------------
 # the assembler
 # ---------------------------------------------------------------------------
 
 def derive_green_closed_form(n, L):
     """Closed form of the Green function for even n, integer L, a = L(n+L-1).
+
+    One route for every L (module docstring): G = -(D1 - D2)/(n+2L-1) plus
+    the correction sum, with D2 from kernel_power antiderivatives on [0, 1]
+    and D1 through r = 1/w on [1, infinity), its value at infinity the exact
+    finite part.  Every cancellation the even-n form needs is asserted.
 
     Raises NoClosedFormError outside the supported range (odd n or
     non-integer L: those forms carry inverse-trig terms outside this
@@ -830,152 +774,55 @@ def derive_green_closed_form(n, L):
         raise NoClosedFormError(f"L={L} lies below the root range for n={n}")
     J = n // 2
     lam = Fraction(2 * J - 1, 2)
-    sub_top = L if L >= 0 else -1
-    geg = gegenbauer_poly(lam, max(sub_top, 0))
+    geg = gegenbauer_poly(lam, max(L, 0))
+    # c_l(t) = (lam+l)/lam C_l(t), subtracted from S(r) for l <= L
+    c = [pscale(geg[l], (lam + l) / lam) for l in range(L + 1)]
+    scale = Fraction(-1, n + 2 * L - 1)
     collector = Collector()
 
-    if L == 0:
-        _assemble_poisson_case(collector, n, J, lam)
-    else:
-        _assemble_via_order_swap(collector, n, J, lam, L, sub_top, geg)
+    # D2 = int_0^1 r^{n+L-2} S(r) dr; G gains -scale * D2
+    d2 = kernel_power_antiderivative(n + L - 2, J)
+    d2.extend(expr_scale(kernel_power_antiderivative(n + L, J), -1))
+    for l in range(L + 1):
+        e = n + L - 1 + l
+        d2.append(RatTerm(pmul(uni_to_bi(pscale(c[l], Fraction(-1, e))), {(0, e): F1})))
+    collector.add_definite(d2, 0, 1, -scale)
 
-    # correction sum: sum_{l <= top} 1/(a - l(n+l-1)) (lam+l)/lam C_l(t)
+    # D1 = int_0^1 r^{-L-1} S(r) dr; with r = 1/w,
+    # D1 = int_1^inf [(w^{n+L} - w^{n+L-2})/u(w)^{J+1/2} - sum_{l<=L} c_l w^{L-l-1}] dw
+    d1 = kernel_power_antiderivative(n + L, J)
+    d1.extend(expr_scale(kernel_power_antiderivative(n + L - 2, J), -1))
+    for l in range(L):
+        d1.append(RatTerm(pmul(uni_to_bi(pscale(c[l], Fraction(-1, L - l))), {(0, L - l): F1})))
+    if L >= 0:
+        d1.append(LogTerm(uni_to_bi(pscale(c[L], -1)), "V"))
+    collector.add_definite(d1, 1, inf, scale)
+
+    # correction sum: sum_{l < L} c_l(t) / (a - l(n+l-1))
     a = Fraction(L * (n + L - 1))
-    corr_top = L - 1 if L >= 1 else -1
-    for l in range(corr_top + 1):
-        gap = a - l * (n + l - 1)
-        collector.add_rat((0, 0, 0), pscale(geg[l], (lam + l) / lam / gap))
+    for l in range(L):
+        collector.add("1", 0, 0, pscale(c[l], 1 / (a - l * (n + l - 1))))
 
     return _finalise(collector, n, L)
 
 
-def _assemble_poisson_case(collector, n, J, lam):
-    """L = 0 via the two-step route (radial antiderivative, then back integral).
-
-    gamma(v) antidifferentiates (Sigma_n p_v - 1)/v; zeta(R)
-    antidifferentiates R^{n-2} (gamma(R) - gamma(0)) through the
-    kernel_power and kernel_log families; G = zeta(0) - zeta(1).
-    """
-    gamma = zonal_kernel_radial_antiderivative(lam)
-    zeta = []
-    for term in gamma:
-        if isinstance(term, RatTerm):
-            if term.uhalf >= 0 or (-term.uhalf) % 2 == 0:
-                raise AssertionError("radial antiderivative must have odd 1/u powers")
-            Jp = (-term.uhalf - 1) // 2
-            by_j = {}
-            for (i, j), c in term.num.items():
-                by_j.setdefault(j, {})[i] = c
-            for j, tpoly in by_j.items():
-                for sub in kernel_power_antiderivative(j + n - 2, Jp):
-                    zeta.append(_raise_tpow(_mul_tpoly(sub, tpoly), term.tpow))
-        else:
-            if term.kind != "B" or term.tpow != 0:
-                raise AssertionError("unexpected log in the radial antiderivative")
-            coef = bi_sub_v0(term.coef, 0)
-            for sub in kernel_log_antiderivative(n - 2):
-                zeta.append(_mul_tpoly(sub, coef))
-    # subtract gamma(0) * v^{n-1}/(n-1)
-    mono = {(0, n - 1): Fraction(1, n - 1)}
-    for term in gamma:
-        if isinstance(term, RatTerm):
-            p0 = bi_sub_v0(term.num, 0)    # u -> 1 at v = 0
-            if p0:
-                zeta.append(RatTerm(pscale(pmul(uni_to_bi(p0), mono), -1),
-                                    0, term.tpow))
-        else:   # the B log contributes ln 2 at v = 0
-            c0 = bi_sub_v0(term.coef, 0)
-            if c0:
-                zeta.append(LogTerm(pscale(pmul(uni_to_bi(c0), mono), -1), "2"))
-    # G = zeta(0) - zeta(1)
-    collector.add_expression_at(zeta, 0, 1)
-    collector.add_expression_at(zeta, 1, -1)
-
-
-def _assemble_via_order_swap(collector, n, J, lam, L, sub_top, geg):
-    """L != 0: G_int = -(D1 - D2)/(n+2L-1) through single antiderivatives."""
-    scale = Fraction(-1, n + 2 * L - 1)
-
-    # ---- D2 = int_0^1 r^{n+L-2} S(r) dr -------------------------------------
-    d2 = []
-    d2.extend(kernel_power_antiderivative(n + L - 2, J))
-    d2.extend(expr_scale(kernel_power_antiderivative(n + L, J), -1))
-    for l in range(sub_top + 1):
-        c = pscale(geg[l], -(lam + l) / lam * Fraction(1, n + L - 1 + l))
-        d2.append(RatTerm(pmul(uni_to_bi(c), {(0, n + L - 1 + l): F1})))
-    # G gains -scale * D2 = -scale * (antid2(1) - antid2(0))
-    collector.add_expression_at(expr_scale(d2, -scale), 1, 1)
-    collector.add_expression_at(expr_scale(d2, -scale), 0, -1)
-
-    # ---- D1 = int_0^1 r^{-L-1} S(r) dr --------------------------------------
-    if L < 0:
-        d1 = []
-        d1.extend(kernel_power_antiderivative(-L - 1, J))
-        d1.extend(expr_scale(kernel_power_antiderivative(-L + 1, J), -1))
-        collector.add_expression_at(expr_scale(d1, scale), 1, 1)
-        collector.add_expression_at(expr_scale(d1, scale), 0, -1)
-        return
-
-    # L >= 1: substitute r = 1/w:
-    # D1 = int_1^inf [(w^{n+L} - w^{n+L-2})/u(w)^{J+1/2} - sum_{l<=L} c_l w^{L-l-1}] dw
-    d1 = []
-    d1.extend(kernel_power_antiderivative(n + L, J))
-    d1.extend(expr_scale(kernel_power_antiderivative(n + L - 2, J), -1))
-    for l in range(sub_top + 1):
-        c = pscale(geg[l], -(lam + l) / lam)
-        if l < L:
-            d1.append(RatTerm(pmul(uni_to_bi(pscale(c, Fraction(1, L - l))),
-                                   {(0, L - l): F1})))
-        else:
-            d1.append(LogTerm(uni_to_bi(c), "V"))
-    # lower endpoint w = 1: G gains -scale * antid1(1)
-    collector.add_expression_at(expr_scale(d1, scale), 1, -1)
-    # upper endpoint: exact finite part at w -> infinity
-    asym = _Asym()
-    for term in d1:
-        if isinstance(term, RatTerm):
-            asym.add_rat(term)
-        else:
-            asym.add_log(term)
-    for m, slot in asym.powers.items():
-        if _Asym.total_over_common(slot):
-            raise AssertionError(
-                f"divergent power w^{m} did not cancel (n={n}, L={L})")
-    if _Asym.total_over_common(asym.logv):
-        raise AssertionError(f"ln w coefficient did not cancel (n={n}, L={L})")
-    for tp, poly in asym.const.items():
-        collector.add_rat((2 * tp, tp, 0), pscale(poly, scale))
-    for tp, poly in asym.const_log2.items():
-        collector.add_log("L2", tp, pscale(poly, scale))
-
-
 def _finalise(collector, n, L):
-    """Assert the surd and log cancellations; return the canonical ClosedForm."""
-    if collector.log_total("LS")[0]:
-        raise AssertionError(f"surd log did not cancel for n={n}, L={L}")
-    # logs: ln(1-t) and ln 2 merge into ln((1-t)/2)
-    l1_num, l1_tp = collector.log_total("L1MT")
-    l2_num, l2_tp = collector.log_total("L2")
-    top = max(l1_tp, l2_tp)
-    l1_lift = pmul(l1_num, ppow({0: F1, 2: -F1}, top - l1_tp))
-    l2_lift = pmul(l2_num, ppow({0: F1, 2: -F1}, top - l2_tp))
-    if _clean(padd(l1_lift, l2_lift)):
-        raise AssertionError(
-            f"log coefficients do not merge to ln((1-t)/2) for n={n}, L={L}")
-    # the sqrt(2) sqrt(1-t) atoms (odd e1m2) enter without their common
-    # factor sqrt(2): they must cancel as a group, so the canonical form may
-    # keep no odd exponent
-    terms = [("lg", 2 * l1_tp, 2 * l1_tp, l1_num)]
-    for (e1m2, e1p, s2), poly in collector.rat.items():
-        if s2 != e1m2 % 2:
-            raise AssertionError(f"mismatched surd parity in atom {(e1m2, e1p, s2)}")
-        terms.append(("1", e1m2, 2 * e1p, poly))
-    form = ClosedForm(terms, n=n, L=L)
-    for atom, a, b, _coeffs in form.terms:
-        if a % 2:
-            raise AssertionError(f"sqrt atoms did not cancel for n={n}, L={L}")
-        if atom == "lg" and (a or b):
-            raise AssertionError(f"log coefficient is not polynomial for n={n}, L={L}")
+    """Assert the exact cancellations; return the canonical ClosedForm.
+
+    Divergent powers of w and ln w cancel at infinity; the surd log and the
+    odd powers of sqrt(1-t) cancel; ln 2 cancels against ln(1-t), which
+    leaves ln((1-t)/2) with the ln(1-t) coefficient.
+    """
+    powers = sorted(key for key in collector.buckets if isinstance(key, tuple))
+    checks = [(f"divergent power w^{key[1]}", (key,)) for key in powers]
+    checks += [("ln w coefficient", ("lnw",)), ("surd log", ("LS",)),
+               ("ln 2 against ln(1-t)", ("L1MT", "L2")), ("sqrt atoms", ("sqrt",))]
+    for what, buckets in checks:
+        if collector.merged(*buckets).terms:
+            raise AssertionError(f"{what} did not cancel for n={n}, L={L}")
+    form = ClosedForm(collector.terms("L1MT", "lg") + collector.terms("1"), n=n, L=L)
+    if any(atom == "lg" and (a or b) for atom, a, b, _coeffs in form.terms):
+        raise AssertionError(f"log coefficient is not polynomial for n={n}, L={L}")
     return form
 
 

@@ -69,18 +69,7 @@ def _clamp_t(t):
 
 def gegenbauer_batch(ctx, l_max, t):
     """All values [C_0^lambda(t), ..., C_{l_max}^lambda(t)] for scalar t."""
-    if l_max < 0:
-        raise SphereDomainError(f"degree l must be >= 0, got {l_max}")
-    t = float(_clamp_t(t))
-    lam = ctx.lam
-    out = np.empty(l_max + 1)
-    out[0] = 1.0
-    if l_max >= 1:
-        out[1] = 2.0 * lam * t
-    for l in range(2, l_max + 1):
-        out[l] = (2.0 * (l + lam - 1.0) * t * out[l - 1]
-                  - (l + 2.0 * lam - 2.0) * out[l - 2]) / l
-    return out
+    return gegenbauer_matrix(ctx, l_max, float(t))[:, 0]
 
 
 def gegenbauer(ctx, l, t):
@@ -93,9 +82,8 @@ def gegenbauer(ctx, l, t):
 def gegenbauer_matrix(ctx, l_max, t):
     """Matrix C[l, j] = C_l^lambda(t_j) for a vector of arguments.
 
-    Row l of the result is bit-identical to gegenbauer_batch at each t_j;
-    this is the shared recurrence pass used by synthesis and series
-    summation.
+    The one recurrence pass: gegenbauer_batch is its column for a scalar
+    t, and synthesis and series summation use it directly.
     """
     if l_max < 0:
         raise SphereDomainError(f"degree l must be >= 0, got {l_max}")

@@ -42,7 +42,12 @@ closed    -- the tabulated closed forms (green_tables registry, exact
 All Green functions are singular on the diagonal t = 1 (logarithmically
 for n = 2); evaluation there is rejected except for the n = 2 partial sum
 with an explicit L_max, which only warns.  The adaptive series also
-rejects 1 - t < 6e-5 n, which its radii do not resolve.
+rejects 1 - t < 6e-5 n, which its radii do not resolve, and every
+n >= 18: there its innermost-radius Abel sum adds terms of size
+~l^{n-2} r^l that cancel, and the extrapolated value goes wrong at every
+t (relative error up to 2.4e-3 at n = 18, 4.6e4 at n = 24) while its
+tail estimate falls short of the error.  The integral backend covers
+those n.
 """
 
 import warnings
@@ -198,6 +203,7 @@ _ABEL_L_CUT_MAX = 2_000_000
 # The extrapolation resolves the diagonal only down to 1 - t = n * this:
 # its tail estimate falls below the error from ~3.3e-5 n (n = 2..16).
 _ABEL_DIAG_GAP = 6e-5
+_SERIES_N_MAX = 17          # above it the Abel sums cancel badly (module docstring)
 
 
 def _partial_sum(param, t, l_max):
@@ -224,8 +230,8 @@ def _abel_values(param, ts):
     One cut, set by the largest radius, and one Gegenbauer matrix serve
     every radius; only the powers r^l change between them.  The cut cap
     only guards against a change to _ABEL_EPS: at r = 1 - 0.003125 the
-    cut stays below 250 000 degrees up to n = 54, beyond which the
-    float bound in crude_tail_term overflows first.
+    cut stays below 250 000 degrees up to n = 54, and green_series_batch
+    stops at n = _SERIES_N_MAX before the cut search.
     """
     r = 1.0 - min(_ABEL_EPS)
     # geometric cut: (lambda+l)/lambda (n+l-2)^{n-2} r^l / gap below _ABEL_RTOL
@@ -252,14 +258,19 @@ def green_series_batch(param, ts):
 
     Abel summation through the Poisson-kernel-weighted series at the
     radii 1 - _ABEL_EPS, with Richardson extrapolation r -> 1, for every
-    n.  Returns (values, tail_estimates); a tail is the change from
-    dropping the innermost radius from the extrapolation.  Points with
-    1 - t < n * _ABEL_DIAG_GAP raise ConvergenceError: there the radii
-    no longer resolve the singularity and the tail understates the error.
+    n <= _SERIES_N_MAX.  Returns (values, tail_estimates); a tail is the
+    change from dropping the innermost radius from the extrapolation.
+    Larger n and points with 1 - t < n * _ABEL_DIAG_GAP raise
+    ConvergenceError: there the sums cancel or the radii no longer resolve
+    the singularity, and the tail understates the error.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     for t in ts:
         _check_t_for_eval(param, float(t))
+    if param.ctx.n > _SERIES_N_MAX:
+        raise ConvergenceError(
+            f"the series backend is accurate up to n = {_SERIES_N_MAX}, got n = "
+            f"{param.ctx.n}; use the integral backend")
     gap = param.ctx.n * _ABEL_DIAG_GAP
     if np.any(ts > 1.0 - gap):
         raise ConvergenceError(
@@ -377,8 +388,9 @@ def green_eval_integral(param, t):
         val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=_QUAD_RTOL / 4.0,
                                   epsrel=_QUAD_RTOL * 1e-3, limit=400)
     total = -val
-    for l in range(0, corr_top + 1):
-        total += green_coefficient(param, l) * gegenbauer_matrix(ctx, l, t)[l, 0]
+    if corr_top >= 0:
+        total += float(green_coefficients(param, corr_top)
+                       @ gegenbauer_matrix(ctx, corr_top, t)[:, 0])
     if err > _QUAD_RTOL * (1.0 + abs(total)):
         raise ConvergenceError(
             f"integral backend did not reach {_QUAD_RTOL:.0e} (1 + |G|) at t = {t} "

@@ -28,6 +28,7 @@ surface measure:
 under which <C_l, C_l> = lambda/(lambda+l) * C_l(1).
 """
 
+import cmath
 from dataclasses import dataclass, field
 from math import gamma, sqrt, pi
 
@@ -153,7 +154,7 @@ class GeneralSpectrum:
         for (l, _k), v in self.entries.items():
             if l < 0 or int(l) != l:
                 raise SphereDomainError(f"degrees must be non-negative integers, got {l}")
-            if not np.isfinite(v):
+            if not cmath.isfinite(v):
                 raise SphereDomainError("spectrum coefficients must be finite")
 
     def degrees(self):

@@ -141,6 +141,17 @@ class TestGreen:
                      "--backend", "integral"]) == 0
         assert "integral 1e-8 (1+|G|)" in capsys.readouterr().out
 
+    def test_series_above_n17_exits_numeric(self, capsys):
+        assert main(["green", "eval", "--n", "60", "--a", "0", "--t", "0.3",
+                     "--backend", "series"]) == 4
+        err = capsys.readouterr().err
+        assert "integral backend" in err and "Traceback" not in err
+
+    def test_closed_rejects_t_outside_domain(self, capsys):
+        for t in ("1", "1.5"):
+            assert main(["green", "--n", "2", "--a", "0", "--t", t, "--backend", "closed"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_derive(self, capsys):
         assert main(["green", "derive", "--n", "2", "--L", "0"]) == 0
         out = capsys.readouterr().out

@@ -264,6 +264,17 @@ class TestAssembler:
             ref = green_eval_series(p, t)
             assert form.eval(t) == pytest.approx(ref, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [12, 14])
+    @pytest.mark.parametrize("L", [-3, -1, 0, 2])
+    def test_beyond_registry_against_integral(self, n, L):
+        # one derivation route for every L, off the registry rows (n <= 10)
+        from spherepde import green_eval_integral, parameter_from_root
+        form = cf.derive_green_closed_form(n, L)
+        p = parameter_from_root(make_context(n), L)
+        for t in (-0.6, 0.2, 0.7):
+            ref = green_eval_integral(p, t)
+            assert abs(form.eval(t) - ref) <= 1e-9 * (1.0 + abs(ref)), (n, L, t)
+
     def test_odd_dimension_falls_back(self):
         with pytest.raises(NoClosedFormError):
             cf.derive_green_closed_form(3, 0)

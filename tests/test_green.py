@@ -195,6 +195,20 @@ class TestSeries:
         with pytest.raises(ConvergenceError):
             green_series_batch(helmholtz_parameter(make_context(3), 0.0), np.array([0.9999]))
 
+    def test_adaptive_rejects_n_above_17(self):
+        # at n = 18 the Abel sums cancel to a relative error ~1e-3 with a
+        # tail that falls short of it; n = 17 is the last dimension served
+        for n in (18, 60):
+            p = helmholtz_parameter(make_context(n), 0.0)
+            with pytest.raises(ConvergenceError, match="integral backend"):
+                green_series_batch(p, np.array([0.3]))
+            with pytest.raises(ConvergenceError, match="integral backend"):
+                green_eval_series(p, 0.3)
+        p = helmholtz_parameter(make_context(17), 0.0)
+        vals, tails = green_series_batch(p, np.array([0.3]))
+        ref = green_eval_integral(p, 0.3)
+        assert abs(vals[0] - ref) <= max(1e-4 * (1 + abs(ref)), tails[0])
+
     def test_tail_honest_at_the_diagonal_limit(self):
         # just outside the rejected band each value is within its tail
         for n in (2, 3, 5, 8, 10):

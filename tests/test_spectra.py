@@ -167,6 +167,13 @@ class TestConvolve:
         assert out.entries[(1, "k1")] == pytest.approx(lam / (lam + 1) * (1 + 2j))
         assert out.entries[(2, "k7")] == pytest.approx(lam / (lam + 2) * (-0.5) * 2.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan")),
+                                     complex(float("-inf"), 0.0),
+                                     np.complex128(complex(0, np.inf))])
+    def test_general_spectrum_rejects_non_finite(self, bad):
+        with pytest.raises(SphereDomainError, match="finite"):
+            GeneralSpectrum(make_context(3), {(1, "k1"): 1.0, (2, "k0"): bad})
+
     def test_commutative_and_associative(self):
         rng = np.random.default_rng(11)
         ctx = make_context(5)
