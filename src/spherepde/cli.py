@@ -13,10 +13,11 @@ Exit codes: 0 success, 1 usage or parse error, 2 resonance guard,
 
 Config files are flat ``key = value`` text (same keys as the long
 options, with ``-`` replaced by ``_``); explicit command-line flags
-override file values.  All output files are written atomically and begin
-with comment headers recording the parameters, tolerances, and version;
-numbers are printed with 12 significant digits, so identical
-configurations give byte-identical outputs.
+override file values, and a malformed line is a usage error.  All
+output files are written atomically and begin with comment headers
+recording the parameters, tolerances, and version; numbers are printed
+with 12 significant digits, so identical configurations give
+byte-identical outputs.
 """
 
 import argparse
@@ -42,7 +43,6 @@ from .green import (
     closed_form_row,
     green_eval_closed,
     green_eval_integral,
-    green_eval_series,
     green_series_batch,
     helmholtz_parameter,
     parameter_from_root,
@@ -90,46 +90,48 @@ def _atomic_write(path, text):
         raise
 
 
-def _load_config(path):
+def _load_config(path, parser):
+    """{key: (line number, value text)} of a flat 'key = value' file."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise SphereDomainError(f"config line is not 'key = value': {raw!r}")
+                parser.error(f"config {path} line {lineno} is not 'key = value': "
+                             f"{raw.strip()!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            out[key.strip().replace("-", "_")] = (lineno, val.strip())
     return out
 
 
-def _merge_config(args, parser_defaults):
-    """Fill unset args from --config file values (flags win)."""
+def _merge_config(args, parser):
+    """Fill unset args from --config file values (flags win).
+
+    Values convert by their option's type; a line that does not parse is a
+    usage error naming it.
+    """
     if not getattr(args, "config", None):
         return args
-    conf = _load_config(args.config)
-    for key, sval in conf.items():
-        if not hasattr(args, key):
+    command = parser._subparsers._group_actions[0].choices[args.command]
+    actions = {a.dest: a for a in command._actions}
+    for key, (lineno, sval) in _load_config(args.config, parser).items():
+        if key not in actions or not hasattr(args, key):
             continue
-        if getattr(args, key) != parser_defaults.get(key):
+        action = actions[key]
+        if getattr(args, key) != action.default:
             continue        # explicitly set on the command line
-        default = parser_defaults.get(key)
-        if isinstance(default, bool):
+        if isinstance(action.default, bool):
             val = sval.lower() in ("1", "true", "yes", "on")
-        elif isinstance(default, int) and default is not None:
-            val = int(sval)
-        elif isinstance(default, float) and default is not None:
-            val = float(sval)
+        elif action.type is None:
+            val = sval
         else:
-            # typeless (None-default) options: infer numerics, else string
             try:
-                val = int(sval)
+                val = action.type(sval)
             except ValueError:
-                try:
-                    val = float(sval)
-                except ValueError:
-                    val = sval
+                parser.error(f"config {args.config} line {lineno}: {key} = {sval!r} "
+                             f"is not a valid {action.type.__name__}")
         setattr(args, key, val)
     return args
 
@@ -244,15 +246,9 @@ def cmd_green(args):
     tail = None
     for b in backends:
         if b == "series":
-            if args.lmax:
-                pairs = [green_eval_series(param, t, args.lmax, with_tail=True)
-                         for t in ts]
-                vals = [v for v, _ in pairs]
-                tail = max(tl for _, tl in pairs)
-            else:
-                arr, tails = green_series_batch(param, ts)
-                vals = list(arr)
-                tail = float(np.max(tails))
+            arr, tails = green_series_batch(param, ts)
+            vals = list(arr)
+            tail = float(np.max(tails))
         elif b == "closed":
             # a --t point gets the domain and diagonal check of
             # green_eval_closed; the grid lies inside (-1, 1) and goes to the
@@ -269,8 +265,6 @@ def cmd_green(args):
           "backends": "+".join(backends),
           "tolerances": "series Abel cut 1e-14 with Richardson tail estimate, "
                         "1-t >= 6e-5 n; integral 1e-8 (1+|G|)"}
-    if args.lmax:
-        kv["series Lmax"] = args.lmax
     if tail is not None:
         kv["series tail estimate"] = _fmt(tail)
     kv.update(notes)
@@ -490,8 +484,6 @@ def build_parser():
                     help="number of uniform interior sample points")
     pg.add_argument("--backend", default="all",
                     choices=["all", "closed", "series", "integral"])
-    pg.add_argument("--lmax", type=int, default=None,
-                    help="explicit series truncation (reports a tail estimate)")
     pg.add_argument("--out", default=None, help="output CSV (stdout when omitted)")
     pg.set_defaults(func=cmd_green)
 
@@ -517,11 +509,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default for a in parser._actions}
-    for sp in parser._subparsers._group_actions[0].choices.values():
-        defaults.update({a.dest: a.default for a in sp._actions})
     try:
-        args = _merge_config(args, defaults)
+        args = _merge_config(args, parser)
         return args.func(args)
     except ResonanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

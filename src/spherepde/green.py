@@ -11,11 +11,11 @@ G-hat(l) = -1/(l(n+l-1)) (lambda+l)/lambda).
 
 Three interchangeable evaluation backends:
 
-series    -- partial sums of the coefficient series; with an explicit
-             L_max a plain partial sum, otherwise adaptive for every n:
-             Abel summation through the Poisson-kernel-weighted series
-             at five radii r = 1 - eps, with Richardson extrapolation
-             r -> 1 (partial sums converge too slowly or not at all).
+series    -- the coefficient series, adaptive for every n: Abel
+             summation through the Poisson-kernel-weighted series at
+             five radii r = 1 - eps, with Richardson extrapolation
+             r -> 1 (plain partial sums converge too slowly or not at
+             all).
 integral  -- one adaptive quadrature of the radial integral
              representation.  Swapping the order of the double integral
 
@@ -40,8 +40,7 @@ closed    -- the tabulated closed forms (green_tables registry, exact
              closedform.ClosedForm rows).
 
 All Green functions are singular on the diagonal t = 1 (logarithmically
-for n = 2); evaluation there is rejected except for the n = 2 partial sum
-with an explicit L_max, which only warns.  The adaptive series also
+for n = 2); every backend rejects evaluation there.  The series also
 rejects 1 - t < 6e-5 n, which its radii do not resolve, and every
 n >= 18: there its innermost-radius Abel sum adds terms of size
 ~l^{n-2} r^l that cancel, and the extrapolated value goes wrong at every
@@ -175,18 +174,13 @@ def condition_warnings(param, l_max):
     return [(int(l), float(g)) for l, g in zip(ls[near], gap[near])]
 
 
-def _check_t_for_eval(param, t, allow_diag_n2=False):
+def _check_t_for_eval(t):
     """Scalar t clamped to [-1, 1] as _clamp_t does; rejects the diagonal."""
     t = float(t)
     if abs(t) > 1.0 + _T_SLACK:
         raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {abs(t)}")
     t = min(max(t, -1.0), 1.0)
     if t >= 1.0 - _DIAG_TOL:
-        if allow_diag_n2 and param.ctx.n == 2:
-            warnings.warn(
-                "Green functions are log-singular at t = 1 for n = 2; the "
-                "partial sum at the diagonal diverges slowly", stacklevel=3)
-            return t
         raise SphereDomainError(
             "Green functions are singular on the diagonal t = 1; "
             f"got t = {t}")
@@ -206,18 +200,12 @@ _ABEL_DIAG_GAP = 6e-5
 _SERIES_N_MAX = 17          # above it the Abel sums cancel badly (module docstring)
 
 
-def _partial_sum(param, t, l_max):
-    coef = green_coefficients(param, l_max)
-    C = gegenbauer_matrix(param.ctx, l_max, t)[:, 0]
-    return float(coef @ C)
-
-
 def crude_tail_term(param, l):
-    """First-omitted-term bound from the uniform Gegenbauer bound.
+    """Bound on the degree-l term |G-hat(l) C_l(t)| of the series.
 
-    (lambda+l)/(lambda |a - l(n+l-1)|) * (n+l-2)^{n-2}.  The full tail sum
-    of these bounds diverges for every n >= 2, so only the leading term is
-    reported; the adaptive driver relies on Abel summation instead.
+    (lambda+l)/(lambda |a - l(n+l-1)|) * (n+l-2)^{n-2}, from the uniform
+    Gegenbauer bound.  Summed over l the bounds diverge for every n >= 2;
+    _abel_values damps them by r^l / (1 - r) to place its cut.
     """
     lam = param.ctx.lam
     gap = abs(float(eigen_gap(param, l)))
@@ -266,7 +254,7 @@ def green_series_batch(param, ts):
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     for t in ts:
-        _check_t_for_eval(param, float(t))
+        _check_t_for_eval(float(t))
     if param.ctx.n > _SERIES_N_MAX:
         raise ConvergenceError(
             f"the series backend is accurate up to n = {_SERIES_N_MAX}, got n = "
@@ -282,25 +270,12 @@ def green_series_batch(param, ts):
     return full, np.abs(full - short)
 
 
-def green_eval_series(param, t, l_max=None, with_tail=False):
-    """Series evaluation of G(t).
+def green_eval_series(param, t, with_tail=False):
+    """Series evaluation of G(t) at one point, via green_series_batch.
 
-    With an explicit l_max: the plain partial sum through degree l_max;
-    the reported tail estimate combines the crude first-omitted-term
-    bound with the empirical change over the last doubling.
-
-    With l_max None: adaptive, via green_series_batch.
+    with_tail also returns its tail estimate.
     """
-    t = _check_t_for_eval(param, t, allow_diag_n2=l_max is not None)
-    if l_max is not None:
-        if l_max < 1:
-            raise SphereDomainError(f"series needs l_max >= 1, got {l_max}")
-        val = _partial_sum(param, t, l_max)
-        if not with_tail:
-            return val
-        half = _partial_sum(param, t, l_max // 2)
-        tail = abs(val - half) + crude_tail_term(param, l_max + 1)
-        return val, tail
+    t = _check_t_for_eval(t)
     vals, tails = green_series_batch(param, np.array([t]))
     return (float(vals[0]), float(tails[0])) if with_tail else float(vals[0])
 
@@ -315,7 +290,11 @@ _QUAD_RTOL = 1e-8    # quadrature error target, relative to 1 + |G|
 
 
 class _SubtractedKernel:
-    """S(r) = Sigma_n p_r(t) - sum_{l<=M} r^l (lambda+l)/lambda C_l(t), vectorised in r."""
+    """S(r) = Sigma_n p_r(t) - sum_{l<=M} r^l (lambda+l)/lambda C_l(t), vectorised in r.
+
+    C holds C_l(t) for l <= max(M, _TAIL_TERMS), one recurrence that also
+    serves the correction sum of green_eval_integral.
+    """
 
     def __init__(self, param, t, subtract_top):
         ctx = param.ctx
@@ -325,8 +304,8 @@ class _SubtractedKernel:
         lam = ctx.lam
         l_hi = max(self.M, _TAIL_TERMS)
         ls = np.arange(l_hi + 1)
-        C = gegenbauer_matrix(ctx, l_hi, t)[:, 0]
-        self.cl = (lam + ls) / lam * C
+        self.C = gegenbauer_matrix(ctx, l_hi, t)[:, 0]
+        self.cl = (lam + ls) / lam * self.C
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -360,9 +339,8 @@ def green_eval_integral(param, t):
         raise SphereDomainError(
             f"a = {param.a} < -(n-1)^2/4: the integral representation needs a real "
             "root L; use the series backend")
-    t = _check_t_for_eval(param, t)
-    ctx = param.ctx
-    n, L = ctx.n, param.L
+    t = _check_t_for_eval(t)
+    n, L = param.ctx.n, param.L
     if param.resonant:
         sub_top, corr_top = param.L_res, param.L_res - 1
     else:
@@ -389,8 +367,7 @@ def green_eval_integral(param, t):
                                   epsrel=_QUAD_RTOL * 1e-3, limit=400)
     total = -val
     if corr_top >= 0:
-        total += float(green_coefficients(param, corr_top)
-                       @ gegenbauer_matrix(ctx, corr_top, t)[:, 0])
+        total += float(green_coefficients(param, corr_top) @ S.C[:corr_top + 1])
     if err > _QUAD_RTOL * (1.0 + abs(total)):
         raise ConvergenceError(
             f"integral backend did not reach {_QUAD_RTOL:.0e} (1 + |G|) at t = {t} "
@@ -413,7 +390,7 @@ def _closed_eval(row, param, t):
         raise NoClosedFormError(
             f"no closed form tabulated for n={param.ctx.n}, a={param.a}; "
             "use the series or integral backend")
-    return row.eval(_check_t_for_eval(param, t))
+    return row.eval(_check_t_for_eval(t))
 
 
 def green_eval_closed(param, t):

@@ -5,7 +5,9 @@ solve is the coefficient division
 
     u-hat(l) = f-hat(l) / (a - l(n+l-1)),
 
-identically per (l, k) entry for general spectra.  The mean component:
+identically per (l, k) entry for general spectra: both kinds are unpacked
+into one (degrees, values) array pair, divided by the eigenvalue gaps of
+their degrees, and rebuilt.  The mean component:
 u-hat(0) = f-hat(0)/a for a != 0; the Poisson case a = 0 requires a
 zero-mean right-hand side and returns a zero-mean solution.
 
@@ -49,50 +51,46 @@ class SolveReport:
     green_backend: str = ""
 
 
-def _coefficient_items(f):
-    """Uniform iteration over (degree, key, value); key is None for zonal."""
-    if isinstance(f, ZonalSpectrum):
-        return [(l, None, f.coeffs[l]) for l in range(f.l_max + 1)]
-    return [(l, k, v) for (l, k), v in f.entries.items()]
+def _unpack(*specs):
+    """Degrees, then one value array per spectrum, over the union of their keys.
+
+    Zonal keys are the degrees up to the largest l_max; general keys are the
+    (l, k) pairs in entry order, first spectrum first.  A spectrum reads 0
+    at a key it lacks.
+    """
+    if isinstance(specs[0], ZonalSpectrum):
+        top = max(s.l_max for s in specs)
+        return (np.arange(top + 1), *(s.padded(top) for s in specs))
+    keys = dict.fromkeys(key for s in specs for key in s.entries)
+    return (np.array([l for l, _k in keys], dtype=int),
+            *(np.array([s.entries.get(key, 0.0) for key in keys]) for s in specs))
 
 
-def _build_like(f, items):
+def _rebuild(f, values):
+    """The spectrum of f's kind and keys holding values, ordered as _unpack(f)."""
     if isinstance(f, ZonalSpectrum):
-        coeffs = np.zeros(f.l_max + 1, dtype=complex)
-        for l, _k, v in items:
-            coeffs[l] = v
-        if np.all(coeffs.imag == 0.0):
-            coeffs = coeffs.real
-        return ZonalSpectrum(f.ctx, coeffs)
-    return GeneralSpectrum(f.ctx, {(l, k): v for l, k, v in items})
+        if np.all(values.imag == 0.0):
+            values = values.real
+        return ZonalSpectrum(f.ctx, values)
+    return GeneralSpectrum(f.ctx, dict(zip(f.entries, values.tolist())))
 
 
 def _degree_mass(f, l):
     """Coefficient 2-norm of the degree-l content of f."""
-    total = 0.0
-    for ll, _k, v in _coefficient_items(f):
-        if ll == l:
-            total += abs(v) ** 2
-    return np.sqrt(total)
+    degrees, values = _unpack(f)
+    return float(np.linalg.norm(values[degrees == l]))
 
 
 def _coefficient_norm(f):
-    if isinstance(f, ZonalSpectrum):
-        return float(np.linalg.norm(f.coeffs))
-    return float(np.sqrt(sum(abs(v) ** 2 for v in f.entries.values())))
+    return float(np.linalg.norm(_unpack(f)[1]))
 
 
-def _divide(param, f, skip_degree=None):
-    gaps = {}
-    out = []
-    for l, k, v in _coefficient_items(f):
-        if l == skip_degree:
-            out.append((l, k, 0.0))
-            continue
-        if l not in gaps:
-            gaps[l] = float(eigen_gap(param, l))
-        out.append((l, k, v / gaps[l]))
-    return _build_like(f, out)
+def _divide(param, f, skip_degree=-1):
+    """u with u-hat = f-hat / (a - l(n+l-1)) per entry, 0 at skip_degree."""
+    degrees, values = _unpack(f)
+    u = np.zeros(values.shape, dtype=np.result_type(values, float))
+    np.divide(values, eigen_gap(param, degrees), out=u, where=degrees != skip_degree)
+    return _rebuild(f, u)
 
 
 def solve_helmholtz(req):
@@ -147,8 +145,7 @@ def solve_resonant(req, L_res=None):
 
 def _finish(req, u):
     res = verify_solution(req.param, u, req.f)
-    l_top = (u.l_max if isinstance(u, ZonalSpectrum)
-             else max(u.degrees(), default=0))
+    l_top = int(np.max(_unpack(u)[0], initial=0))
     return SolveReport(
         u=u,
         residual_norm=res.norm,
@@ -179,23 +176,16 @@ def verify_solution(param, u, f):
     """
     if u.ctx != f.ctx:
         raise SphereDomainError("solution and right-hand side live on different spheres")
-    fu = {(l, k): v for l, k, v in _coefficient_items(u)}
-    ff = {(l, k): v for l, k, v in _coefficient_items(f)}
-    keys = sorted(set(fu) | set(ff), key=lambda lk: (lk[0], str(lk[1])))
-    res = []
-    degs = []
-    total = 0.0
-    for l, k in keys:
-        if param.resonant and l == param.L_res:
-            continue
-        gap = float(eigen_gap(param, l))
-        r = gap * fu.get((l, k), 0.0) - ff.get((l, k), 0.0)
-        degs.append(l)
-        res.append(r)
-        total += abs(r) ** 2
+    if type(u) is not type(f):
+        raise SphereDomainError("solution and right-hand side are different kinds of spectra")
+    degrees, uv, fv = _unpack(u, f)
+    residual = eigen_gap(param, degrees) * uv - fv
+    if param.resonant:
+        keep = degrees != param.L_res
+        degrees, residual = degrees[keep], residual[keep]
     mass = _degree_mass(f, param.L_res) if param.resonant else None
-    return ResidualReport(degrees=np.array(degs), residual=np.array(res),
-                          norm=float(np.sqrt(total)), resonant_mass=mass)
+    return ResidualReport(degrees=degrees, residual=residual,
+                          norm=float(np.linalg.norm(residual)), resonant_mass=mass)
 
 
 def greens_solution_coefficient(param, l, f_coeff):

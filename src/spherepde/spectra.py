@@ -320,7 +320,9 @@ def format_spectrum(spec, extra_comments=(), fmt="%.17g"):
     """Serialise a spectrum to the text format; returns a string.
 
     The default format round-trips doubles exactly; the CLI passes
-    "%.12g" per its 12-significant-digit output contract.
+    "%.12g" per its 12-significant-digit output contract.  A general order
+    token whose str() holds a tab or a line break would not parse back and
+    raises SphereDomainError.
     """
     def num(x):
         return fmt % (float(x) + 0.0,)   # normalises -0.0
@@ -336,9 +338,15 @@ def format_spectrum(spec, extra_comments=(), fmt="%.17g"):
                 lines.append(f"{l}\t{num(v)}")
     else:
         lines.insert(0, f"# general n={spec.ctx.n}")
+        rows = []
         for (l, k), v in sorted(spec.entries.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
             v = complex(v)
-            lines.append(f"{l}\t{k}\t{num(v.real)}\t{num(v.imag)}")
+            rows.append(f"{l}\t{k}\t{num(v.real)}\t{num(v.imag)}")
+        body = "\n".join(rows)
+        if body.count("\t") != 3 * len(rows) or len(body.splitlines()) != len(rows):
+            bad = next(r for r in rows if r.count("\t") != 3 or len(r.splitlines()) != 1)
+            raise SphereDomainError(f"an order token holds a tab or a line break: {bad!r}")
+        lines += rows
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,10 @@ Psi_rho-hat(l).  A pair of families (Psi, Omega) is admissible when
 The transform of a zero-mean zonal f is W(rho, .) = f * conj(Psi_rho); it
 is inverted by integrating W(rho, .) * Omega_rho against drho/rho.  Both
 directions act diagonally per degree, so everything here is coefficient
-arithmetic plus a quadrature over log(rho).
+arithmetic plus a quadrature over log(rho): a family's hat broadcasts over
+arrays of scales and degrees, each transform evaluates it once as a
+(scales x degrees) table and sums the scales with one product by the
+quadrature weights.
 
 The scale integral is discretised by a trapezoid rule on a log-uniform
 grid.  Integrands of the Poisson type (rho l)^d exp(-rho l) decay
@@ -43,7 +46,10 @@ _TAIL_TOL = 1e-12
 class WaveletFamily:
     """Scale-indexed zonal family given by its Gegenbauer coefficients.
 
-    hat(rho, l) may be called with a numpy array of rho values.
+    hat(rho, l) takes scales rho and integer degrees l as scalars or arrays
+    that broadcast together, and returns the coefficients in the broadcast
+    shape: hat(nodes[:, None], ls) is the (scales x degrees) table.
+    Degree 0 gives 0 for every family defined here.
     """
 
     ctx: SphereContext
@@ -89,11 +95,8 @@ def poisson_wavelet(ctx, d):
     norm = 2.0 ** d / sqrt(gamma(2 * d))
 
     def hat(rho, l):
-        if l == 0:
-            return np.zeros_like(np.asarray(rho, dtype=float)) if np.ndim(rho) else 0.0
-        x = np.asarray(rho, dtype=float) * l
-        val = norm * x ** d * np.exp(-x) * (lam + l) / lam
-        return val if np.ndim(rho) else float(val)
+        x = np.multiply(rho, l, dtype=float)
+        return norm * x ** d * np.exp(-x) * (lam + l) / lam
 
     return WaveletFamily(ctx=ctx, hat=hat, tag=f"poisson(d={d})")
 
@@ -119,18 +122,11 @@ class AdmissibilityReport:
         return float(np.max(np.abs(self.deviation) / scale))
 
 
-def _endpoint_tails(psi, omega, l, grid):
-    """Integrand magnitude at both grid ends, relative to the target."""
-    lo = abs(np.conj(psi.hat(grid.rho_min, l)) * omega.hat(grid.rho_min, l))
-    hi = abs(np.conj(psi.hat(grid.rho_max, l)) * omega.hat(grid.rho_max, l))
-    return lo, hi
-
-
 def check_admissibility(psi, omega, l_max, grid=None):
     """Numeric admissibility integrals for l = 0..l_max.
 
-    Raises QuadratureError (with the endpoint tail estimates) when the grid
-    is too narrow for the integrand of some degree.
+    Raises QuadratureError (with the endpoint integrand levels) for the
+    lowest degree l >= 1 whose integrand the grid is too narrow to hold.
     """
     if psi.ctx != omega.ctx:
         raise SphereDomainError("wavelet families live on different spheres")
@@ -140,20 +136,21 @@ def check_admissibility(psi, omega, l_max, grid=None):
     ls = np.arange(l_max + 1)
     target = ((lam + ls) / lam) ** 2
     target[0] = 0.0
-    integral = np.empty(l_max + 1, dtype=complex)
-    for l in ls:
-        vals = np.conj(psi.hat(grid.nodes, int(l))) * omega.hat(grid.nodes, int(l))
-        integral[l] = np.sum(grid.weights * vals)
-        if l >= 1:
-            scale = max(target[l], 1.0)
-            lo, hi = _endpoint_tails(psi, omega, int(l), grid)
-            if lo > _TAIL_TOL * scale or hi > _TAIL_TOL * scale:
-                raise QuadratureError(
-                    f"scale grid too narrow for degree {l}: endpoint integrand "
-                    f"levels {lo:.3e} (rho_min) / {hi:.3e} (rho_max) exceed "
-                    f"{_TAIL_TOL:.0e} of the target {target[l]:.3e}; widen "
-                    f"[{grid.rho_min}, {grid.rho_max}]")
-    if np.all(np.abs(integral.imag) == 0.0):
+    rho = grid.nodes[:, None]
+    vals = np.conj(psi.hat(rho, ls)) * omega.hat(rho, ls)
+    lo, hi = np.abs(vals[0]), np.abs(vals[-1])
+    limit = _TAIL_TOL * np.maximum(target, 1.0)
+    wide = (lo > limit) | (hi > limit)
+    wide[0] = False
+    if np.any(wide):
+        l = int(np.argmax(wide))
+        raise QuadratureError(
+            f"scale grid too narrow for degree {l}: endpoint integrand "
+            f"levels {lo[l]:.3e} (rho_min) / {hi[l]:.3e} (rho_max) exceed "
+            f"{_TAIL_TOL:.0e} of the target {target[l]:.3e}; widen "
+            f"[{grid.rho_min}, {grid.rho_max}]")
+    integral = grid.weights @ vals
+    if np.all(integral.imag == 0.0):
         integral = integral.real
     return AdmissibilityReport(l=ls, integral=integral, target=target,
                                deviation=integral - target)
@@ -163,26 +160,30 @@ def reconstruction_wavelet(psi, l_max, grid=None):
     """Reconstruction family Omega with Omega-hat = Psi-hat / alpha_l(Psi).
 
     alpha_l = (lambda/(lambda+l))^2 int |Psi-hat(l)|^2 drho/rho must be
-    nonzero for 1 <= l <= l_max.
+    nonzero for 1 <= l <= l_max; Omega-hat is 0 at l = 0 and undefined
+    above l_max.
     """
     if grid is None:
         grid = make_scale_grid(1e-8, 60.0, 800)
     lam = psi.ctx.lam
-    alpha = np.zeros(l_max + 1)
-    for l in range(1, l_max + 1):
-        vals = np.abs(psi.hat(grid.nodes, l)) ** 2
-        alpha[l] = (lam / (lam + l)) ** 2 * np.sum(grid.weights * vals)
-        if abs(alpha[l]) <= 1e-12:
-            raise SphereDomainError(
-                f"family is not admissible: alpha_{l} = {alpha[l]:.3e} vanishes")
+    ls = np.arange(l_max + 1)
+    vals = np.abs(psi.hat(grid.nodes[:, None], ls)) ** 2
+    alpha = (lam / (lam + ls)) ** 2 * (grid.weights @ vals)
+    vanishing = np.abs(alpha) <= 1e-12
+    vanishing[0] = False
+    if np.any(vanishing):
+        l = int(np.argmax(vanishing))
+        raise SphereDomainError(
+            f"family is not admissible: alpha_{l} = {alpha[l]:.3e} vanishes")
+    inv_alpha = np.zeros(l_max + 1)
+    inv_alpha[1:] = 1.0 / alpha[1:]
 
     def hat(rho, l):
-        if l == 0:
-            return np.zeros_like(np.asarray(rho, dtype=float)) if np.ndim(rho) else 0.0
-        if l > l_max:
+        if np.any(np.asarray(l) > l_max):
             raise SphereDomainError(
-                f"reconstruction wavelet built only up to degree {l_max}, asked for {l}")
-        return psi.hat(rho, l) / alpha[l]
+                f"reconstruction wavelet built only up to degree {l_max}, "
+                f"asked for {np.max(l)}")
+        return psi.hat(rho, l) * inv_alpha[l]
 
     return WaveletFamily(ctx=psi.ctx, hat=hat, tag=f"reconstruction({psi.tag})")
 
@@ -219,9 +220,7 @@ def wavelet_transform(psi, f, grid):
     lam = f.ctx.lam
     ls = np.arange(f.l_max + 1)
     factor = lam / (lam + ls) * f.coeffs
-    coeffs = np.empty((grid.count, f.l_max + 1), dtype=complex)
-    for l in ls:
-        coeffs[:, l] = factor[l] * np.conj(psi.hat(grid.nodes, int(l)))
+    coeffs = factor * np.conj(psi.hat(grid.nodes[:, None], ls))
     if np.all(coeffs.imag == 0.0):
         coeffs = coeffs.real
     return WaveletTransform(ctx=f.ctx, grid=grid, coeffs=coeffs)
@@ -240,11 +239,10 @@ def inverse_transform(omega, transform, grid):
         raise QuadratureError("inverse_transform must use the grid of the forward transform")
     ctx = transform.ctx
     lam = ctx.lam
-    l_max = transform.l_max
-    out = np.zeros(l_max + 1, dtype=complex)
-    for l in range(1, l_max + 1):
-        om = omega.hat(grid.nodes, l)
-        out[l] = lam / (lam + l) * np.sum(grid.weights * transform.coeffs[:, l] * om)
+    ls = np.arange(transform.l_max + 1)
+    om = omega.hat(grid.nodes[:, None], ls)
+    out = lam / (lam + ls) * (grid.weights @ (transform.coeffs * om))
+    out[0] = 0.0
     if np.all(out.imag == 0.0):
         out = out.real
     return ZonalSpectrum(ctx, out)

@@ -132,7 +132,7 @@ class TestGreen:
 
     def test_series_tail_header(self, capsys):
         assert main(["green", "--n", "6", "--a", "100.5", "--t", "0",
-                     "--backend", "series", "--lmax", "600"]) == 0
+                     "--backend", "series"]) == 0
         assert "tail estimate" in capsys.readouterr().out
 
     def test_integral_table_near_diagonal(self, capsys):
@@ -258,3 +258,23 @@ class TestConfig:
         rows = [l for l in capsys.readouterr().out.splitlines()
                 if l and not l.startswith("#") and not l.startswith("t,")]
         assert len(rows) == 7          # flag wins over the file's 5
+
+    @pytest.mark.parametrize("text,lineno", [("n = 2\na 0\n", 2),
+                                             ("n = 2\n# comment\ngrid = abc\n", 3)],
+                             ids=["no-equals", "not-an-int"])
+    def test_malformed_config_line_exit1(self, tmp_path, capsys, text, lineno):
+        conf = tmp_path / "job.cfg"
+        conf.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["green", "table", "--n", "2", "--a", "0", "--config", str(conf)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"line {lineno}" in err and "Traceback" not in err
+
+    def test_config_applies_to_the_chosen_command(self, tmp_path, f_poisson, capsys):
+        # solve's --backend default differs from green's; the file still applies
+        conf = tmp_path / "job.cfg"
+        conf.write_text("backend = series\n")
+        assert main(["solve", "--n", "2", "--a", "0", "--in", str(f_poisson),
+                     "--out", str(tmp_path / "u.spec"), "--config", str(conf)]) == 0
+        assert "green backend: series" in capsys.readouterr().out

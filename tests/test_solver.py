@@ -75,6 +75,21 @@ class TestSolve:
         assert rep.u.entries[(0, "k0")] == pytest.approx(2.0)
         assert rep.residual_norm <= 1e-14
 
+    @pytest.mark.parametrize("a", [0.0, 3.0, 7.3])
+    def test_zonal_and_general_agree(self, a):
+        # the same coefficients as a zonal and as a general spectrum
+        rng = np.random.default_rng(11)
+        ctx = make_context(3)
+        p = helmholtz_parameter(ctx, a)
+        coeffs = rng.standard_normal(12)
+        if p.resonant:
+            coeffs[p.L_res] = 0.0
+        solve = solve_resonant if p.resonant and p.L_res >= 1 else solve_helmholtz
+        zonal = solve(SolveRequest(param=p, f=ZonalSpectrum(ctx, coeffs))).u
+        general = solve(SolveRequest(param=p, f=GeneralSpectrum(
+            ctx, {(l, "m0"): float(v) for l, v in enumerate(coeffs)}))).u
+        assert [general.entries[(l, "m0")] for l in range(12)] == list(zonal.coeffs)
+
     def test_linearity(self):
         rng = np.random.default_rng(5)
         ctx = make_context(5)
@@ -177,6 +192,19 @@ class TestVerify:
         # residual at degree 2 is the eigenvalue gap (-6) times the bump
         idx = list(res.degrees).index(2)
         assert abs(res.residual[idx]) == pytest.approx(6e-3, rel=1e-10)
+
+    def test_general_keys_differ(self):
+        # u lacks one of f's keys and has one f lacks; each reads 0 where absent
+        ctx = make_context(3)
+        p = helmholtz_parameter(ctx, 1.0)     # gaps: l=0: 1, l=2: -7
+        f = GeneralSpectrum(ctx, {(2, "k1"): 1.0, (2, "k2"): 1j, (0, "k0"): 2.0})
+        u = GeneralSpectrum(ctx, {(2, "k1"): -1.0 / 7.0, (0, "k0"): 2.0, (1, "x"): 0.5})
+        res = verify_solution(p, u, f)
+        got = dict(zip(res.degrees.tolist(), res.residual.tolist()))
+        assert sorted(res.degrees.tolist()) == [0, 1, 2, 2]
+        assert got[1] == pytest.approx((1.0 - 3.0) * 0.5)
+        assert sorted(abs(r) for r in res.residual) == pytest.approx([0.0, 0.0, 1.0, 1.0])
+        assert res.norm == pytest.approx(np.sqrt(2.0))
 
     def test_two_path_consistency(self):
         # spectral solve vs synthesize -> pointwise convolution with the

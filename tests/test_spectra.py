@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from spherepde import (
@@ -301,6 +302,13 @@ class TestFileFormat:
         assert isinstance(back, GeneralSpectrum)
         assert back.entries == {(2, "k0"): (1 - 3j), (5, "zz"): (0.25 + 0j)}
 
+    @pytest.mark.parametrize("token", ["a\tb", "a\nb", "a\r\nb", "a\u2028b", "a\n"],
+                             ids=["tab", "newline", "crlf", "line-separator", "trailing-newline"])
+    def test_token_that_would_not_parse_back_rejected(self, token):
+        f = GeneralSpectrum(make_context(3), {(1, "ok"): 1.0, (2, token): 2.0})
+        with pytest.raises(SphereDomainError, match="tab or a line break"):
+            format_spectrum(f)
+
     def test_header_required(self):
         with pytest.raises(SphereDomainError):
             parse_spectrum("0\t1.0\n")
@@ -340,3 +348,36 @@ class TestFileFormat:
         text = "# spherepde v0\n# zonal n=2 Lmax=1\n0\t1\n1\t2\n"
         back = parse_spectrum(text)
         assert back.coeffs.tolist() == [1.0, 2.0]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+# order tokens the format can carry: no tab, and nothing str.splitlines splits on
+_TOKENS = st.text().filter(lambda k: "\t" not in k and len(f"<{k}>".splitlines()) == 1)
+
+
+class TestFileFormatRoundTrip:
+    @given(st.integers(2, 9), st.lists(_FINITE, min_size=1, max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_zonal_real(self, n, values):
+        f = ZonalSpectrum(make_context(n), np.array(values))
+        back = parse_spectrum(format_spectrum(f))
+        assert isinstance(back, ZonalSpectrum) and back.ctx == f.ctx
+        assert np.array_equal(back.coeffs, f.coeffs)
+
+    @given(st.integers(2, 9), st.lists(_COMPLEX, min_size=1, max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_zonal_complex(self, n, values):
+        f = ZonalSpectrum(make_context(n), np.array(values, dtype=complex))
+        back = parse_spectrum(format_spectrum(f))
+        assert isinstance(back, ZonalSpectrum) and back.ctx == f.ctx
+        assert np.array_equal(back.coeffs, f.coeffs)
+
+    @given(st.integers(2, 9),
+           st.dictionaries(st.tuples(st.integers(0, 40), _TOKENS), _COMPLEX, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_general_str_tokens(self, n, entries):
+        f = GeneralSpectrum(make_context(n), entries)
+        back = parse_spectrum(format_spectrum(f))
+        assert isinstance(back, GeneralSpectrum) and back.ctx == f.ctx
+        assert back.entries == f.entries

@@ -46,6 +46,18 @@ class TestPoissonWavelet:
         with pytest.raises(SphereDomainError):
             poisson_wavelet(make_context(2), 0)
 
+    @pytest.mark.parametrize("n,d", [(2, 1), (5, 2), (8, 3)])
+    def test_table_matches_scalar_calls(self, n, d):
+        # hat(nodes[:, None], ls) holds the one-degree calls as its columns
+        w = poisson_wavelet(make_context(n), d)
+        nodes = make_scale_grid(1e-4, 50.0, 40).nodes
+        ls = np.arange(33)
+        table = w.hat(nodes[:, None], ls)
+        assert table.shape == (40, 33)
+        want = np.stack([w.hat(nodes, int(l)) for l in ls], axis=1)
+        assert np.array_equal(table, want)
+        assert_allclose(table[7, 5], w.hat(float(nodes[7]), 5), rtol=1e-14)
+
 
 class TestScaleGrid:
     def test_constant_integrand_exact(self):
@@ -117,14 +129,32 @@ class TestReconstruction:
             for l in (1, 3, 8):
                 assert_allclose(omega.hat(rho, l), psi.hat(rho, l), rtol=1e-6)
 
+    def test_table_matches_scalar_calls(self):
+        psi = poisson_wavelet(make_context(4), 2)
+        omega = reconstruction_wavelet(psi, 16, make_scale_grid(**WIDE))
+        nodes = make_scale_grid(1e-3, 20.0, 30).nodes
+        ls = np.arange(17)
+        table = omega.hat(nodes[:, None], ls)
+        want = np.stack([omega.hat(nodes, int(l)) for l in ls], axis=1)
+        assert np.array_equal(table, want)
+        assert np.all(table[:, 0] == 0.0)
+
+    def test_degree_above_lmax_rejected(self):
+        psi = poisson_wavelet(make_context(3), 1)
+        omega = reconstruction_wavelet(psi, 8, make_scale_grid(**WIDE))
+        with pytest.raises(SphereDomainError, match="asked for 9"):
+            omega.hat(np.array([0.1, 1.0])[:, None], np.arange(10))
+        with pytest.raises(SphereDomainError):
+            omega.hat(0.5, 9)
+
     def test_unnormalised_family(self):
         # hat = rho l e^{-rho l}: alpha_l = (lam/(lam+l))^2 / 4 per degree
         ctx = make_context(2)
         lam = ctx.lam
 
         def hat(rho, l):
-            x = np.asarray(rho, dtype=float) * l
-            return x * np.exp(-x) if l else np.zeros_like(np.asarray(rho, float))
+            x = np.multiply(rho, l, dtype=float)
+            return np.where(l == 0, 0.0, x * np.exp(-x))
 
         psi = WaveletFamily(ctx=ctx, hat=hat, tag="bare")
         omega = reconstruction_wavelet(psi, 6, make_scale_grid(**WIDE))
@@ -136,11 +166,10 @@ class TestReconstruction:
 
     def test_vanishing_alpha_names_degree(self):
         ctx = make_context(2)
+        poisson = poisson_wavelet(ctx, 1)
 
         def hat(rho, l):
-            if l == 5:
-                return np.zeros_like(np.asarray(rho, dtype=float))
-            return poisson_wavelet(ctx, 1).hat(rho, l)
+            return np.where(l == 5, 0.0, poisson.hat(rho, l))
 
         psi = WaveletFamily(ctx=ctx, hat=hat, tag="gap")
         with pytest.raises(SphereDomainError, match="alpha_5"):
