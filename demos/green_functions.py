@@ -13,13 +13,9 @@ It then re-derives the even-dimension closed forms from scratch with the
 exact-rational antiderivative engine and prints them.
 """
 
-from spherepde import (
-    green_eval_closed,
-    green_eval_integral,
-    green_eval_series,
-    helmholtz_parameter,
-    make_context,
-)
+import numpy as np
+
+from spherepde import GreenFunction, helmholtz_parameter, make_context
 from spherepde.closedform import derive_green_closed_form
 from spherepde import green_tables
 
@@ -41,10 +37,9 @@ for n, a, label in CASES:
     print(f"\nn = {n}, a = {a}  ({label})")
     print(f"  tabulated form: {row.text()}")
     print(f"  {'t':>6} {'closed':>16} {'series':>16} {'integral':>16}")
-    for t in (-0.8, -0.2, 0.4, 0.9):
-        c = green_eval_closed(param, t)
-        s = green_eval_series(param, t)
-        q = green_eval_integral(param, t)
+    ts = np.array([-0.8, -0.2, 0.4, 0.9])
+    columns = [GreenFunction(param, b)(ts) for b in ("closed", "series", "integral")]
+    for t, c, s, q in zip(ts, *columns):
         print(f"  {t:6.2f} {c:16.10f} {s:16.10f} {q:16.10f}")
 
 print()
@@ -63,4 +58,4 @@ param = helmholtz_parameter(make_context(10), 2 * (10 + 2 - 1))
 print("\nn = 10, L = 2 (a = 22) is not tabulated; derived:")
 print(f"  {form.text()}")
 print(f"  check vs series at t = 0.3: engine {form.eval(0.3):.12f}, "
-      f"series {green_eval_series(param, 0.3):.12f}")
+      f"series {GreenFunction(param, 'series')(0.3):.12f}")

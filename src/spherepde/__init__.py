@@ -49,9 +49,7 @@ from .green import (
     HelmholtzParameter,
     green_coefficient,
     green_coefficients,
-    green_eval_closed,
     green_eval_integral,
-    green_eval_series,
     helmholtz_parameter,
     parameter_from_root,
 )

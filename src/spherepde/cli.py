@@ -37,17 +37,26 @@ from .errors import (
     SpectrumParseError,
     SphereDomainError,
 )
+from . import green_tables
 from .closedform import derive_green_closed_form
-from .geometry import make_context
+from .geometry import gegenbauer_bound, make_context
 from .green import (
-    closed_form_row,
-    green_eval_closed,
-    green_eval_integral,
+    GreenFunction,
     green_series_batch,
     helmholtz_parameter,
     parameter_from_root,
 )
-from .spectra import ZonalSpectrum, format_spectrum, load_spectrum, norm_l2
+from .spectra import (
+    ZonalSpectrum,
+    format_spectrum,
+    inner,
+    laplace_beltrami,
+    load_spectrum,
+    norm_l2,
+    poisson_kernel,
+    poisson_kernel_spectrum,
+    synthesize,
+)
 from .solver import SolveRequest, solve_helmholtz, solve_resonant
 from .wavelets import (
     check_admissibility,
@@ -90,6 +99,15 @@ def _atomic_write(path, text):
         raise
 
 
+def _emit(out, text):
+    """Write text atomically to the file out, or to stdout when out is empty."""
+    if out:
+        _atomic_write(out, text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _load_config(path, parser):
     """{key: (line number, value text)} of a flat 'key = value' file."""
     out = {}
@@ -109,8 +127,8 @@ def _load_config(path, parser):
 def _merge_config(args, parser):
     """Fill unset args from --config file values (flags win).
 
-    Values convert by their option's type; a line that does not parse is a
-    usage error naming it.
+    Values convert by their option's type and must be among its choices; a
+    line that does not is a usage error naming it.
     """
     if not getattr(args, "config", None):
         return args
@@ -132,6 +150,9 @@ def _merge_config(args, parser):
             except ValueError:
                 parser.error(f"config {args.config} line {lineno}: {key} = {sval!r} "
                              f"is not a valid {action.type.__name__}")
+        if action.choices is not None and val not in action.choices:
+            parser.error(f"config {args.config} line {lineno}: {key} = {sval!r} "
+                         f"is not one of {', '.join(action.choices)}")
         setattr(args, key, val)
     return args
 
@@ -182,9 +203,7 @@ def cmd_solve(args):
         "resonant tolerance": _fmt(args.tol),
         "residual": _fmt(report.residual_norm),
     })
-    _atomic_write(args.out,
-                  format_spectrum(report.u, extra_comments=header, fmt="%.12g"))
-    print(f"wrote {args.out}")
+    _emit(args.out, format_spectrum(report.u, extra_comments=header, fmt="%.12g"))
     print(f"green backend: {report.green_backend}")
     print(f"spectral residual: {_fmt(report.residual_norm)}")
     for l, gap in report.condition_warnings:
@@ -220,24 +239,18 @@ def cmd_green(args):
             form = derive_green_closed_form(ctx.n, L)
             head = f"# assembled closed form, n={ctx.n}, L={L}, a={_fmt(param.a)}"
         except NoClosedFormError as exc:
-            form = closed_form_row(param)
+            form = green_tables.lookup(ctx.n, param.a)
             if form is None:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_SOLVABILITY
             head = f"# assembly unavailable ({exc}); tabulated form:"
-        text = f"{head}\ntext:  {form.text()}\nlatex: {form.latex()}\n"
-        if args.out:
-            _atomic_write(args.out, text)
-            print(f"wrote {args.out}")
-        else:
-            sys.stdout.write(text)
+        _emit(args.out, f"{head}\ntext:  {form.text()}\nlatex: {form.latex()}\n")
         return EXIT_OK
 
     backends = (["closed", "series", "integral"] if args.backend == "all"
                 else [args.backend])
-    row = closed_form_row(param)
     notes = {}
-    if "closed" in backends and row is None:
+    if "closed" in backends and green_tables.lookup(ctx.n, param.a) is None:
         backends[backends.index("closed")] = "series"
         notes["fallback"] = "no closed form for (n, a); 'closed' column uses series"
         backends = list(dict.fromkeys(backends))
@@ -245,21 +258,11 @@ def cmd_green(args):
     cols = {}
     tail = None
     for b in backends:
-        if b == "series":
-            arr, tails = green_series_batch(param, ts)
-            vals = list(arr)
+        if b == "series":     # called directly for its tail estimate
+            cols[b], tails = green_series_batch(param, ts)
             tail = float(np.max(tails))
-        elif b == "closed":
-            # a --t point gets the domain and diagonal check of
-            # green_eval_closed; the grid lies inside (-1, 1) and goes to the
-            # row as one array
-            if args.t is not None:
-                vals = [green_eval_closed(param, args.t)]
-            else:
-                vals = list(row.eval(ts))
         else:
-            vals = [green_eval_integral(param, t) for t in ts]
-        cols[b] = vals
+            cols[b] = GreenFunction(param, b)(ts)
     kv = {"n": ctx.n, "a": _fmt(param.a),
           "L": "none" if param.L is None else _fmt(param.L),
           "backends": "+".join(backends),
@@ -274,12 +277,7 @@ def cmd_green(args):
         row = [_fmt(t), _fmt(float(np.arccos(np.clip(t, -1, 1))))]
         row += [_fmt(cols[b][i]) for b in cols]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -304,12 +302,7 @@ def cmd_wavelet(args):
         for i in range(len(rep.l)):
             lines.append(",".join([str(int(rep.l[i])), _fmt(float(np.real(rep.integral[i]))),
                                    _fmt(rep.target[i]), _fmt(float(np.real(rep.deviation[i])))]))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            _atomic_write(args.out, text)
-            print(f"wrote {args.out}")
-        else:
-            sys.stdout.write(text)
+        _emit(args.out, "\n".join(lines) + "\n")
         print(f"max relative deviation: {_fmt(rep.max_rel_deviation())}")
         return EXIT_OK
 
@@ -339,12 +332,7 @@ def cmd_wavelet(args):
         for l in range(W.l_max + 1):
             c = complex(W.coeffs[j, l])
             lines.append(",".join([_fmt(rho), str(l), _fmt(c.real), _fmt(c.imag)]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     if err is not None:
         print(f"roundtrip relative error: {_fmt(err)}")
     return EXIT_OK
@@ -355,9 +343,6 @@ def cmd_wavelet(args):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args):
-    from . import green_tables
-    from .spectra import (inner, laplace_beltrami, poisson_kernel,
-                          poisson_kernel_spectrum, synthesize)
     rng = np.random.default_rng(20240811)
     checks = []
 
@@ -368,20 +353,19 @@ def cmd_verify(args):
     def check(name, worst, tol):
         record(name, worst <= tol, f"max deviation {worst:.3e} (tolerance {tol:.0e})")
 
+    def deviation(values, ref):
+        return float(np.max(np.abs(values - ref) / (1.0 + np.abs(ref))))
+
     rows = green_tables.rows_for()
     if args.fast:
         rows = [r for r in rows if r.n <= 5][::2]
     ts = np.linspace(-0.95, 0.95, 7 if args.fast else 20)
     worst_s = worst_i = 0.0
     for row in rows:
-        ctx = make_context(row.n)
-        param = helmholtz_parameter(ctx, float(row.a))
-        series, _tails = green_series_batch(param, ts)
-        for t, s in zip(ts, series):
-            c = row.eval(t)
-            gi = green_eval_integral(param, t)
-            worst_s = max(worst_s, abs(s - c) / (1 + abs(c)))
-            worst_i = max(worst_i, abs(gi - c) / (1 + abs(c)))
+        param = helmholtz_parameter(make_context(row.n), float(row.a))
+        c = row.eval(ts)
+        worst_s = max(worst_s, deviation(GreenFunction(param, "series")(ts), c))
+        worst_i = max(worst_i, deviation(GreenFunction(param, "integral")(ts), c))
     check("closed vs series (all table rows)", worst_s, 1e-4)
     check("closed vs integral (all table rows)", worst_i, 1e-6)
 
@@ -392,15 +376,14 @@ def cmd_verify(args):
             # truncation from the geometric tail bound (lam+l)/lam (n+l-2)^{n-2} r^l
             lam = ctx.lam
             l_cut = 8
-            while ((lam + l_cut) / lam * float(n + l_cut - 2) ** (n - 2)
+            while ((lam + l_cut) / lam * gegenbauer_bound(ctx, l_cut)
                    * r ** l_cut / (1.0 - (1.0 + r) / 2.0) > 1e-12):
                 l_cut = int(l_cut * 1.5) + 4
             spec = poisson_kernel_spectrum(ctx, r, l_cut)
             ts = np.linspace(-1, 1, 11)
             series = synthesize(spec, ts)
             closed = poisson_kernel(ctx, r, ts)
-            worst = max(worst, float(np.max(np.abs(series - closed)
-                                            / (1.0 + np.abs(closed)))))
+            worst = max(worst, deviation(series, closed))
     check("Poisson kernel series vs closed form", worst, 1e-10)
 
     worst = 0.0
@@ -515,7 +498,7 @@ def main(argv=None):
     except ResonanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESONANCE
-    except (FileNotFoundError, SpectrumParseError) as exc:
+    except (OSError, UnicodeDecodeError, SpectrumParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolvabilityError, SphereDomainError, NoClosedFormError) as exc:

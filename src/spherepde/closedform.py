@@ -75,7 +75,6 @@ ClosedForm, the exact type the green_tables registry rows share, so a
 derived form and a registry row compare with ==.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, inf, lcm, log, pi, sqrt
@@ -856,15 +855,3 @@ def kernel_log_integral(k, t, v):
     terms = kernel_log_antiderivative(k)
     return expr_eval(terms, t, v), terms
 
-
-def assemble_green_eval(n, L, t):
-    """Evaluate the assembled closed form; falls back to quadrature with a notice."""
-    try:
-        return derive_green_closed_form(n, L).eval(t)
-    except NoClosedFormError as exc:
-        warnings.warn(f"closed-form assembly unavailable ({exc}); "
-                      "falling back to the double-integral backend", stacklevel=2)
-        from .geometry import make_context
-        from .green import green_eval_integral, parameter_from_root
-        param = parameter_from_root(make_context(n), L)
-        return green_eval_integral(param, t)

@@ -27,6 +27,10 @@ from .errors import SphereDomainError
 # Tolerated roundoff excursion of t outside [-1, 1] (arccos/cos round trips).
 _T_SLACK = 1e-12
 
+# a counts as the eigenvalue l(n+l-1) within this relative gap: the
+# resonance test of green and the registry match of green_tables.lookup.
+RESONANCE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SphereContext:
@@ -55,7 +59,11 @@ def make_context(n):
     n = int(n)
     if n < 2:
         raise SphereDomainError(f"sphere dimension must be >= 2, got {n}")
-    return SphereContext(n=n, lam=(n - 1) / 2.0, sigma_n=surface_measure(n))
+    try:
+        sigma_n = surface_measure(n)
+    except OverflowError:       # Gamma((n+1)/2) beyond the doubles, n > 342
+        raise SphereDomainError(f"sphere dimension {n} is too large") from None
+    return SphereContext(n=n, lam=(n - 1) / 2.0, sigma_n=sigma_n)
 
 
 def _clamp_t(t):

@@ -39,6 +39,12 @@ integral  -- one adaptive quadrature of the radial integral
 closed    -- the tabulated closed forms (green_tables registry, exact
              closedform.ClosedForm rows).
 
+GreenFunction(param, backend) is the one switch among them: 'auto' takes
+the registry row when (n, a) is tabulated, else the series.  Called with a
+float t it returns a float; with an array, an array of the same shape.
+green_series_batch (values and tail estimates) and green_eval_integral
+(one point) are the backends' own entries.
+
 All Green functions are singular on the diagonal t = 1 (logarithmically
 for n = 2); every backend rejects evaluation there.  The series also
 rejects 1 - t < 6e-5 n, which its radii do not resolve, and every
@@ -64,16 +70,16 @@ from .errors import (
 )
 from .geometry import (
     _T_SLACK,
+    RESONANCE_RTOL,
     SphereContext,
+    _clamp_t,
     gegenbauer_bound,
     gegenbauer_matrix,
 )
 from . import green_tables
 
-# Resonance is declared within this relative gap; a coefficient whose gap
-# is below the warning level (but not resonant) is flagged as
-# ill-conditioned.
-RESONANCE_RTOL = 1e-9
+# A coefficient whose eigenvalue gap is below this relative level (but
+# not resonant, geometry.RESONANCE_RTOL) is flagged as ill-conditioned.
 CONDITION_WARN_RTOL = 1e-6
 
 _DIAG_TOL = 1e-12   # t >= 1 - _DIAG_TOL counts as the diagonal
@@ -175,15 +181,24 @@ def condition_warnings(param, l_max):
 
 
 def _check_t_for_eval(t):
-    """Scalar t clamped to [-1, 1] as _clamp_t does; rejects the diagonal."""
-    t = float(t)
-    if abs(t) > 1.0 + _T_SLACK:
-        raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {abs(t)}")
-    t = min(max(t, -1.0), 1.0)
-    if t >= 1.0 - _DIAG_TOL:
+    """t clamped to [-1, 1] as _clamp_t does; rejects the diagonal t = 1.
+
+    A float for a float or 0-d t (without NumPy: the facade's scalar path
+    runs through here), else an array of t's shape.
+    """
+    if isinstance(t, float) or np.ndim(t) == 0:
+        t = float(t)
+        if abs(t) > 1.0 + _T_SLACK:
+            raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {abs(t)}")
+        # clamped below only: a t above 1 within the slack fails the diagonal test
+        t = top = -1.0 if t < -1.0 else t
+    else:
+        t = _clamp_t(t)
+        top = float(t.max(initial=-1.0))
+    if top >= 1.0 - _DIAG_TOL:
         raise SphereDomainError(
             "Green functions are singular on the diagonal t = 1; "
-            f"got t = {t}")
+            f"got t = {top}")
     return t
 
 
@@ -252,9 +267,7 @@ def green_series_batch(param, ts):
     ConvergenceError: there the sums cancel or the radii no longer resolve
     the singularity, and the tail understates the error.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    for t in ts:
-        _check_t_for_eval(float(t))
+    ts = np.atleast_1d(_check_t_for_eval(ts))
     if param.ctx.n > _SERIES_N_MAX:
         raise ConvergenceError(
             f"the series backend is accurate up to n = {_SERIES_N_MAX}, got n = "
@@ -268,16 +281,6 @@ def green_series_batch(param, ts):
     full = _richardson_batch(_ABEL_EPS, vals)
     short = _richardson_batch(_ABEL_EPS[:-1], vals[:-1])
     return full, np.abs(full - short)
-
-
-def green_eval_series(param, t, with_tail=False):
-    """Series evaluation of G(t) at one point, via green_series_batch.
-
-    with_tail also returns its tail estimate.
-    """
-    t = _check_t_for_eval(t)
-    vals, tails = green_series_batch(param, np.array([t]))
-    return (float(vals[0]), float(tails[0])) if with_tail else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -377,34 +380,23 @@ def green_eval_integral(param, t):
 
 
 # ---------------------------------------------------------------------------
-# closed-form backend and facade
+# facade: the one backend switch
 # ---------------------------------------------------------------------------
-
-def closed_form_row(param):
-    """The registry row for (n, a), or None."""
-    return green_tables.lookup(param.ctx.n, param.a)
-
-
-def _closed_eval(row, param, t):
-    if row is None:
-        raise NoClosedFormError(
-            f"no closed form tabulated for n={param.ctx.n}, a={param.a}; "
-            "use the series or integral backend")
-    return row.eval(_check_t_for_eval(t))
-
-
-def green_eval_closed(param, t):
-    """Tabulated closed form; raises NoClosedFormError for uncovered (n, a)."""
-    return _closed_eval(closed_form_row(param), param, t)
-
 
 @dataclass
 class GreenFunction:
-    """Evaluator facade over one parameter with a chosen backend.
+    """G for one parameter through one backend, at a scalar t or an array of t.
 
-    backend: 'closed', 'series', 'integral', or 'auto' (closed when
-    tabulated, else adaptive series).  The registry row and the backend
-    are resolved once, at construction.
+    backend: 'closed' (the registry row), 'series', 'integral', or 'auto'
+    (the registry row when (n, a) is tabulated, else the adaptive series).
+    The row and the backend are resolved once, at construction; this is
+    the only place that maps a backend name to an evaluation.
+
+    A float or 0-d t gives a float.  An array gives an array of its shape:
+    one domain and diagonal check, then one row.eval for 'closed', one
+    green_series_batch for 'series', one green_eval_integral per point for
+    'integral'.  Callers that need the series tail estimate call
+    green_series_batch directly.
     """
 
     param: HelmholtzParameter
@@ -414,7 +406,7 @@ class GreenFunction:
         self._row = None
         self._kind = self.backend
         if self.backend in ("auto", "closed"):
-            self._row = closed_form_row(self.param)
+            self._row = green_tables.lookup(self.param.ctx.n, self.param.a)
             if self.backend == "auto":
                 self._kind = "closed" if self._row is not None else "series"
 
@@ -425,17 +417,25 @@ class GreenFunction:
         return green_coefficients(self.param, l_max)
 
     def resolved_backend(self):
-        if self.backend != "auto":
-            return self.backend
-        row = self._row
-        return f"closed_form(table{row.table})" if row is not None else "series"
+        """The backend name, with the registry table for a resolved 'auto'."""
+        if self.backend == "auto" and self._kind == "closed":
+            return f"closed_form(table{self._row.table})"
+        return self._kind
 
     def __call__(self, t):
+        ts = _check_t_for_eval(t)
         kind = self._kind
         if kind == "closed":
-            return _closed_eval(self._row, self.param, t)
+            if self._row is None:
+                raise NoClosedFormError(
+                    f"no closed form tabulated for n={self.param.ctx.n}, a={self.param.a}; "
+                    "use the series or integral backend")
+            return self._row.eval(ts)
+        scalar = isinstance(ts, float)
         if kind == "series":
-            return green_eval_series(self.param, t)
+            vals = green_series_batch(self.param, np.ravel(ts))[0]
+            return float(vals[0]) if scalar else vals.reshape(ts.shape)
         if kind == "integral":
-            return green_eval_integral(self.param, t)
+            vals = [green_eval_integral(self.param, t) for t in np.ravel(ts)]
+            return vals[0] if scalar else np.reshape(vals, ts.shape)
         raise SphereDomainError(f"unknown Green backend {kind!r}")

@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import ResonanceError, SolvabilityError, SphereDomainError
 from .green import (
+    GreenFunction,
     HelmholtzParameter,
     condition_warnings,
     eigen_gap,
-    green_coefficient,
 )
 from .spectra import GeneralSpectrum, ZonalSpectrum
 
@@ -150,14 +150,8 @@ def _finish(req, u):
         u=u,
         residual_norm=res.norm,
         condition_warnings=condition_warnings(req.param, l_top),
-        green_backend=_backend_tag(req),
+        green_backend=GreenFunction(req.param, req.backend).resolved_backend(),
     )
-
-
-def _backend_tag(req):
-    from .green import GreenFunction
-    return GreenFunction(req.param, backend=req.backend).resolved_backend() \
-        if req.backend == "auto" else req.backend
 
 
 @dataclass
@@ -187,8 +181,3 @@ def verify_solution(param, u, f):
     return ResidualReport(degrees=degrees, residual=residual,
                           norm=float(np.linalg.norm(residual)), resonant_mass=mass)
 
-
-def greens_solution_coefficient(param, l, f_coeff):
-    """One-degree solve via the Green coefficient: lambda/(lambda+l) f-hat G-hat."""
-    lam = param.ctx.lam
-    return lam / (lam + l) * f_coeff * green_coefficient(param, l)

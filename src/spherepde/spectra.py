@@ -157,9 +157,6 @@ class GeneralSpectrum:
             if not cmath.isfinite(v):
                 raise SphereDomainError("spectrum coefficients must be finite")
 
-    def degrees(self):
-        return sorted({l for (l, _k) in self.entries})
-
     def copy(self):
         return GeneralSpectrum(self.ctx, dict(self.entries))
 
@@ -320,14 +317,19 @@ def format_spectrum(spec, extra_comments=(), fmt="%.17g"):
     """Serialise a spectrum to the text format; returns a string.
 
     The default format round-trips doubles exactly; the CLI passes
-    "%.12g" per its 12-significant-digit output contract.  A general order
-    token whose str() holds a tab or a line break would not parse back and
-    raises SphereDomainError.
+    "%.12g" per its 12-significant-digit output contract.  Text that would
+    not parse back to the same spectrum raises SphereDomainError: an
+    extra comment holding a line break, a general order token whose str()
+    holds a tab or a line break, and two tokens at one degree whose str()
+    coincide.
     """
     def num(x):
         return fmt % (float(x) + 0.0,)   # normalises -0.0
 
     lines = [f"# {c}" for c in extra_comments]
+    if len("\n".join(lines).splitlines()) != len(lines):
+        bad = next(c for c in lines if len(c.splitlines()) != 1)
+        raise SphereDomainError(f"a comment holds a line break: {bad!r}")
     if isinstance(spec, ZonalSpectrum):
         lines.insert(0, f"# zonal n={spec.ctx.n} Lmax={spec.l_max}")
         complex_valued = np.iscomplexobj(spec.coeffs)
@@ -338,8 +340,14 @@ def format_spectrum(spec, extra_comments=(), fmt="%.17g"):
                 lines.append(f"{l}\t{num(v)}")
     else:
         lines.insert(0, f"# general n={spec.ctx.n}")
+        printed = {}
+        for (l, k), v in spec.entries.items():
+            key = (l, str(k))
+            if key in printed:
+                raise SphereDomainError(f"two order tokens at degree {l} print as {key[1]!r}")
+            printed[key] = v
         rows = []
-        for (l, k), v in sorted(spec.entries.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+        for (l, k), v in sorted(printed.items(), key=lambda kv: kv[0]):
             v = complex(v)
             rows.append(f"{l}\t{k}\t{num(v.real)}\t{num(v.imag)}")
         body = "\n".join(rows)
@@ -358,12 +366,12 @@ def save_spectrum(spec, path, extra_comments=(), fmt="%.17g"):
 def parse_spectrum(text):
     """Parse the text format; returns ZonalSpectrum or GeneralSpectrum.
 
-    A malformed header or row, a negative degree, a zonal degree above
-    Lmax and a repeated degree (zonal) or (degree, token) pair (general)
-    raise SpectrumParseError naming the line.
+    A malformed header or row, a non-finite value, a negative degree, a
+    zonal degree above Lmax and a repeated degree (zonal) or (degree,
+    token) pair (general) raise SpectrumParseError naming the line.
     """
     kind = None
-    n = None
+    n = ctx = None
     l_max = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -380,16 +388,16 @@ def parse_spectrum(text):
                             n = int(tok[2:])
                         elif tok.startswith("Lmax="):
                             l_max = int(tok[5:])
-                    if (n is not None and n < 2) or (l_max is not None and l_max < 0):
+                    if l_max is not None and l_max < 0:
                         raise ValueError
-                except ValueError:
+                    ctx = None if n is None else make_context(n)
+                except ValueError:      # make_context's SphereDomainError included
                     raise _line_error(lineno, line, "malformed header") from None
             continue
         rows.append((lineno, line))
-    if kind is None or n is None:
+    if ctx is None:
         raise SpectrumParseError(
             "missing '# zonal n=... Lmax=...' or '# general n=...' header")
-    ctx = make_context(n)
     zonal = kind == "zonal"
     capped = zonal and l_max is not None
     values = {}
@@ -408,6 +416,8 @@ def parse_spectrum(text):
         except ValueError:
             shape = "l <TAB> re [<TAB> im]" if zonal else "l <TAB> k <TAB> re <TAB> im"
             raise _line_error(lineno, line, f"expected '{shape}'") from None
+        if not cmath.isfinite(v):
+            raise _line_error(lineno, line, "non-finite value")
         if l < 0:
             raise _line_error(lineno, line, f"negative degree {l}")
         if capped and l > l_max:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import QuadratureError, SphereDomainError
 from .geometry import SphereContext
-from .spectra import ZonalSpectrum
+from .spectra import ZonalSpectrum, norm_l2
 
 # Endpoint integrand level (relative to the admissibility target) above
 # which a scale grid is considered too narrow.
@@ -113,9 +113,6 @@ class AdmissibilityReport:
     integral: np.ndarray       # numeric int conj(Psi-hat) Omega-hat drho/rho
     target: np.ndarray         # ((lambda+l)/lambda)^2, 0 at l=0
     deviation: np.ndarray      # integral - target
-
-    def max_abs_deviation(self):
-        return float(np.max(np.abs(self.deviation)))
 
     def max_rel_deviation(self):
         scale = np.where(self.target == 0.0, 1.0, np.abs(self.target))
@@ -204,10 +201,6 @@ class WaveletTransform:
     def l_max(self):
         return self.coeffs.shape[1] - 1
 
-    def spectrum_at(self, j):
-        """The zonal spectrum of W(rho_j, .)."""
-        return ZonalSpectrum(self.ctx, self.coeffs[j])
-
 
 def wavelet_transform(psi, f, grid):
     """W(rho, .) = f * conj(Psi_rho) at every scale node of the grid.
@@ -250,7 +243,6 @@ def inverse_transform(omega, transform, grid):
 
 def roundtrip_error(psi, omega, f, grid):
     """Relative L^2 coefficient error of inverse(forward(f)) against f."""
-    from .spectra import norm_l2
     rec = inverse_transform(omega, wavelet_transform(psi, f, grid), grid)
     diff = ZonalSpectrum(f.ctx, rec.padded(f.l_max) - f.coeffs)
     nf = norm_l2(f)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spherepde.cli import main
+from spherepde.cli import _merge_config, build_parser, main
 from spherepde.spectra import load_spectrum
 
 
@@ -92,6 +93,17 @@ class TestSolve:
         assert code == 1
         assert "line 4" in capsys.readouterr().err
         assert not (tmp_path / "u.spec").exists()
+
+    @pytest.mark.parametrize("text", ["# zonal n=2 Lmax=2\n0\t0\n1\tnan\n",
+                                      "# general n=2\n0\tk\t0\t0\n1\tk\tinf\t0\n"],
+                             ids=["zonal", "general"])
+    def test_non_finite_spectrum_value_exit1(self, tmp_path, capsys, text):
+        f = tmp_path / "f.spec"
+        f.write_text(text)
+        code = main(["solve", "--n", "2", "--a", "0",
+                     "--in", str(f), "--out", str(tmp_path / "u.spec")])
+        assert code == 1
+        assert "line 3: non-finite value" in capsys.readouterr().err
 
     def test_general_spectrum_solve(self, tmp_path):
         f = tmp_path / "g.spec"
@@ -271,6 +283,14 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"line {lineno}" in err and "Traceback" not in err
 
+    def test_config_value_outside_the_choices_exit1(self, tmp_path, capsys):
+        conf = tmp_path / "job.cfg"
+        conf.write_text("n = 2\nbackend = bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["green", "table", "--n", "2", "--a", "0", "--config", str(conf)])
+        assert exc.value.code == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_config_applies_to_the_chosen_command(self, tmp_path, f_poisson, capsys):
         # solve's --backend default differs from green's; the file still applies
         conf = tmp_path / "job.cfg"
@@ -278,3 +298,60 @@ class TestConfig:
         assert main(["solve", "--n", "2", "--a", "0", "--in", str(f_poisson),
                      "--out", str(tmp_path / "u.spec"), "--config", str(conf)]) == 0
         assert "green backend: series" in capsys.readouterr().out
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read as UTF-8 text is a usage error, not a traceback."""
+
+    def _solve(self, tmp_path, spec, *extra):
+        return main(["solve", "--n", "2", "--a", "0", "--in", str(spec),
+                     "--out", str(tmp_path / "u.spec"), *extra])
+
+    def test_non_utf8_spectrum_exit1(self, tmp_path, capsys):
+        f = tmp_path / "f.spec"
+        f.write_bytes(b"# zonal n=2 Lmax=1\n0\t0\n1\t\xff\n")
+        assert self._solve(tmp_path, f) == 1
+        assert "error: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit1(self, tmp_path, f_poisson, capsys):
+        conf = tmp_path / "job.cfg"
+        conf.write_bytes(b"backend = \xe9\n")
+        assert self._solve(tmp_path, f_poisson, "--config", str(conf)) == 1
+        assert "error: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    def test_directory_as_spectrum_exit1(self, tmp_path, capsys):
+        assert self._solve(tmp_path, tmp_path) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_config_exit1(self, tmp_path, f_poisson, capsys):
+        assert self._solve(tmp_path, f_poisson, "--config", str(tmp_path)) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+# keys: the options of every subcommand, plus arbitrary text
+_KEYS = st.one_of(st.sampled_from(["n", "a", "L", "t", "grid", "backend", "mode", "tol",
+                                   "resonant", "in", "out", "config", "d", "lmax", "scales",
+                                   "rho-min", "rho_max", "fast", "func", "help"]),
+                  st.text(max_size=6))
+_VALUES = st.one_of(st.sampled_from(["2", "-1", "0.5", "nan", "1e999", "closed", "table",
+                                     "true", "no", ""]),
+                    st.text(max_size=8))
+_CONFIG_LINES = st.one_of(st.builds("{} = {}".format, _KEYS, _VALUES), st.text(max_size=10))
+_COMMANDS = [["green", "--n", "2", "--a", "0"], ["green", "table", "--n", "3", "--t", "0.5"],
+             ["solve", "--n", "2", "--in", "f", "--out", "u"], ["wavelet", "forward", "--n", "2"]]
+
+
+class TestConfigFuzz:
+    @given(st.sampled_from(_COMMANDS),
+           st.lists(_CONFIG_LINES, max_size=8).map("\n".join))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_returns_or_exits_1(self, tmp_path_factory, argv, text):
+        # only the merge runs: a fuzzed grid could ask for a table of any size
+        conf = tmp_path_factory.mktemp("config") / "job.cfg"
+        conf.write_text(text, encoding="utf-8")
+        parser = build_parser()
+        args = parser.parse_args([*argv, "--config", str(conf)])
+        try:
+            _merge_config(args, parser)
+        except SystemExit as exc:
+            assert exc.code == 1

@@ -1,6 +1,5 @@
 """Recurrence tables, antiderivative families, and the Green assembler."""
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -257,11 +256,11 @@ class TestAssembler:
 
     def test_beyond_registry_against_series(self):
         # the engine extends past the tabulated rows (here n=10, L=1)
-        from spherepde import green_eval_series, parameter_from_root
+        from spherepde import GreenFunction, parameter_from_root
         form = cf.derive_green_closed_form(10, 1)
         p = parameter_from_root(make_context(10), 1)
         for t in (-0.6, 0.2, 0.7):
-            ref = green_eval_series(p, t)
+            ref = GreenFunction(p, "series")(t)
             assert form.eval(t) == pytest.approx(ref, rel=1e-6)
 
     @pytest.mark.parametrize("n", [12, 14])
@@ -278,11 +277,6 @@ class TestAssembler:
     def test_odd_dimension_falls_back(self):
         with pytest.raises(NoClosedFormError):
             cf.derive_green_closed_form(3, 0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            val = cf.assemble_green_eval(3, 0, 0.0)
-        assert any("falling back" in str(w.message) for w in caught)
-        assert val == pytest.approx(0.25, abs=1e-6)
 
     def test_non_integer_rejected(self):
         with pytest.raises(NoClosedFormError):

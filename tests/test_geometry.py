@@ -43,6 +43,13 @@ class TestContext:
         with pytest.raises(SphereDomainError):
             make_context(0)
 
+    def test_rejects_dimension_beyond_the_doubles(self):
+        # Sigma_n needs Gamma((n+1)/2), which overflows a double above n = 342
+        assert make_context(342).sigma_n > 0.0
+        for n in (343, 10 ** 400):
+            with pytest.raises(SphereDomainError, match="too large"):
+                make_context(n)
+
 
 class TestGegenbauer:
     def test_degree_zero(self):

@@ -15,9 +15,7 @@ from spherepde import (
     analyze,
     green_coefficient,
     green_coefficients,
-    green_eval_closed,
     green_eval_integral,
-    green_eval_series,
     helmholtz_parameter,
     make_context,
     parameter_from_root,
@@ -125,7 +123,7 @@ class TestSeries:
     def test_resonant_series(self):
         p = helmholtz_parameter(make_context(2), 2.0)
         # table value at t = 0: 1 + 0 + 0
-        assert abs(green_eval_series(p, 0.0) - 1.0) < 1e-3
+        assert abs(GreenFunction(p, "series")(0.0) - 1.0) < 1e-3
 
     def test_adaptive_matches_closed(self):
         for n, a in ((2, 0.0), (3, 3.0), (5, -4.0), (8, 44.0)):
@@ -133,11 +131,12 @@ class TestSeries:
             row = green_tables.lookup(n, a)
             for t in (-0.9, 0.0, 0.6):
                 c = row.eval(t)
-                assert abs(green_eval_series(p, t) - c) <= 1e-6 * (1 + abs(c))
+                assert abs(GreenFunction(p, "series")(t) - c) <= 1e-6 * (1 + abs(c))
 
     def test_tail_reporting(self):
         p = helmholtz_parameter(make_context(2), 0.0)
-        val, tail = green_eval_series(p, 0.3, with_tail=True)
+        vals, tails = green_series_batch(p, np.array([0.3]))
+        val, tail = float(vals[0]), float(tails[0])
         assert tail > 0
         ref = green_tables.lookup(2, 0.0).eval(0.3)
         assert abs(val - ref) < 10 * tail + 1e-6
@@ -147,7 +146,7 @@ class TestSeries:
         ctx = make_context(6)
         p = helmholtz_parameter(ctx, -30.0)
         assert p.L is None
-        v1 = green_eval_series(p, 0.2)
+        v1 = GreenFunction(p, "series")(0.2)
         coef = green_coefficients(p, 400)
         assert np.isfinite(v1)
         assert coef[0] == pytest.approx((ctx.lam + 0) / ctx.lam / -30.0)
@@ -179,7 +178,7 @@ class TestSeries:
         with pytest.raises(ConvergenceError):
             green_series_batch(p, np.array([0.0, 0.9999999]))
         with pytest.raises(ConvergenceError):
-            green_eval_series(p, 0.9999999)
+            GreenFunction(p, "series")(0.9999999)
         with pytest.raises(ConvergenceError):     # untabulated a: auto is series
             GreenFunction(helmholtz_parameter(make_context(2), 0.7), "auto")(0.9999999)
         # n = 3 at 1 - t = 1e-4: a tail of 0.59 would understate an error of 1.02
@@ -194,7 +193,7 @@ class TestSeries:
             with pytest.raises(ConvergenceError, match="integral backend"):
                 green_series_batch(p, np.array([0.3]))
             with pytest.raises(ConvergenceError, match="integral backend"):
-                green_eval_series(p, 0.3)
+                GreenFunction(p, "series")(0.3)
         p = helmholtz_parameter(make_context(17), 0.0)
         vals, tails = green_series_batch(p, np.array([0.3]))
         ref = green_eval_integral(p, 0.3)
@@ -212,10 +211,10 @@ class TestSeries:
     def test_diagonal_warns_n2_raises_n3(self):
         p2 = helmholtz_parameter(make_context(2), 0.0)
         with pytest.raises(SphereDomainError):
-            green_eval_series(p2, 1.0)
+            GreenFunction(p2, "series")(1.0)
         p3 = helmholtz_parameter(make_context(3), 0.0)
         with pytest.raises(SphereDomainError):
-            green_eval_series(p3, 1.0)
+            GreenFunction(p3, "series")(1.0)
 
 
 class TestIntegral:
@@ -265,26 +264,29 @@ class TestIntegral:
 class TestClosed:
     def test_table1_n2_endpoint(self):
         p = helmholtz_parameter(make_context(2), 0.0)
-        assert green_eval_closed(p, -1.0) == pytest.approx(1.0)   # 1 + ln(1)
+        assert GreenFunction(p, "closed")(-1.0) == pytest.approx(1.0)   # 1 + ln(1)
 
     def test_table2_n3(self):
         p = helmholtz_parameter(make_context(3), 3.0)
         # (pi - pi/2)(1-0)/2 + 0 = pi/4
-        assert green_eval_closed(p, 0.0) == pytest.approx(pi / 4.0)
+        assert GreenFunction(p, "closed")(0.0) == pytest.approx(pi / 4.0)
 
     def test_table4_n5(self):
         p = helmholtz_parameter(make_context(5), -3.0)
-        assert green_eval_closed(p, 0.0) == pytest.approx(-pi / 16.0)
+        assert GreenFunction(p, "closed")(0.0) == pytest.approx(-pi / 16.0)
 
     def test_table4_n7(self):
         p = helmholtz_parameter(make_context(7), -9.0)
         # -(pi/2)/48 at t = 0
-        assert green_eval_closed(p, 0.0) == pytest.approx(-pi / 96.0)
+        assert GreenFunction(p, "closed")(0.0) == pytest.approx(-pi / 96.0)
 
     def test_missing_row(self):
         p = helmholtz_parameter(make_context(6), 100.5)
         with pytest.raises(NoClosedFormError):
-            green_eval_closed(p, 0.0)
+            GreenFunction(p, "closed")(0.0)
+        with pytest.raises(NoClosedFormError):
+            GreenFunction(p, "closed")(np.array([0.0, 0.3]))
+        assert GreenFunction(p, "closed").resolved_backend() == "closed"
 
     def test_registry_size_and_keys(self):
         assert len(green_tables.rows_for()) == 66
@@ -327,3 +329,29 @@ class TestFacade:
         assert GreenFunction(p, "closed")(0.25) == pytest.approx(ref)
         assert GreenFunction(p, "integral")(0.25) == pytest.approx(ref, abs=1e-6)
         assert GreenFunction(p, "series")(0.25) == pytest.approx(ref, abs=1e-5)
+
+    @pytest.mark.parametrize("backend", ["auto", "closed", "series", "integral"])
+    def test_array_matches_scalar_calls(self, backend):
+        # an array gives an array of its shape, equal to the calls point by point
+        gf = GreenFunction(helmholtz_parameter(make_context(7), -9.0), backend)
+        ts = np.array([[-0.8, -0.2], [0.4, 0.9]])
+        vals = gf(ts)
+        assert isinstance(vals, np.ndarray) and vals.shape == ts.shape
+        want = [[gf(float(t)) for t in row] for row in ts]
+        # the series extrapolation magnifies the batch's different summation order
+        assert_allclose(vals, want, rtol=1e-9 if backend == "series" else 1e-13, atol=0)
+        assert isinstance(gf(0.3), float) and isinstance(gf(np.float64(0.3)), float)
+        assert isinstance(gf(np.array(0.3)), float)
+
+    @pytest.mark.parametrize("backend", ["closed", "series", "integral"])
+    def test_array_domain_and_diagonal_checks(self, backend):
+        gf = GreenFunction(helmholtz_parameter(make_context(3), 0.0), backend)
+        with pytest.raises(SphereDomainError, match="singular on the diagonal"):
+            gf(np.array([0.0, 1.0]))
+        with pytest.raises(SphereDomainError, match=r"\|t\| = 1.5"):
+            gf(np.array([0.0, -1.5]))
+
+    def test_unknown_backend(self):
+        gf = GreenFunction(helmholtz_parameter(make_context(3), 0.0), "bogus")
+        with pytest.raises(SphereDomainError, match="unknown Green backend"):
+            gf(0.3)

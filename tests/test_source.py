@@ -1,0 +1,47 @@
+"""Source checks: module imports stay at module level and form no cycle."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spherepde"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_import_inside_a_function_or_class():
+    nested = []
+    for name, tree in MODULES.items():
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested += [f"{name}.py:{node.lineno} in {scope.name}"
+                           for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, nested
+
+
+def _package_imports(tree):
+    """Sibling modules a module imports with `from . import x` or `from .x import y`."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out & MODULES.keys()
+
+
+def test_package_imports_form_no_cycle():
+    # __init__ re-exports every module and cli imports it for __version__
+    graph = {name: _package_imports(tree) - {"__init__"} for name, tree in MODULES.items()}
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, " -> ".join(path[path.index(name):] + [name])
+        if name not in done:
+            path.append(name)
+            for dep in sorted(graph[name]):
+                visit(dep)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    assert "green" not in graph["closedform"] | graph["green_tables"]

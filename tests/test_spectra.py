@@ -309,6 +309,32 @@ class TestFileFormat:
         with pytest.raises(SphereDomainError, match="tab or a line break"):
             format_spectrum(f)
 
+    def test_tokens_that_print_alike_rejected(self):
+        # (0, 1) and (0, "1") would both be written as "0<TAB>1", a repeated row
+        f = GeneralSpectrum(make_context(3), {(0, 1): 1.0, (2, "1"): 3.0, (0, "1"): 2.0})
+        with pytest.raises(SphereDomainError, match="degree 0 print as '1'"):
+            format_spectrum(f)
+
+    @pytest.mark.parametrize("comment", ["x\n3\tb\t7\t0", "x\r5", "x\u2028y"])
+    def test_comment_with_a_line_break_rejected(self, comment):
+        # the first would read back as an extra coefficient (3, 'b') with no error
+        f = GeneralSpectrum(make_context(3), {(1, "a"): 1.0})
+        with pytest.raises(SphereDomainError, match="comment holds a line break"):
+            format_spectrum(f, extra_comments=["fine", comment])
+        with pytest.raises(SphereDomainError, match="comment holds a line break"):
+            format_spectrum(ZonalSpectrum(make_context(2), [1.0, 2.0]), extra_comments=[comment])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected(self, value):
+        self._raises_at_line(self.ZONAL + f"1\t{value}\n", 4, "non-finite value")
+        self._raises_at_line(self.ZONAL + f"1\t0\t{value}\n", 4, "non-finite value")
+        self._raises_at_line(f"# general n=3\n2\tk1\t1\t0\n2\tk2\t{value}\t0\n", 3,
+                             "non-finite value")
+        self._raises_at_line(f"# general n=3\n2\tk2\t1\t{value}\n", 2, "non-finite value")
+
+    def test_header_dimension_beyond_the_doubles_rejected(self):
+        self._raises_at_line("# zonal n=400 Lmax=1\n0\t1\n", 1, "malformed header")
+
     def test_header_required(self):
         with pytest.raises(SphereDomainError):
             parse_spectrum("0\t1.0\n")
@@ -381,3 +407,39 @@ class TestFileFormatRoundTrip:
         back = parse_spectrum(format_spectrum(f))
         assert isinstance(back, GeneralSpectrum) and back.ctx == f.ctx
         assert back.entries == f.entries
+
+
+# Text built from the format's own pieces, so that the fuzzing reaches the
+# header and row checks; degrees and Lmax stay small, since a valid file
+# may ask for a coefficient array of any size.
+_CELLS = st.one_of(st.integers(-1, 12).map(str),
+                   st.sampled_from(["0.5", "nan", "-inf", "1e999", "0x10", "1_0", "k", ""]),
+                   st.text(max_size=3))
+_HEADERS = st.builds("# {} {}n={} {}".format,
+                     st.sampled_from(["zonal", "general", "Zonal"]),
+                     st.sampled_from(["", "spherepde ", "# "]),
+                     st.one_of(st.integers(2, 9), st.integers(-1, 500), st.text(max_size=3)),
+                     st.one_of(st.integers(-1, 12).map("Lmax={}".format), st.text(max_size=6)))
+_ROWS = st.lists(_CELLS, min_size=2, max_size=4).map("\t".join)
+_LINES = st.one_of(_HEADERS, _ROWS, _ROWS, st.text(max_size=6))
+
+
+class TestParseFuzz:
+    @given(st.tuples(_HEADERS, st.lists(_LINES, max_size=8)).map(
+        lambda parts: "\n".join([parts[0], *parts[1]])))
+    @settings(max_examples=400, deadline=None)
+    def test_structured_text(self, text):
+        self._parses_or_names_the_error(text)
+
+    @given(st.text(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, text):
+        self._parses_or_names_the_error(text)
+
+    @staticmethod
+    def _parses_or_names_the_error(text):
+        try:
+            spec = parse_spectrum(text)
+        except SpectrumParseError:
+            return
+        assert isinstance(spec, (ZonalSpectrum, GeneralSpectrum))
