@@ -73,6 +73,7 @@ from .geometry import (
     RESONANCE_RTOL,
     SphereContext,
     _clamp_t,
+    eigenvalue,
     gegenbauer_bound,
     gegenbauer_matrix,
 )
@@ -90,10 +91,11 @@ class HelmholtzParameter:
     """Helmholtz parameter a with its root L of a = L(n+L-1).
 
     L is the principal (larger) root; for a < -(n-1)^2/4 both roots are
-    complex, L is None and only the series backend applies.  L0 is the
-    subtraction depth max(floor(L), floor(-n-L+1)) of the integral
-    representation.  resonant marks a = l(n+l-1) for an integer l >= 0
-    (recorded as L_res); the Poisson case a = 0 is resonant at 0.
+    complex, L is None and only the series backend applies.  L0 = floor(L)
+    is the subtraction depth of the integral representation (the other
+    root -n-L+1 is never larger).  resonant marks a = l(n+l-1) for an
+    integer l >= 0 (recorded as L_res); the Poisson case a = 0 is resonant
+    at 0.
     """
 
     ctx: SphereContext
@@ -111,7 +113,7 @@ def helmholtz_parameter(ctx, a):
     disc = (n - 1.0) ** 2 + 4.0 * a
     if disc >= 0.0:
         L = (-(n - 1.0) + sqrt(disc)) / 2.0
-        L0 = int(max(floor(L), floor(-n - L + 1)))
+        L0 = floor(L)
     else:
         L = None
         L0 = None
@@ -134,8 +136,7 @@ def parameter_from_root(ctx, L):
 
 def eigen_gap(param, l):
     """a - l(n+l-1), the per-degree denominator of the Green coefficients."""
-    l = np.asarray(l, dtype=float)
-    return param.a - l * (param.ctx.n + l - 1.0)
+    return param.a + eigenvalue(param.ctx, l)
 
 
 def green_coefficient(param, l):
@@ -347,7 +348,7 @@ def green_eval_integral(param, t):
     if param.resonant:
         sub_top, corr_top = param.L_res, param.L_res - 1
     else:
-        sub_top = corr_top = param.L0 if param.L0 >= 0 else -1
+        sub_top = corr_top = max(param.L0, -1)
     S = _SubtractedKernel(param, t, sub_top)
 
     k = n + 2.0 * L - 1.0
@@ -409,12 +410,6 @@ class GreenFunction:
             self._row = green_tables.lookup(self.param.ctx.n, self.param.a)
             if self.backend == "auto":
                 self._kind = "closed" if self._row is not None else "series"
-
-    def coefficient(self, l):
-        return green_coefficient(self.param, l)
-
-    def coefficients(self, l_max):
-        return green_coefficients(self.param, l_max)
 
     def resolved_backend(self):
         """The backend name, with the registry table for a resolved 'auto'."""

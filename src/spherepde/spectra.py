@@ -9,7 +9,11 @@ A general (non-zonal) function is held purely spectrally as a sparse map
 (degree l, opaque order token k) -> complex coefficient; the library never
 interprets the order tokens.
 
-Convolution with a zonal kernel g acts diagonally per degree,
+This module alone knows how the two kinds lay out their coefficients:
+unpack reads spectra as one degree array plus one value array each, and
+rebuild turns values back into a spectrum of the same kind.  Every
+per-degree operator is one array expression over that view.  Convolution
+with a zonal kernel g acts diagonally per degree,
 
     (f * g)-hat(l) = lambda/(lambda + l) * f_hat(l) * g_hat(l),
 
@@ -30,6 +34,7 @@ under which <C_l, C_l> = lambda/(lambda+l) * C_l(1).
 
 import cmath
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gamma, sqrt, pi
 
 import numpy as np
@@ -156,9 +161,42 @@ class GeneralSpectrum:
                 raise SphereDomainError(f"degrees must be non-negative integers, got {l}")
             if not cmath.isfinite(v):
                 raise SphereDomainError("spectrum coefficients must be finite")
+        # a degree such as 2.0 or np.int64(2) is stored as the int the file format writes
+        if any(type(l) is not int for l, _k in self.entries):
+            self.entries = {(int(l), k): v for (l, k), v in self.entries.items()}
 
     def copy(self):
         return GeneralSpectrum(self.ctx, dict(self.entries))
+
+
+def unpack(*specs):
+    """Degrees, then one value array per spectrum, over the union of their keys.
+
+    Zonal keys are the degrees up to the largest l_max; general keys are the
+    (l, k) pairs in entry order, first spectrum first.  A spectrum reads 0
+    at a key it lacks.
+    """
+    if isinstance(specs[0], ZonalSpectrum):
+        top = max(s.l_max for s in specs)
+        return (np.arange(top + 1), *(s.padded(top) for s in specs))
+    keys = dict.fromkeys(key for s in specs for key in s.entries)
+    return (np.array([l for l, _k in keys], dtype=int),
+            *(np.array([s.entries.get(key, 0.0) for key in keys]) for s in specs))
+
+
+def rebuild(f, values, keep=None):
+    """The spectrum of f's kind holding values at the keys of unpack(f).
+
+    With keep, a boolean mask over those keys, values belong to the marked
+    keys only; for a zonal f the mask must mark a leading run of degrees.
+    Zonal values whose imaginary parts are all exactly 0 are stored real.
+    """
+    if isinstance(f, ZonalSpectrum):
+        if np.all(values.imag == 0.0):
+            values = values.real
+        return ZonalSpectrum(f.ctx, values)
+    keys = f.entries if keep is None else compress(f.entries, keep)
+    return GeneralSpectrum(f.ctx, dict(zip(keys, values.tolist())))
 
 
 def _check_same_context(a, b):
@@ -221,35 +259,25 @@ def synthesize(spec, t):
 def convolve(f, g):
     """Spherical convolution f * g with zonal g; same kind as f.
 
-    Zonal f:   result-hat(l) = lambda/(lambda+l) f_hat(l) g_hat(l),
-               truncated to the shorter of the two spectra.
-    General f: each (l, k) entry scaled by lambda/(lambda+l) g_hat(l);
-               degrees beyond g's support are dropped (g_hat treated as
-               represented only up to its L_max).
+    One rule for both kinds: each entry of f at degree l is scaled by
+    lambda/(lambda+l) g_hat(l), and entries above g's L_max are dropped
+    (g_hat is represented only up to there).  For a zonal f that truncates
+    the result to the shorter of the two spectra.
     """
     if not isinstance(g, ZonalSpectrum):
         raise SphereDomainError("convolution kernel must be zonal")
     _check_same_context(f, g)
     lam = f.ctx.lam
-    if isinstance(f, ZonalSpectrum):
-        l_max = min(f.l_max, g.l_max)
-        l = np.arange(l_max + 1)
-        factor = lam / (lam + l)
-        return ZonalSpectrum(f.ctx, factor * f.coeffs[:l_max + 1] * g.coeffs[:l_max + 1])
-    entries = {}
-    for (l, k), v in f.entries.items():
-        if l <= g.l_max:
-            entries[(l, k)] = lam / (lam + l) * v * g.coeffs[l]
-    return GeneralSpectrum(f.ctx, entries)
+    degrees, values = unpack(f)
+    keep = degrees <= g.l_max
+    l = degrees[keep]
+    return rebuild(f, lam / (lam + l) * values[keep] * g.coeffs[l], keep)
 
 
 def laplace_beltrami(f):
     """Apply the Laplace-Beltrami operator: degree-l coefficient * -l(n+l-1)."""
-    if isinstance(f, ZonalSpectrum):
-        l = np.arange(f.l_max + 1)
-        return ZonalSpectrum(f.ctx, eigenvalue(f.ctx, l) * f.coeffs)
-    entries = {(l, k): eigenvalue(f.ctx, l) * v for (l, k), v in f.entries.items()}
-    return GeneralSpectrum(f.ctx, entries)
+    degrees, values = unpack(f)
+    return rebuild(f, eigenvalue(f.ctx, degrees) * values)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +303,7 @@ def norm_l2(f):
         return sqrt(abs(inner(f, f)))
     # general: per-harmonic norms are unknowable without A_l^k; use the
     # coefficient 2-norm, which is what the solver tolerances are against.
-    return sqrt(sum(abs(v) ** 2 for v in f.entries.values()))
+    return float(np.linalg.norm(unpack(f)[1]))
 
 
 def zonal_weight_constant(ctx):

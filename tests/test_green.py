@@ -1,7 +1,7 @@
 """Helmholtz parameters and the three Green-function backends."""
 
 from fractions import Fraction
-from math import pi, sqrt
+from math import floor, pi, sqrt
 
 import numpy as np
 import pytest
@@ -48,6 +48,17 @@ class TestParameter:
         p = helmholtz_parameter(ctx, -0.75)     # L = -1/2, reflection -3/2
         assert p.L == pytest.approx(-0.5)
         assert p.L0 == -1
+
+    def test_l0_is_floor_of_the_principal_root(self):
+        # the reflected root -n-L+1 never exceeds L, so it never sets the depth
+        rng = np.random.default_rng(3)
+        for n in range(2, 40):
+            ctx = make_context(n)
+            low = -(n - 1) ** 2 / 4.0
+            for a in [low, 0.0, *rng.uniform(low, 60.0, 40), *rng.uniform(low, low + 1.0, 10)]:
+                p = helmholtz_parameter(ctx, a)
+                assert p.L0 == floor(p.L), (n, a)
+                assert floor(-n - p.L + 1) <= p.L0, (n, a)
 
     def test_resonance_detection(self):
         ctx = make_context(2)

@@ -9,6 +9,7 @@ from spherepde import (
     ResonanceError,
     SolvabilityError,
     SolveRequest,
+    SphereDomainError,
     ZonalSpectrum,
     analyze,
     helmholtz_parameter,
@@ -145,11 +146,24 @@ class TestResonant:
         assert res.norm <= 1e-14
         assert res.resonant_mass == pytest.approx(0.0)
 
-    def test_wrong_degree_rejected(self):
-        ctx = make_context(2)
-        p = helmholtz_parameter(ctx, 2.0)
-        with pytest.raises(ResonanceError):
-            solve_resonant(SolveRequest(param=p, f=_delta(ctx, 2)), L_res=2)
+    @pytest.mark.parametrize("a", [0.0, 2.0])
+    def test_sphere_mismatch_rejected(self, a):
+        # the parameter lives on S^2, f on S^5
+        p = helmholtz_parameter(make_context(2), a)
+        solve = solve_resonant if p.L_res else solve_helmholtz
+        with pytest.raises(SphereDomainError):
+            solve(SolveRequest(param=p, f=ZonalSpectrum(make_context(5), [0, 0, 1])))
+
+    @pytest.mark.parametrize("a", [0.0, 3.0])
+    def test_solvability_error_names_the_degree(self, a):
+        ctx = make_context(3)
+        p = helmholtz_parameter(ctx, a)       # resonant at degree 0, resp. 1
+        solve = solve_resonant if p.L_res else solve_helmholtz
+        f = GeneralSpectrum(ctx, {(p.L_res, "k"): 3.0, (2, "k"): 4.0})
+        with pytest.raises(SolvabilityError, match=f"degree-{p.L_res} content") as exc:
+            solve(SolveRequest(param=p, f=f))
+        assert exc.value.offending_mass == 3.0
+        assert ("zero-mean" in str(exc.value)) == (a == 0.0)
 
     def test_nonresonant_redirect(self):
         ctx = make_context(2)

@@ -1,4 +1,5 @@
-"""Source checks: module imports stay at module level and form no cycle."""
+"""Source checks: module imports stay at module level and form no cycle, and
+only spectra.py knows how a spectrum lays out its coefficients."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,23 @@ def test_package_imports_form_no_cycle():
     for name in sorted(graph):
         visit(name)
     assert "green" not in graph["closedform"] | graph["green_tables"]
+
+
+def _names(tree):
+    """Every name a module uses: variables, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_spectrum_layout_stays_in_spectra():
+    # spectra.unpack / spectra.rebuild are the one view of a spectrum's layout
+    general = sorted(name for name, tree in MODULES.items()
+                     if "GeneralSpectrum" in set(_names(tree)))
+    assert general == ["__init__", "spectra"]
+    solver = set(_names(MODULES["solver"]))
+    assert not solver & {"ZonalSpectrum", "GeneralSpectrum", "entries", "padded"}

@@ -302,6 +302,13 @@ class TestFileFormat:
         assert isinstance(back, GeneralSpectrum)
         assert back.entries == {(2, "k0"): (1 - 3j), (5, "zz"): (0.25 + 0j)}
 
+    def test_float_degree_roundtrip(self):
+        f = GeneralSpectrum(make_context(3), {(2.0, "a"): 1.0})
+        assert type(next(iter(f.entries))[0]) is int
+        text = format_spectrum(f)
+        assert "\n2\ta\t" in text
+        assert parse_spectrum(text).entries == f.entries
+
     @pytest.mark.parametrize("token", ["a\tb", "a\nb", "a\r\nb", "a\u2028b", "a\n"],
                              ids=["tab", "newline", "crlf", "line-separator", "trailing-newline"])
     def test_token_that_would_not_parse_back_rejected(self, token):
