@@ -15,6 +15,22 @@ the kernel_power family into the closed form of the Green function for
 even n and integer L (a = L(n+L-1)).  Floating point enters only at
 evaluation time.
 
+Every antiderivative term is one Term(poly, kind, uhalf, tpow): a
+bivariate polynomial with Fraction coefficients times either a power of a
+core (kind "rat") or a logarithm (the other kinds), over a power of a
+denominator.  What core, denominator and logarithms are depends on the
+variables the term is written in:
+
+  sphere (t, v):   poly(t, v) u^{uhalf/2} / (1-t^2)^{tpow}    ("rat"),
+                   poly(t, v) ln(arg) / (1-t^2)^{tpow},  arg by kind:
+                   "A" v - t + sqrt(u),  "B" 1 - t v + sqrt(u),  "V" v;
+  shifted (T, V):  poly(T, V) (T+V^2)^{uhalf/2} / T^{tpow}    ("rat"),
+                   poly(T, V) ln(V + sqrt(T+V^2))             ("A").
+
+The shifted family is written in (T, V); the substitution T = 1-t^2,
+V = v-t in the polynomials alone carries it into sphere variables, where
+everything else lives.
+
 Antiderivative families (constants of integration fixed to the displayed
 forms, C = 0):
 
@@ -75,9 +91,9 @@ ClosedForm, the exact type the green_tables registry rows share, so a
 derived form and a registry row compare with ==.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial, inf, lcm, log, pi, sqrt
+from math import comb, factorial, inf, lcm, log, pi, prod, sqrt
 
 import numpy as np
 
@@ -119,12 +135,10 @@ def pmul(a, b):
     return _clean(out)
 
 
-def ppow(a, m, bivariate=None):
+def ppow(a, m):
     if m < 0:
         raise ValueError("negative polynomial power")
-    if bivariate is None:
-        bivariate = bool(a) and isinstance(next(iter(a)), tuple)
-    out = {(0, 0) if bivariate else 0: F1}
+    out = {(0, 0) if a and isinstance(next(iter(a)), tuple) else 0: F1}
     for _ in range(m):
         out = pmul(out, a)
     return out
@@ -145,6 +159,14 @@ def bi_sub_v0(p, v0):
     for (i, j), c in p.items():
         out[i] = out.get(i, F0) + c * v0 ** j
     return _clean(out)
+
+
+def _substitute(p, x, y):
+    """Bivariate p with the bivariate polynomials x and y put in for its variables."""
+    out = {}
+    for (i, j), c in p.items():
+        out = padd(out, pscale(pmul(ppow(x, i), ppow(y, j)), c))
+    return out
 
 
 # building blocks in sphere variables (t, v)
@@ -171,66 +193,44 @@ def gegenbauer_poly(lam, l_max):
 
 
 # ---------------------------------------------------------------------------
-# expression terms (functions of the sphere variables t, v)
+# expression terms (module docstring: sphere and shifted variables)
 # ---------------------------------------------------------------------------
-# RatTerm: num(t, v) * u^{uhalf/2} / (1-t^2)^{tpow}
-# LogTerm: coef(t, v) / (1-t^2)^{tpow} * ln(arg), arg keyed by kind:
-#   "A" -> v - t + sqrt(u);  "B" -> 1 - t v + sqrt(u);  "V" -> v.
 
 @dataclass(frozen=True)
-class RatTerm:
-    num: dict
+class Term:
+    """poly * core^{uhalf/2} (kind "rat") or poly * ln(arg of kind), over den^{tpow}."""
+
+    poly: dict
+    kind: str = "rat"
     uhalf: int = 0
     tpow: int = 0
 
 
-@dataclass(frozen=True)
-class LogTerm:
-    coef: dict
-    kind: str
-    tpow: int = 0
-
-
-def _scale_term(term, s):
-    if isinstance(term, RatTerm):
-        return RatTerm(pscale(term.num, s), term.uhalf, term.tpow)
-    return LogTerm(pscale(term.coef, s), term.kind, term.tpow)
-
-
 def expr_scale(terms, s):
-    return [_scale_term(term, s) for term in terms]
+    return [replace(term, poly=pscale(term.poly, s)) for term in terms]
 
 
-def _mul_tpoly(term, tpoly):
-    bi = uni_to_bi(tpoly)
-    if isinstance(term, RatTerm):
-        return RatTerm(pmul(term.num, bi), term.uhalf, term.tpow)
-    return LogTerm(pmul(term.coef, bi), term.kind, term.tpow)
+def _evaluate(terms, x, y, core, den, logarg):
+    """Sum of terms at numeric (x, y); logarg[kind]() is the log argument of a kind."""
+    total = 0.0
+    for term in terms:
+        val = bi_eval(term.poly, x, y)
+        if term.kind != "rat":
+            val *= log(logarg[term.kind]())
+        elif term.uhalf:
+            val *= core ** (term.uhalf / 2.0)
+        if term.tpow:
+            val /= den ** term.tpow
+        total += val
+    return total
 
 
 def expr_eval(terms, t, v):
-    """Floating-point value of an expression at (t, v)."""
+    """Floating-point value of an expression in sphere variables at (t, v)."""
     u = 1.0 - 2.0 * t * v + v * v
-    total = 0.0
-    for term in terms:
-        if isinstance(term, RatTerm):
-            val = bi_eval(term.num, t, v)
-            if term.uhalf:
-                val *= u ** (term.uhalf / 2.0)
-        else:
-            if term.kind == "A":
-                arg = v - t + sqrt(u)
-            elif term.kind == "B":
-                arg = 1.0 - t * v + sqrt(u)
-            elif term.kind == "V":
-                arg = v
-            else:
-                raise ValueError(term.kind)
-            val = bi_eval(term.coef, t, v) * log(arg)
-        if term.tpow:
-            val /= (1.0 - t * t) ** term.tpow
-        total += val
-    return total
+    logarg = {"A": lambda: v - t + sqrt(u), "B": lambda: 1.0 - t * v + sqrt(u),
+              "V": lambda: v}
+    return _evaluate(terms, t, v, u, 1.0 - t * t, logarg)
 
 
 # ---------------------------------------------------------------------------
@@ -284,41 +284,22 @@ def zonal_kernel_radial_antiderivative(lam):
     """
     lam = Fraction(lam)
     qs = radial_split_polynomials(lam).entries
-    terms = [RatTerm({(0, 0): 1 / lam}, uhalf=-int(2 * lam))]
+    terms = [Term({(0, 0): 1 / lam}, uhalf=-int(2 * lam))]
     for j in range(1, int(lam + Fraction(1, 2))):
-        terms.append(RatTerm({(0, 0): Fraction(1, 2) / (lam - j)},
-                             uhalf=-int(2 * (lam - j))))
-        qpoly_t = {}          # Q_{j-1}(1-t^2) expanded in t
-        for e, c in qs[j - 1].items():
-            qpoly_t = padd(qpoly_t, pscale(ppow(BP_TT, e, bivariate=True), c))
+        terms.append(Term({(0, 0): Fraction(1, 2) / (lam - j)}, uhalf=-int(2 * (lam - j))))
+        # Q_{j-1}(T) at T = 1-t^2, the substitution of _shifted_to_sphere
+        qpoly_t = _substitute(uni_to_bi(qs[j - 1]), BP_TT, BP_R)
         num = pmul(pmul(BP_T, qpoly_t), BP_R)
-        terms.append(RatTerm(num, uhalf=-int(2 * (lam - j)), tpow=j))
-    terms.append(LogTerm(pscale(BP_ONE, -1), "B"))
+        terms.append(Term(num, uhalf=-int(2 * (lam - j)), tpow=j))
+    terms.append(Term(pscale(BP_ONE, -1), "B"))
     return terms
-
-
-def _double_factorial(m):
-    # (-1)!! = 1 by convention
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return F0
-    out = F1
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out
 
 
 def shifted_leading_coefficient(kappa, J):
     """a^{kappa,J+1/2} = (-1)^{kappa-J} (2kappa-1)!! / (2^{kappa-J} (kappa-J)! (2J-1)!!)."""
-    num = Fraction((-1) ** (kappa - J) * _double_factorial(2 * kappa - 1))
-    den = Fraction(2 ** (kappa - J) * factorial(kappa - J) * _double_factorial(2 * J - 1))
+    # m!! = prod(range(m, 0, -2)), so (-1)!! = 1
+    num = Fraction((-1) ** (kappa - J) * prod(range(2 * kappa - 1, 0, -2)))
+    den = Fraction(2 ** (kappa - J) * factorial(kappa - J) * prod(range(2 * J - 1, 0, -2)))
     return num / den
 
 
@@ -336,18 +317,16 @@ def shifted_polynomial_coefficients(kappa, J):
     if kappa >= 2:
         out.append(-(3 * J - 2) * a / 3)
     for iota in range(2, kappa):
-        out.append((2 * (J - iota) * out[iota - 1] - a * _binom(J, iota))
+        out.append((2 * (J - iota) * out[iota - 1] - a * comb(J, iota))
                    / (2 * iota + 1))
     return RecurrenceTable(family=f"shifted({kappa},{J})",
                            entries={"lead": a, "poly": out})
 
 
 def shifted_power_antiderivative(k, J):
-    """int V^k / (T + V^2)^{J+1/2} dV as raw terms in (T, V).
+    """int V^k / (T + V^2)^{J+1/2} dV as Terms in the shifted variables (T, V).
 
-    Term encodings (core = T + V^2):
-      ("rat", num{(i,j): c}, chalf, tden):  num * core^{chalf/2} / T^{tden}
-      ("log", coef{(i,j): c}):              coef * ln(V + sqrt(core))
+    With core = T + V^2:
 
     odd k = 2kappa+1:
         sum_iota binom(kappa,iota) (-1)^{kappa-iota+1}/(2(J-iota)-1)
@@ -365,69 +344,38 @@ def shifted_power_antiderivative(k, J):
     if k % 2 == 1:
         kappa = (k - 1) // 2
         for iota in range(kappa + 1):
-            c = _binom(kappa, iota) * Fraction((-1) ** (kappa - iota + 1),
-                                               2 * (J - iota) - 1)
-            terms.append(("rat", {(kappa - iota, 0): c}, -(2 * (J - iota) - 1), 0))
+            c = comb(kappa, iota) * Fraction((-1) ** (kappa - iota + 1), 2 * (J - iota) - 1)
+            terms.append(Term({(kappa - iota, 0): c}, uhalf=-(2 * (J - iota) - 1)))
         return terms
     kappa = k // 2
     if kappa < J:
         for iota in range(J - kappa):
-            c = _binom(J - kappa - 1, iota) * Fraction((-1) ** (J - kappa - iota - 1),
-                                                       2 * (J - iota) - 1)
-            terms.append(("rat", {(0, 2 * (J - iota) - 1): c},
-                          -(2 * (J - iota) - 1), J - kappa))
+            c = comb(J - kappa - 1, iota) * Fraction((-1) ** (J - kappa - iota - 1),
+                                                     2 * (J - iota) - 1)
+            terms.append(Term({(0, 2 * (J - iota) - 1): c},
+                              uhalf=-(2 * (J - iota) - 1), tpow=J - kappa))
         return terms
     table = shifted_polynomial_coefficients(kappa, J)
     a = table.entries["lead"]
     for iota, ai in enumerate(table.entries["poly"]):
-        terms.append(("rat", {(kappa - iota - 1, 2 * iota + 1): ai},
-                      -(2 * J - 1), 0))
-    terms.append(("log", {(kappa - J, 0): a}))
+        terms.append(Term({(kappa - iota - 1, 2 * iota + 1): ai}, uhalf=-(2 * J - 1)))
+    terms.append(Term({(kappa - J, 0): a}, "A"))
     return terms
 
 
 def eval_shifted(terms, T, V):
-    """Evaluate raw shifted-family terms at numeric (T, V), T != 0."""
+    """Floating-point value of an expression in shifted variables at (T, V), T != 0."""
     core = T + V * V
-    total = 0.0
-    for term in terms:
-        if term[0] == "rat":
-            _kind, num, chalf, tden = term
-            val = sum(float(c) * T ** i * V ** j for (i, j), c in num.items())
-            val *= core ** (chalf / 2.0)
-            if tden:
-                val /= T ** tden
-            total += val
-        else:
-            coef = sum(float(c) * T ** i * V ** j for (i, j), c in term[1].items())
-            total += coef * log(V + sqrt(core))
-    return total
+    return _evaluate(terms, T, V, core, T, {"A": lambda: V + sqrt(core)})
 
 
 def _shifted_to_sphere(terms):
-    """Map raw (T, V) terms into sphere terms via T = 1-t^2, V = v-t.
+    """Terms in (T, V) carried into sphere variables by T = 1-t^2, V = v-t.
 
-    The core becomes u; V + sqrt(core) becomes v - t + sqrt(u) (kind "A");
-    1/T^d becomes the (1-t^2)^d denominator.
+    Only the polynomials change: the core becomes u, V + sqrt(core) becomes
+    v - t + sqrt(u) (kind "A") and T the denominator 1-t^2.
     """
-    out = []
-    for term in terms:
-        if term[0] == "rat":
-            _kind, num, chalf, tden = term
-            poly = {}
-            for (i, j), c in num.items():
-                poly = padd(poly, pscale(pmul(ppow(BP_TT, i, bivariate=True),
-                                              ppow(BP_R, j, bivariate=True)), c))
-            out.append(RatTerm(poly, uhalf=chalf, tpow=tden))
-        else:
-            poly = {}
-            for (i, j), c in term[1].items():
-                if i < 0:
-                    raise AssertionError("log coefficients carry no negative T powers")
-                poly = padd(poly, pscale(pmul(ppow(BP_TT, i, bivariate=True),
-                                              ppow(BP_R, j, bivariate=True)), c))
-            out.append(LogTerm(poly, "A"))
-    return out
+    return [replace(term, poly=_substitute(term.poly, BP_TT, BP_R)) for term in terms]
 
 
 def kernel_power_antiderivative(L, J):
@@ -441,10 +389,9 @@ def kernel_power_antiderivative(L, J):
         raise SphereDomainError(f"need L, J >= 0, got L={L}, J={J}")
     terms = []
     for k in range(L + 1):
-        c = _binom(L, k)
-        mono = {L - k: c}
-        for term in _shifted_to_sphere(shifted_power_antiderivative(k, J)):
-            terms.append(_mul_tpoly(term, mono))
+        mono = {(L - k, 0): comb(L, k)}
+        terms += [replace(term, poly=pmul(term.poly, mono))
+                  for term in _shifted_to_sphere(shifted_power_antiderivative(k, J))]
     return terms
 
 
@@ -479,18 +426,16 @@ def kernel_log_antiderivative(k):
     if k < 0:
         raise SphereDomainError(f"need k >= 0, got {k}")
     if k == 0:
-        return [LogTerm(dict(BP_V), "B"),
-                RatTerm(pscale(BP_V, -1)),
-                LogTerm(dict(BP_ONE), "A")]
+        return [Term(dict(BP_V), "B"), Term(pscale(BP_V, -1)), Term(dict(BP_ONE), "A")]
     pi = log_coefficient_polynomials(k).entries
     p_k = {}
     for j in range(k):
         p_k = padd(p_k, pmul({(0, j): F1}, uni_to_bi(pi.get(j, {}))))
     q_k = padd(pmul({1: F1}, pi.get(0, {})), pscale(pi.get(1, {}), -1))
-    return [RatTerm(p_k, uhalf=1),
-            LogTerm(uni_to_bi(q_k), "A"),
-            LogTerm({(0, k + 1): Fraction(1, k + 1)}, "B"),
-            RatTerm({(0, k + 1): Fraction(-1, (k + 1) ** 2)})]
+    return [Term(p_k, uhalf=1),
+            Term(uni_to_bi(q_k), "A"),
+            Term({(0, k + 1): Fraction(1, k + 1)}, "B"),
+            Term({(0, k + 1): Fraction(-1, (k + 1) ** 2)})]
 
 
 # ---------------------------------------------------------------------------
@@ -703,48 +648,42 @@ class Collector:
                     self._add_at(term, v0, s)
 
     def _add_at(self, term, v0, s):
-        tp = term.tpow
-        if isinstance(term, RatTerm):
-            poly = pscale(bi_sub_v0(term.num, v0), s)
-            if v0 == 0:
-                # u -> 1
-                self.add("1", 2 * tp, 2 * tp, poly)
-            else:
-                # u -> 2(1-t): u^{h/2} = 2^{h//2} sqrt(2)^{h%2} (1-t)^{h/2}
-                h = term.uhalf
-                self.add("sqrt" if h % 2 else "1", 2 * tp - h, 2 * tp,
-                         pscale(poly, Fraction(2) ** (h // 2)))
-            return
-        poly = pscale(bi_sub_v0(term.coef, v0), s)
-        if term.kind == "A":
+        tp, h = 2 * term.tpow, term.uhalf
+        poly = pscale(bi_sub_v0(term.poly, v0), s)
+        if term.kind == "rat" and v0 == 0:
+            # u -> 1
+            self.add("1", tp, tp, poly)
+        elif term.kind == "rat":
+            # u -> 2(1-t): u^{h/2} = 2^{h//2} sqrt(2)^{h%2} (1-t)^{h/2}
+            self.add("sqrt" if h % 2 else "1", tp - h, tp, pscale(poly, Fraction(2) ** (h // 2)))
+        elif term.kind == "A":
             # v - t + sqrt(u) -> 1 - t at v = 0, 1 - t + sqrt(2(1-t)) at v = 1
-            self.add("L1MT" if v0 == 0 else "LS", 2 * tp, 2 * tp, poly)
+            self.add("L1MT" if v0 == 0 else "LS", tp, tp, poly)
         elif poly and (term.kind != "V" or v0 == 0):
             raise SphereDomainError(f"log kind {term.kind} has no collected value at v = {v0}")
         # kind "V" at v = 1: ln 1 = 0
 
     def _add_at_infinity(self, term, s):
-        tp = term.tpow
-        if isinstance(term, RatTerm):
-            # num(t,v) u^{h/2}, u^{h/2} = v^h sum_k C_k^{-h/2}(t) v^{-k}
-            h = term.uhalf
-            top = max((j for (_i, j) in term.num), default=0) + h
+        tp, h = 2 * term.tpow, term.uhalf
+        if term.kind == "rat":
+            # poly(t,v) u^{h/2}, u^{h/2} = v^h sum_k C_k^{-h/2}(t) v^{-k}
+            top = max((j for (_i, j) in term.poly), default=0) + h
             series = gegenbauer_poly(Fraction(-h, 2), max(top, 0))
-            for (i, j), c in term.num.items():
+            for (i, j), c in term.poly.items():
                 for k in range(j + h + 1):
                     m = j + h - k
-                    self.add(("w", m) if m else "1", 2 * tp, 2 * tp,
+                    self.add(("w", m) if m else "1", tp, tp,
                              pscale(pmul({i: F1}, series[k]), c * s))
             return
-        if any(j != 0 for (_i, j) in term.coef):
+        if any(j != 0 for (_i, j) in term.poly):
             raise SphereDomainError("asymptotics need v-free log coefficients")
-        coef = pscale(bi_sub_v0(term.coef, 0), s)
+        coef = pscale(bi_sub_v0(term.poly, 0), s)
         # A: ln(v - t + sqrt(u)) = ln v + ln 2 + O(1/v);  V: ln v
         if term.kind not in ("A", "V"):
             raise SphereDomainError(f"log kind {term.kind} has no v->inf limit here")
-        self.add("lnw", 2 * tp, 2 * tp, coef)
+        self.add("lnw", tp, tp, coef)
         if term.kind == "A":
-            self.add("L2", 2 * tp, 2 * tp, coef)
+            self.add("L2", tp, tp, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +723,7 @@ def derive_green_closed_form(n, L):
     d2.extend(expr_scale(kernel_power_antiderivative(n + L, J), -1))
     for l in range(L + 1):
         e = n + L - 1 + l
-        d2.append(RatTerm(pmul(uni_to_bi(pscale(c[l], Fraction(-1, e))), {(0, e): F1})))
+        d2.append(Term(pmul(uni_to_bi(pscale(c[l], Fraction(-1, e))), {(0, e): F1})))
     collector.add_definite(d2, 0, 1, -scale)
 
     # D1 = int_0^1 r^{-L-1} S(r) dr; with r = 1/w,
@@ -792,9 +731,9 @@ def derive_green_closed_form(n, L):
     d1 = kernel_power_antiderivative(n + L, J)
     d1.extend(expr_scale(kernel_power_antiderivative(n + L - 2, J), -1))
     for l in range(L):
-        d1.append(RatTerm(pmul(uni_to_bi(pscale(c[l], Fraction(-1, L - l))), {(0, L - l): F1})))
+        d1.append(Term(pmul(uni_to_bi(pscale(c[l], Fraction(-1, L - l))), {(0, L - l): F1})))
     if L >= 0:
-        d1.append(LogTerm(uni_to_bi(pscale(c[L], -1)), "V"))
+        d1.append(Term(uni_to_bi(pscale(c[L], -1)), "V"))
     collector.add_definite(d1, 1, inf, scale)
 
     # correction sum: sum_{l < L} c_l(t) / (a - l(n+l-1))

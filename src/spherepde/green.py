@@ -397,7 +397,8 @@ class GreenFunction:
     one domain and diagonal check, then one row.eval for 'closed', one
     green_series_batch for 'series', one green_eval_integral per point for
     'integral'.  Callers that need the series tail estimate call
-    green_series_batch directly.
+    green_series_batch directly.  A row with a (1+t) denominator (the odd-n
+    rows) raises NoClosedFormError at t = -1, where its terms are 0/0.
     """
 
     param: HelmholtzParameter
@@ -410,6 +411,8 @@ class GreenFunction:
             self._row = green_tables.lookup(self.param.ctx.n, self.param.a)
             if self.backend == "auto":
                 self._kind = "closed" if self._row is not None else "series"
+        # a (1+t) denominator: the row's terms cancel at the antipode only in the limit
+        self._antipode_pole = self._row is not None and any(b for *_, b, _c in self._row.terms)
 
     def resolved_backend(self):
         """The backend name, with the registry table for a resolved 'auto'."""
@@ -420,13 +423,17 @@ class GreenFunction:
     def __call__(self, t):
         ts = _check_t_for_eval(t)
         kind = self._kind
+        scalar = isinstance(ts, float)
         if kind == "closed":
             if self._row is None:
                 raise NoClosedFormError(
                     f"no closed form tabulated for n={self.param.ctx.n}, a={self.param.a}; "
                     "use the series or integral backend")
+            if self._antipode_pole and (ts == -1.0 if scalar else np.any(ts == -1.0)):
+                raise NoClosedFormError(
+                    f"the closed form for n={self.param.ctx.n}, a={self.param.a} has a (1+t) "
+                    "denominator and no value at t = -1; use the series or integral backend")
             return self._row.eval(ts)
-        scalar = isinstance(ts, float)
         if kind == "series":
             vals = green_series_batch(self.param, np.ravel(ts))[0]
             return float(vals[0]) if scalar else vals.reshape(ts.shape)

@@ -36,6 +36,7 @@ import cmath
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gamma, sqrt, pi
+from numbers import Number, Real
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -126,6 +127,9 @@ class ZonalSpectrum:
 
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs))
+        if self.coeffs.ndim != 1 or self.coeffs.dtype.kind not in "iufc":
+            raise SphereDomainError("zonal coefficients must be a 1-D array of numbers, got "
+                                    f"shape {self.coeffs.shape}, dtype {self.coeffs.dtype}")
         if not np.all(np.isfinite(self.coeffs)):
             raise SphereDomainError("spectrum coefficients must be finite")
 
@@ -157,10 +161,12 @@ class GeneralSpectrum:
 
     def __post_init__(self):
         for (l, _k), v in self.entries.items():
-            if l < 0 or int(l) != l:
-                raise SphereDomainError(f"degrees must be non-negative integers, got {l}")
-            if not cmath.isfinite(v):
-                raise SphereDomainError("spectrum coefficients must be finite")
+            # the type tests spare the common int l and float or complex v the ABC
+            # checks; for a NaN or infinite l, l % 1 is NaN
+            if not (type(l) is int or isinstance(l, Real) and l % 1 == 0) or l < 0:
+                raise SphereDomainError(f"degrees must be non-negative integers, got {l!r}")
+            if not (type(v) in (complex, float) or isinstance(v, Number)) or not cmath.isfinite(v):
+                raise SphereDomainError(f"spectrum coefficients must be finite numbers, got {v!r}")
         # a degree such as 2.0 or np.int64(2) is stored as the int the file format writes
         if any(type(l) is not int for l, _k in self.entries):
             self.entries = {(int(l), k): v for (l, k), v in self.entries.items()}

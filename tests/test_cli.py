@@ -164,6 +164,17 @@ class TestGreen:
             assert main(["green", "--n", "2", "--a", "0", "--t", t, "--backend", "closed"]) == 3
         assert capsys.readouterr().out == ""
 
+    def test_antipode_on_an_odd_n_closed_row_exits_3(self, capsys):
+        # the n = 5 Poisson row has a (1+t) denominator, 0/0 at t = -1
+        for backend in ("all", "closed"):
+            assert main(["green", "--n", "5", "--a", "0", "--t", "-1",
+                         "--backend", backend]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "t = -1" in err and "Traceback" not in err
+        assert main(["green", "--n", "5", "--a", "0", "--t", "-1", "--backend", "series"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert float(row[2]) == pytest.approx(25 / 48, rel=1e-7)
+
     def test_derive(self, capsys):
         assert main(["green", "derive", "--n", "2", "--L", "0"]) == 0
         out = capsys.readouterr().out

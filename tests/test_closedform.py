@@ -1,5 +1,6 @@
 """Recurrence tables, antiderivative families, and the Green assembler."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestKernelPowerFamily:
             direct, _ = cf.kernel_power_integral(L, J, t, V)
             total = 0.0
             for k in range(L + 1):
-                c = float(cf._binom(L, k)) * t ** (L - k)
+                c = float(math.comb(L, k)) * t ** (L - k)
                 total += c * cf.eval_shifted(
                     cf.shifted_power_antiderivative(k, J), 1 - t * t, V - t)
             assert direct == pytest.approx(total, rel=1e-12, abs=1e-12)

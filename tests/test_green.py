@@ -299,6 +299,29 @@ class TestClosed:
             GreenFunction(p, "closed")(np.array([0.0, 0.3]))
         assert GreenFunction(p, "closed").resolved_backend() == "closed"
 
+    @pytest.mark.parametrize("n, a", [(3, 0.0), (5, 0.0), (5, -3.0), (7, -9.0), (9, 0.0)])
+    @pytest.mark.parametrize("backend", ["closed", "auto"])
+    def test_antipode_refused_on_a_1_plus_t_denominator(self, n, a, backend):
+        # the row's terms are 0/0 at t = -1 (nan or ZeroDivisionError unguarded)
+        gf = GreenFunction(helmholtz_parameter(make_context(n), a), backend)
+        with pytest.raises(NoClosedFormError, match="t = -1; use the series or integral"):
+            gf(-1.0)
+        with pytest.raises(NoClosedFormError, match="t = -1"):
+            gf(np.array([0.3, -1.0]))
+        assert np.isfinite(gf(-0.999)) and np.all(np.isfinite(gf(np.array([-0.999, 0.3]))))
+
+    def test_antipode_refused_exactly_where_the_row_has_a_1_plus_t_denominator(self):
+        refused = 0
+        for row in green_tables.rows_for():
+            gf = GreenFunction(helmholtz_parameter(make_context(row.n), float(row.a)), "closed")
+            if any(b for _atom, _a, b, _c in green_tables.lookup(row.n, float(row.a)).terms):
+                refused += 1
+                with pytest.raises(NoClosedFormError, match="t = -1"):
+                    gf(-1.0)
+            else:
+                assert np.isfinite(gf(-1.0))
+        assert refused == 21
+
     def test_registry_size_and_keys(self):
         assert len(green_tables.rows_for()) == 66
         assert len(green_tables.rows_for(table=1)) == 9

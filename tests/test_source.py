@@ -1,5 +1,6 @@
-"""Source checks: module imports stay at module level and form no cycle, and
-only spectra.py knows how a spectrum lays out its coefficients."""
+"""Source checks: module imports stay at module level and form no cycle,
+only spectra.py knows how a spectrum lays out its coefficients, and
+closedform.py has one antiderivative term type and one evaluator."""
 
 import ast
 from pathlib import Path
@@ -49,13 +50,14 @@ def test_package_imports_form_no_cycle():
 
 
 def _names(tree):
-    """Every name a module uses: variables, attributes and imported names."""
+    """Every name a module uses or defines: variables, attributes, imports,
+    classes and functions."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, (ast.alias, ast.ClassDef, ast.FunctionDef)):
             yield node.name
 
 
@@ -66,3 +68,23 @@ def test_spectrum_layout_stays_in_spectra():
     assert general == ["__init__", "spectra"]
     solver = set(_names(MODULES["solver"]))
     assert not solver & {"ZonalSpectrum", "GeneralSpectrum", "entries", "padded"}
+
+
+def _calls(tree, function):
+    """Names of the functions a module-level function calls by plain name."""
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == function]
+    return {node.func.id for node in ast.walk(body)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_closedform_has_one_term_type_and_one_evaluator():
+    # Term is the one antiderivative term, in sphere and shifted variables alike
+    tree = MODULES["closedform"]
+    assert not {"RatTerm", "LogTerm"} & set(_names(tree))
+    tagged = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Tuple) and node.elts
+              and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in ("rat", "log")]
+    assert not tagged, tagged
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _calls(tree, "expr_eval") & _calls(tree, "eval_shifted") & defined

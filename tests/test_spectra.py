@@ -229,6 +229,29 @@ class TestLaplaceBeltrami:
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("coeffs", [[[1.0, 2.0], [3.0, 4.0]], ["a", "b"],
+                                        np.array([1.0, 2.0], dtype=object)])
+    def test_zonal_rejects_malformed_coefficients(self, coeffs):
+        with pytest.raises(SphereDomainError, match="1-D array of numbers"):
+            ZonalSpectrum(make_context(3), coeffs)
+
+    @pytest.mark.parametrize("degree", ["2", None, 2.5, -1, float("nan"), float("inf")])
+    def test_general_rejects_malformed_degrees(self, degree):
+        with pytest.raises(SphereDomainError, match="non-negative integers"):
+            GeneralSpectrum(make_context(3), {(degree, "a"): 1.0})
+
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_general_rejects_non_numeric_coefficients(self, value):
+        with pytest.raises(SphereDomainError, match="finite numbers"):
+            GeneralSpectrum(make_context(3), {(2, "a"): value})
+
+    @pytest.mark.parametrize("degree", [2, 2.0, np.int64(2)])
+    def test_general_accepts_integral_degrees(self, degree):
+        f = GeneralSpectrum(make_context(3), {(degree, "a"): 1.0})
+        assert f.entries == {(2, "a"): 1.0} and type(next(iter(f.entries))[0]) is int
+
+
 class TestInnerProduct:
     def test_degree_norms_match_quadrature(self):
         # <C_l, C_l> = lam/(lam+l) C_l(1) under the 1/Sigma_n-normalised product
