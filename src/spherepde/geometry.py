@@ -87,23 +87,38 @@ def gegenbauer(ctx, l, t):
     return float(gegenbauer_batch(ctx, l, t)[l])
 
 
-def gegenbauer_matrix(ctx, l_max, t):
-    """Matrix C[l, j] = C_l^lambda(t_j) for a vector of arguments.
+def gegenbauer_rows(ctx, l_max, t):
+    """Yield C_0^lambda(t), ..., C_{l_max}^lambda(t), each an array over t.
 
-    The one recurrence pass: gegenbauer_batch is its column for a scalar
-    t, and synthesis and series summation use it directly.
+    The one recurrence pass: gegenbauer_matrix stacks its rows, and a
+    caller that needs one degree at a time (analysis) streams them.
     """
     if l_max < 0:
         raise SphereDomainError(f"degree l must be >= 0, got {l_max}")
     t = np.atleast_1d(_clamp_t(t))
     lam = ctx.lam
-    out = np.empty((l_max + 1, t.size))
-    out[0] = 1.0
+    prev = np.ones_like(t)
+    yield prev
     if l_max >= 1:
-        out[1] = 2.0 * lam * t
-    for l in range(2, l_max + 1):
-        out[l] = (2.0 * (l + lam - 1.0) * t * out[l - 1]
-                  - (l + 2.0 * lam - 2.0) * out[l - 2]) / l
+        cur = 2.0 * lam * t
+        yield cur
+        for l in range(2, l_max + 1):
+            prev, cur = cur, (2.0 * (l + lam - 1.0) * t * cur - (l + 2.0 * lam - 2.0) * prev) / l
+            yield cur
+
+
+def gegenbauer_matrix(ctx, l_max, t):
+    """Matrix C[l, j] = C_l^lambda(t_j) for a vector of arguments.
+
+    gegenbauer_batch is its column for a scalar t, and synthesis and
+    series summation use it directly.
+    """
+    rows = gegenbauer_rows(ctx, l_max, t)
+    first = next(rows)
+    out = np.empty((l_max + 1, first.size))
+    out[0] = first
+    for l, row in enumerate(rows, 1):
+        out[l] = row
     return out
 
 

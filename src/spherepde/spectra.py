@@ -21,8 +21,12 @@ and the Laplace-Beltrami operator multiplies the degree-l coefficient by
 -l(n+l-1).
 
 Analysis integrals use Gauss quadrature for the weight (1-t^2)^{lambda-1/2}
-(the zonal reduction of the surface measure), with nodes and weights from
-the Golub-Welsch eigenvalue method on the Jacobi recurrence matrix.
+(the zonal reduction of the surface measure).  The weight is even, so the
+squared positive nodes are the eigenvalues of a tridiagonal matrix of half
+the rule's size; one Newton step on the orthonormal recurrence polishes
+them, and the Christoffel-Darboux identity gives the weights from the same
+recurrence pass.  Analysis divides by the exact norms of the C_l, which
+the rule integrates exactly at the exactness analyze demands.
 
 The scalar product convention carries the 1/Sigma_n normalisation of the
 surface measure:
@@ -48,6 +52,7 @@ from .geometry import (
     eigenvalue,
     gegenbauer_at_one,
     gegenbauer_matrix,
+    gegenbauer_rows,
     make_context,
     surface_measure,
 )
@@ -73,38 +78,54 @@ class QuadratureRule:
 def gauss_gegenbauer_rule(mu, m):
     """m-point Gauss rule for weight (1-t^2)^{mu-1/2} on [-1, 1], mu >= 0.
 
-    Golub-Welsch: nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of the weight's recurrence; weights come from the
-    Christoffel identity w_i = 1/sum_k p_k(x_i)^2 over the orthonormal
-    polynomials (equivalent to the squared first eigenvector components,
-    but needs no eigenvectors, so large rules stay cheap).  mu = 0 is the
-    Chebyshev case, handled by its known recurrence coefficients.
+    The weight is even, so the Jacobi matrix J of the orthonormal
+    recurrence x p_k = b_{k+1} p_{k+1} + b_k p_{k-1} has a zero diagonal
+    and J^2 splits into two tridiagonal blocks.  The odd-index block, of
+    size floor(m/2) with diagonal b_{2i+1}^2 + b_{2i+2}^2 and off-diagonal
+    b_{2i+2} b_{2i+3} (b_m read as 0), has the squared positive nodes as
+    its eigenvalues; odd m adds the node 0.  One recurrence pass over
+    these ceil(m/2) nodes gives p_{m-2}, p_{m-1} and p_m, and one Newton
+    step polishes each node, with
+
+        (1-x^2) p_j'(x) = A_j p_{j-1}(x) - j x p_j(x),   A_j = 2 (j+mu) b_j.
+
+    p_{m-1} follows the step to first order, and the Christoffel-Darboux
+    identity gives the weights w = (1-x^2) / (b_m A_m p_{m-1}(x)^2).
+    Nodes and weights are mirrored to the negative half, so the rule is
+    exactly symmetric.  mu = 0 is the Chebyshev case of the same
+    coefficients (b_1^2 = 1/(2(1+mu)) is written with its mu cancelled).
     """
     if m < 1:
         raise QuadratureError(f"need at least one node, got {m}")
     if mu < 0:
         raise QuadratureError(f"weight exponent mu must be >= 0, got {mu}")
-    if mu == 0.0:
-        mu0 = pi
-        beta = np.full(max(m - 1, 1), 0.25)
-        beta[0] = 0.5
-        beta = beta[:m - 1]
-    else:
-        # zeroth moment: int (1-t^2)^{mu-1/2} dt = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1)
-        mu0 = sqrt(pi) * gamma(mu + 0.5) / gamma(mu + 1.0)
-        k = np.arange(1, m, dtype=float)
-        beta = k * (k + 2.0 * mu - 1.0) / (4.0 * (k + mu) * (k + mu - 1.0))
-    b = np.sqrt(beta)
-    nodes = eigh_tridiagonal(np.zeros(m), b, eigvals_only=True)
-    # orthonormal recurrence: p_0 = 1/sqrt(mu0), b_{k+1} p_{k+1} = x p_k - b_k p_{k-1}
-    total = np.full(m, 1.0 / mu0)
-    p_prev = np.zeros(m)
-    p_cur = np.full(m, 1.0 / sqrt(mu0))
-    for k in range(m - 1):
-        p_next = (nodes * p_cur - (b[k - 1] * p_prev if k > 0 else 0.0)) / b[k]
-        total += p_next ** 2
-        p_prev, p_cur = p_cur, p_next
-    weights = 1.0 / total
+    # zeroth moment: int (1-t^2)^{mu-1/2} dt = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1)
+    mu0 = sqrt(pi) * gamma(mu + 0.5) / gamma(mu + 1.0)
+    k = np.arange(2, m + 1, dtype=float)
+    beta = np.concatenate(([0.0, 0.5 / (1.0 + mu)],
+                           k * (k + 2.0 * mu - 1.0) / (4.0 * (k + mu) * (k + mu - 1.0))))
+    b = np.sqrt(beta)                       # b[j] = b_j for j = 0..m, b_0 = 0
+    c = np.append(b[1:m], 0.0)              # J's off-diagonal closed by b_m = 0
+    half = m // 2
+    x = np.sqrt(eigh_tridiagonal(c[0:2 * half:2] ** 2 + c[1:2 * half:2] ** 2,
+                                 c[1:2 * half - 1:2] * c[2:2 * half:2],
+                                 eigvals_only=True)) if half else np.empty(0)
+    x = np.concatenate((np.zeros(m % 2), x))
+    # orthonormal recurrence, p_0 = 1/sqrt(mu0): ends with p_{m-2}, p_{m-1}, p_m
+    p_older, p_prev, p = np.zeros_like(x), np.zeros_like(x), np.full_like(x, 1.0 / sqrt(mu0))
+    for j in range(m):
+        p_older, p_prev, p = p_prev, p, (x * p - b[j] * p_prev) / b[j + 1]
+    a_m, a_m1 = 2.0 * (m + mu) * b[m], 2.0 * (m - 1 + mu) * b[m - 1]
+    s = (1.0 - x) * (1.0 + x)
+    step = p * s / (a_m * p_prev - m * x * p)
+    p_prev -= step * (a_m1 * p_older - (m - 1) * x * p_prev) / s
+    # 1 - x^2 at the polished node x - step before it is rounded: near
+    # x = 1 rounding it first would cost the weight up to ulp(1)/(1-x)
+    w = (1.0 - x + step) * (1.0 + x - step) / (b[m] * a_m * p_prev * p_prev)
+    x -= step
+    pos_x, pos_w = x[m % 2:], w[m % 2:]
+    nodes = np.concatenate((-pos_x[::-1], x[:m % 2], pos_x))
+    weights = np.concatenate((pos_w[::-1], w[:m % 2], pos_w))
     return QuadratureRule(nodes=nodes, weights=weights, exactness=2 * m - 1, mu=mu)
 
 
@@ -130,6 +151,8 @@ class ZonalSpectrum:
         if self.coeffs.ndim != 1 or self.coeffs.dtype.kind not in "iufc":
             raise SphereDomainError("zonal coefficients must be a 1-D array of numbers, got "
                                     f"shape {self.coeffs.shape}, dtype {self.coeffs.dtype}")
+        if self.coeffs.size == 0:
+            raise SphereDomainError("a zonal spectrum needs at least the degree-0 coefficient")
         if not np.all(np.isfinite(self.coeffs)):
             raise SphereDomainError("spectrum coefficients must be finite")
 
@@ -222,9 +245,11 @@ def analyze(ctx, samples, l_max, rule=None):
     rule     -- QuadratureRule with exactness >= 2*l_max + 2; built on
                 demand when omitted.
 
-    Uses Gegenbauer orthogonality under the rule's weight; the norms
-    <C_l, C_l> come from the same rule, so analyze/synthesize are mutually
-    consistent by construction.
+    Uses Gegenbauer orthogonality under the rule's weight: the numerator
+    of degree l is the rule applied to C_l times the samples, streamed
+    one degree at a time from the recurrence, and the denominator is the
+    exact norm int C_l^2 (1-t^2)^{lambda-1/2} dt, which that exactness
+    makes the rule reproduce.
     """
     if rule is None:
         rule = default_rule(ctx, l_max)
@@ -241,11 +266,9 @@ def analyze(ctx, samples, l_max, rule=None):
         vals = np.array([samples(float(t)) for t in rule.nodes])
     if not np.all(np.isfinite(vals)):
         raise SphereDomainError("samples must be finite on the quadrature nodes")
-    C = gegenbauer_matrix(ctx, l_max, rule.nodes)
     wv = rule.weights * vals
-    num = C @ wv
-    den = (C * C) @ rule.weights
-    return ZonalSpectrum(ctx, num / den)
+    num = np.array([row @ wv for row in gegenbauer_rows(ctx, l_max, rule.nodes)])
+    return ZonalSpectrum(ctx, num / (degree_norms(ctx, l_max) / zonal_weight_constant(ctx)))
 
 
 def synthesize(spec, t):

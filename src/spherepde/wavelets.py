@@ -95,8 +95,17 @@ def poisson_wavelet(ctx, d):
     norm = 2.0 ** d / sqrt(gamma(2 * d))
 
     def hat(rho, l):
-        x = np.multiply(rho, l, dtype=float)
-        return norm * x ** d * np.exp(-x) * (lam + l) / lam
+        # one table buffer: exp(-rho l) in place, times a per-degree
+        # norm l^d (lam+l)/lam and a per-scale rho^d, never (rho l)^d per
+        # cell; the degree factor comes first, so that where exp(-rho l)
+        # is small rho^d < 1 does not push the product into subnormals
+        rho = np.asarray(rho, dtype=float)
+        l = np.asarray(l, dtype=float)
+        table = np.asarray(np.multiply(-rho, l))
+        np.exp(table, out=table)
+        table *= norm * l ** d * (lam + l) / lam
+        table *= rho ** d
+        return table if table.ndim else float(table)
 
     return WaveletFamily(ctx=ctx, hat=hat, tag=f"poisson(d={d})")
 
@@ -213,8 +222,9 @@ def wavelet_transform(psi, f, grid):
     lam = f.ctx.lam
     ls = np.arange(f.l_max + 1)
     factor = lam / (lam + ls) * f.coeffs
-    coeffs = factor * np.conj(psi.hat(grid.nodes[:, None], ls))
-    if np.all(coeffs.imag == 0.0):
+    table = psi.hat(grid.nodes[:, None], ls)
+    coeffs = factor * (np.conj(table) if np.iscomplexobj(table) else table)
+    if np.iscomplexobj(coeffs) and np.all(coeffs.imag == 0.0):
         coeffs = coeffs.real
     return WaveletTransform(ctx=f.ctx, grid=grid, coeffs=coeffs)
 
@@ -236,7 +246,7 @@ def inverse_transform(omega, transform, grid):
     om = omega.hat(grid.nodes[:, None], ls)
     out = lam / (lam + ls) * (grid.weights @ (transform.coeffs * om))
     out[0] = 0.0
-    if np.all(out.imag == 0.0):
+    if np.iscomplexobj(out) and np.all(out.imag == 0.0):
         out = out.real
     return ZonalSpectrum(ctx, out)
 

@@ -13,6 +13,7 @@ from spherepde.geometry import (
     gegenbauer_at_one,
     gegenbauer_bound,
     gegenbauer_matrix,
+    gegenbauer_rows,
 )
 
 from oracles import gegenbauer_fraction, legendre, surface_measure_mp
@@ -116,6 +117,21 @@ class TestBatch:
         mat = gegenbauer_matrix(ctx, 25, ts)
         for j, t in enumerate(ts):
             assert np.array_equal(mat[:, j], gegenbauer_batch(ctx, 25, t))
+
+    def test_rows_match_the_plain_recurrence_bitwise(self):
+        # the recurrence written over the rows of a matrix, as it stood
+        # before analysis streamed the rows: matrix and rows equal it bit
+        # for bit
+        ctx = make_context(7)
+        ts = np.linspace(-1.0, 1.0, 41)
+        lam = ctx.lam
+        want = [np.ones_like(ts), 2.0 * lam * ts]
+        for l in range(2, 61):
+            want.append((2.0 * (l + lam - 1.0) * ts * want[-1]
+                         - (l + 2.0 * lam - 2.0) * want[-2]) / l)
+        assert np.array_equal(gegenbauer_matrix(ctx, 60, ts), np.array(want))
+        rows = list(gegenbauer_rows(ctx, 60, ts))
+        assert len(rows) == 61 and all(np.array_equal(r, w) for r, w in zip(rows, want))
 
 
 class TestProperties:

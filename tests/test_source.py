@@ -1,6 +1,7 @@
 """Source checks: module imports stay at module level and form no cycle,
-only spectra.py knows how a spectrum lays out its coefficients, and
-closedform.py has one antiderivative term type and one evaluator."""
+only spectra.py knows how a spectrum lays out its coefficients,
+closedform.py has one antiderivative term type and one evaluator, and the
+Gegenbauer recurrence is written once, in geometry.py."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,19 @@ def test_closedform_has_one_term_type_and_one_evaluator():
     assert not tagged, tagged
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert _calls(tree, "expr_eval") & _calls(tree, "eval_shifted") & defined
+
+
+def test_analysis_streams_the_one_gegenbauer_recurrence():
+    # analyze takes C_l row by row from geometry and never builds the
+    # (L+1) x m matrix; the only loop over a range in spectra.py is the
+    # orthonormal recurrence of the quadrature rule
+    tree = MODULES["spectra"]
+    assert "gegenbauer_matrix" not in _calls(tree, "analyze")
+    assert "gegenbauer_rows" in _calls(tree, "analyze")
+    ranged = sorted({function.name for function in tree.body
+                     if isinstance(function, ast.FunctionDef)
+                     for node in ast.walk(function)
+                     if isinstance(node, (ast.For, ast.comprehension))
+                     and isinstance(node.iter, ast.Call)
+                     and getattr(node.iter.func, "id", None) == "range"})
+    assert ranged == ["gauss_gegenbauer_rule"], ranged

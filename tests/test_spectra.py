@@ -32,6 +32,7 @@ from spherepde.spectra import (
 )
 
 from oracles import (
+    gauss_gegenbauer_reference,
     weight_moment_mp,
     zonal_convolution_quadrature,
 )
@@ -59,6 +60,17 @@ class TestQuadrature:
         rule = gauss_gegenbauer_rule(1.5, 64)
         assert np.all(rule.weights > 0)
         assert np.all(np.abs(rule.nodes) < 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 30, 301])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, 3.5])
+    def test_against_extended_precision(self, mu, m):
+        # the Golub-Welsch rule this replaced was 1.4e-11 off in the weights at m = 301
+        rule = gauss_gegenbauer_rule(mu, m)
+        nodes, weights = gauss_gegenbauer_reference(mu, m)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-15
+        assert np.max(np.abs(rule.weights / weights - 1.0)) <= (1e-13 if m <= 30 else 1e-12)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +105,18 @@ class TestAnalyze:
         rule = gauss_gegenbauer_rule(ctx.lam, 8)
         with pytest.raises(QuadratureError):
             analyze(ctx, np.cos, 8, rule=rule)
+
+    def test_rough_spectrum_roundtrip(self):
+        # a slowly decaying spectrum at a large Lmax: the weights' accuracy
+        # shows directly in analyze(synthesize(u)) (the Golub-Welsch rule
+        # with rule-integrated norms gave 3.9e-9 here)
+        ctx = make_context(8)
+        l_max = 2048
+        u = np.random.default_rng(3).standard_normal(l_max + 1) / (1.0 + np.arange(l_max + 1))
+        rule = default_rule(ctx, l_max)
+        values = synthesize(ZonalSpectrum(ctx, u), rule.nodes)
+        back = analyze(ctx, lambda t: values, l_max, rule)
+        assert np.max(np.abs(back.coeffs - u)) <= 1e-10 * np.max(np.abs(u))
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(3)
@@ -235,6 +259,10 @@ class TestConstruction:
     def test_zonal_rejects_malformed_coefficients(self, coeffs):
         with pytest.raises(SphereDomainError, match="1-D array of numbers"):
             ZonalSpectrum(make_context(3), coeffs)
+
+    def test_zonal_rejects_empty_coefficients(self):
+        with pytest.raises(SphereDomainError, match="degree-0"):
+            ZonalSpectrum(make_context(3), [])
 
     @pytest.mark.parametrize("degree", ["2", None, 2.5, -1, float("nan"), float("inf")])
     def test_general_rejects_malformed_degrees(self, degree):

@@ -1,6 +1,6 @@
 """Wavelet families, admissibility, transform and inversion."""
 
-from math import exp, log, sqrt
+from math import exp, gamma, log, sqrt
 
 import numpy as np
 import pytest
@@ -41,6 +41,21 @@ class TestPoissonWavelet:
         expected = 4.0 / sqrt(6.0) * exp(-1.0) * 3.0
         assert_allclose(w.hat(0.5, 2), expected, rtol=1e-14)
         assert_allclose(w.hat(0.5, 2), 1.8022338354605114, rtol=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (8, 3), (5, 7)])
+    def test_table_matches_the_direct_formula(self, n, d):
+        # the table is built as exp(-rho l) * [l^d ...] * rho^d, the direct
+        # formula takes (rho l)^d: a few roundings apart where exp(-rho l)
+        # is a normal double
+        ctx = make_context(n)
+        lam = ctx.lam
+        rho = make_scale_grid(1e-3 / 2048, 50.0, 200).nodes[:, None]
+        ls = np.arange(1, 2049)
+        x = rho * ls
+        want = 2.0 ** d / sqrt(gamma(2 * d)) * x ** d * np.exp(-x) * (lam + ls) / lam
+        normal = x < 700.0
+        table = poisson_wavelet(ctx, d).hat(rho, ls)
+        assert_allclose(table[normal], want[normal], rtol=(d + 3) * 2.3e-16, atol=0)
 
     def test_rejects_bad_order(self):
         with pytest.raises(SphereDomainError):
@@ -260,6 +275,42 @@ class TestInversion:
                  make_scale_grid(1e-5, 100.0, 1600)]
         errs = [roundtrip_error(psi, psi, f, g) for g in grids]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_complex_signal_and_family_roundtrip(self):
+        # a degree-dependent phase leaves |hat|^2 alone, so the family is
+        # its own reconstruction family, and a complex f comes back complex
+        ctx = make_context(3)
+        poisson = poisson_wavelet(ctx, 2)
+
+        def hat(rho, l):
+            return poisson.hat(rho, l) * np.exp(0.3j * np.asarray(l))
+
+        psi = WaveletFamily(ctx=ctx, hat=hat, tag="phased")
+        rng = np.random.default_rng(41)
+        coeffs = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+        coeffs[0] = 0.0
+        f = ZonalSpectrum(ctx, coeffs)
+        grid = make_scale_grid(**WIDE)
+        W = wavelet_transform(psi, f, grid)
+        assert np.iscomplexobj(W.coeffs)
+        rec = inverse_transform(psi, W, grid)
+        assert np.iscomplexobj(rec.coeffs)
+        assert_allclose(rec.coeffs, coeffs, rtol=0, atol=1e-6 * np.max(np.abs(coeffs)))
+
+    def test_cached_hat_table_left_intact(self):
+        # the transforms read the table a family's hat returns and never
+        # write into it, so a family may hand out one stored array
+        ctx = make_context(4)
+        grid = make_scale_grid(1e-3, 30.0, 50)
+        ls = np.arange(9)
+        table = poisson_wavelet(ctx, 1).hat(grid.nodes[:, None], ls)
+        kept = table.copy()
+        psi = WaveletFamily(ctx=ctx, hat=lambda rho, l: table, tag="stored")
+        rng = np.random.default_rng(43)
+        for coeffs in (rng.standard_normal(9), rng.standard_normal(9) + 1j):
+            W = wavelet_transform(psi, ZonalSpectrum(ctx, coeffs), grid)
+            inverse_transform(psi, W, grid)
+            assert np.array_equal(table, kept)
 
     def test_mean_forced_to_zero(self):
         ctx = make_context(2)
