@@ -89,6 +89,14 @@ asserted by merging the terms concerned with the canonical ClosedForm
 construction and checking that nothing is left.  The result is a
 ClosedForm, the exact type the green_tables registry rows share, so a
 derived form and a registry row compare with ==.
+
+Cost.  A derivation builds its two kernel_power antiderivatives once, and
+D1 and D2 share them.  The substitution T = 1-t^2, V = v-t reads power
+tables of 1-t^2 and v-t, built once per pass in integer arithmetic,
+instead of raising powers for every monomial.  Collector.add_definite
+sums the polynomials of like terms (same kind, uhalf and tpow) before it
+takes them to the endpoints.  All of it is exact, so the derived forms do
+not change; nothing is memoised, so a repeated derivation costs the same.
 """
 
 from dataclasses import dataclass, field, replace
@@ -114,7 +122,7 @@ def _clean(p):
 def padd(a, b):
     out = dict(a)
     for k, c in b.items():
-        out[k] = out.get(k, F0) + c
+        out[k] = out[k] + c if k in out else c
     return _clean(out)
 
 
@@ -131,7 +139,7 @@ def pmul(a, b):
                 k = (ka[0] + kb[0], ka[1] + kb[1])
             else:
                 k = ka + kb
-            out[k] = out.get(k, F0) + ca * cb
+            out[k] = out[k] + ca * cb if k in out else ca * cb
     return _clean(out)
 
 
@@ -153,28 +161,43 @@ def uni_to_bi(p):
 
 
 def bi_sub_v0(p, v0):
-    """Bivariate -> univariate in t at v = v0 (exact rational v0)."""
-    v0 = Fraction(v0)
+    """Bivariate -> univariate in t at v = v0, v0 = 0 or 1."""
+    if v0 not in (0, 1):
+        raise ValueError(f"bi_sub_v0 takes v0 = 0 or 1, got {v0}")
     out = {}
     for (i, j), c in p.items():
-        out[i] = out.get(i, F0) + c * v0 ** j
+        if v0 or not j:
+            out[i] = out[i] + c if i in out else c
     return _clean(out)
 
 
-def _substitute(p, x, y):
-    """Bivariate p with the bivariate polynomials x and y put in for its variables."""
+def _powers(p, m):
+    """p^0, ..., p^m of a bivariate p, each by one product."""
+    out = [{(0, 0): 1}]
+    for _ in range(m):
+        out.append(pmul(out[-1], p))
+    return out
+
+
+def _substitute(p, xs, ys):
+    """Bivariate p with x and y put in for its variables, given their power
+    tables xs[i] = x^i and ys[j] = y^j."""
     out = {}
     for (i, j), c in p.items():
-        out = padd(out, pscale(pmul(ppow(x, i), ppow(y, j)), c))
-    return out
+        for (a, b), x in xs[i].items():
+            for (e, f), y in ys[j].items():
+                k = (a + e, b + f)
+                out[k] = out[k] + c * (x * y) if k in out else c * (x * y)
+    return _clean(out)
 
 
 # building blocks in sphere variables (t, v)
 BP_T = {(1, 0): F1}                       # t
 BP_V = {(0, 1): F1}                       # v
 BP_ONE = {(0, 0): F1}
-BP_R = {(0, 1): F1, (1, 0): -F1}          # v - t
-BP_TT = {(0, 0): F1, (2, 0): -F1}         # 1 - t^2
+# integer coefficients, so that their power tables stay integer arithmetic
+BP_R = {(0, 1): 1, (1, 0): -1}            # v - t
+BP_TT = {(0, 0): 1, (2, 0): -1}           # 1 - t^2
 P_1MT = {0: F1, 1: -F1}                   # 1 - t   (univariate)
 P_1PT = {0: F1, 1: F1}                    # 1 + t
 
@@ -284,11 +307,12 @@ def zonal_kernel_radial_antiderivative(lam):
     """
     lam = Fraction(lam)
     qs = radial_split_polynomials(lam).entries
+    # Q_{j-1}(T) at T = 1-t^2, the substitution of _shifted_to_sphere
+    tts = _powers(BP_TT, max((i for q in qs.values() for i in q), default=0))
     terms = [Term({(0, 0): 1 / lam}, uhalf=-int(2 * lam))]
     for j in range(1, int(lam + Fraction(1, 2))):
         terms.append(Term({(0, 0): Fraction(1, 2) / (lam - j)}, uhalf=-int(2 * (lam - j))))
-        # Q_{j-1}(T) at T = 1-t^2, the substitution of _shifted_to_sphere
-        qpoly_t = _substitute(uni_to_bi(qs[j - 1]), BP_TT, BP_R)
+        qpoly_t = _substitute(uni_to_bi(qs[j - 1]), tts, _powers(BP_R, 0))
         num = pmul(pmul(BP_T, qpoly_t), BP_R)
         terms.append(Term(num, uhalf=-int(2 * (lam - j)), tpow=j))
     terms.append(Term(pscale(BP_ONE, -1), "B"))
@@ -373,9 +397,12 @@ def _shifted_to_sphere(terms):
     """Terms in (T, V) carried into sphere variables by T = 1-t^2, V = v-t.
 
     Only the polynomials change: the core becomes u, V + sqrt(core) becomes
-    v - t + sqrt(u) (kind "A") and T the denominator 1-t^2.
+    v - t + sqrt(u) (kind "A") and T the denominator 1-t^2.  The power
+    tables of 1-t^2 and v-t are built once, to the largest exponents met.
     """
-    return [replace(term, poly=_substitute(term.poly, BP_TT, BP_R)) for term in terms]
+    xs = _powers(BP_TT, max((i for term in terms for i, _j in term.poly), default=0))
+    ys = _powers(BP_R, max((j for term in terms for _i, j in term.poly), default=0))
+    return [replace(term, poly=_substitute(term.poly, xs, ys)) for term in terms]
 
 
 def kernel_power_antiderivative(L, J):
@@ -383,16 +410,17 @@ def kernel_power_antiderivative(L, J):
 
     v^L = ((v-t) + t)^L = sum_k binom(L,k) t^{L-k} (v-t)^k, so the result
     is sum_k binom(L,k) t^{L-k} shifted_power_antiderivative(k, J) mapped
-    into sphere variables.
+    into sphere variables, all k in one _shifted_to_sphere pass.
     """
     if L < 0 or J < 0:
         raise SphereDomainError(f"need L, J >= 0, got L={L}, J={J}")
-    terms = []
-    for k in range(L + 1):
-        mono = {(L - k, 0): comb(L, k)}
-        terms += [replace(term, poly=pmul(term.poly, mono))
-                  for term in _shifted_to_sphere(shifted_power_antiderivative(k, J))]
-    return terms
+    # binom(L,k) scales the one-monomial shifted polynomials; t^{L-k}
+    # shifts the powers of t after the substitution
+    shifted = [(L - k, replace(term, poly=pscale(term.poly, comb(L, k))))
+               for k in range(L + 1) for term in shifted_power_antiderivative(k, J)]
+    sphere = _shifted_to_sphere([term for _shift, term in shifted])
+    return [replace(term, poly={(i + shift, j): c for (i, j), c in term.poly.items()})
+            for (shift, _shifted), term in zip(shifted, sphere)]
 
 
 def log_coefficient_polynomials(k):
@@ -639,7 +667,18 @@ class Collector:
         return ClosedForm([term for name in buckets for term in self.terms(name)])
 
     def add_definite(self, terms, lo, hi, scale):
-        """Fold scale * (F(hi) - F(lo)), F the sum of terms, lo and hi in {0, 1, inf}."""
+        """Fold scale * (F(hi) - F(lo)), F the sum of terms, lo and hi in {0, 1, inf}.
+
+        Terms alike but for their polynomials are summed first, so each
+        distinct (kind, uhalf, tpow) is taken to each endpoint once.
+        """
+        like = {}
+        for term in terms:
+            poly = like.setdefault((term.kind, term.uhalf, term.tpow), {})
+            for k, c in term.poly.items():
+                poly[k] = poly[k] + c if k in poly else c
+        like = {key: _clean(poly) for key, poly in like.items()}
+        terms = [Term(poly, *key) for key, poly in like.items() if poly]
         for v0, s in ((hi, scale), (lo, -scale)):
             for term in terms:
                 if v0 == inf:
@@ -649,13 +688,15 @@ class Collector:
 
     def _add_at(self, term, v0, s):
         tp, h = 2 * term.tpow, term.uhalf
+        if term.kind == "rat" and v0 == 1:
+            # u -> 2(1-t): u^{h/2} = 2^{h//2} sqrt(2)^{h%2} (1-t)^{h/2}
+            s = s * Fraction(2) ** (h // 2)
         poly = pscale(bi_sub_v0(term.poly, v0), s)
         if term.kind == "rat" and v0 == 0:
             # u -> 1
             self.add("1", tp, tp, poly)
         elif term.kind == "rat":
-            # u -> 2(1-t): u^{h/2} = 2^{h//2} sqrt(2)^{h%2} (1-t)^{h/2}
-            self.add("sqrt" if h % 2 else "1", tp - h, tp, pscale(poly, Fraction(2) ** (h // 2)))
+            self.add("sqrt" if h % 2 else "1", tp - h, tp, poly)
         elif term.kind == "A":
             # v - t + sqrt(u) -> 1 - t at v = 0, 1 - t + sqrt(2(1-t)) at v = 1
             self.add("L1MT" if v0 == 0 else "LS", tp, tp, poly)
@@ -717,24 +758,26 @@ def derive_green_closed_form(n, L):
     c = [pscale(geg[l], (lam + l) / lam) for l in range(L + 1)]
     scale = Fraction(-1, n + 2 * L - 1)
     collector = Collector()
+    # D2 and D1 integrate the same kernel power difference, D1 negated
+    diff = kernel_power_antiderivative(n + L - 2, J)
+    diff += expr_scale(kernel_power_antiderivative(n + L, J), -1)
 
     # D2 = int_0^1 r^{n+L-2} S(r) dr; G gains -scale * D2
-    d2 = kernel_power_antiderivative(n + L - 2, J)
-    d2.extend(expr_scale(kernel_power_antiderivative(n + L, J), -1))
+    d2 = list(diff)
     for l in range(L + 1):
         e = n + L - 1 + l
         d2.append(Term(pmul(uni_to_bi(pscale(c[l], Fraction(-1, e))), {(0, e): F1})))
     collector.add_definite(d2, 0, 1, -scale)
 
     # D1 = int_0^1 r^{-L-1} S(r) dr; with r = 1/w,
-    # D1 = int_1^inf [(w^{n+L} - w^{n+L-2})/u(w)^{J+1/2} - sum_{l<=L} c_l w^{L-l-1}] dw
-    d1 = kernel_power_antiderivative(n + L, J)
-    d1.extend(expr_scale(kernel_power_antiderivative(n + L - 2, J), -1))
+    # D1 = -int_1^inf [(w^{n+L-2} - w^{n+L})/u(w)^{J+1/2} + sum_{l<=L} c_l w^{L-l-1}] dw;
+    # G gains scale * D1
+    d1 = list(diff)
     for l in range(L):
-        d1.append(Term(pmul(uni_to_bi(pscale(c[l], Fraction(-1, L - l))), {(0, L - l): F1})))
+        d1.append(Term(pmul(uni_to_bi(pscale(c[l], Fraction(1, L - l))), {(0, L - l): F1})))
     if L >= 0:
-        d1.append(Term(uni_to_bi(pscale(c[L], -1)), "V"))
-    collector.add_definite(d1, 1, inf, scale)
+        d1.append(Term(uni_to_bi(c[L]), "V"))
+    collector.add_definite(d1, 1, inf, -scale)
 
     # correction sum: sum_{l < L} c_l(t) / (a - l(n+l-1))
     a = Fraction(L * (n + L - 1))

@@ -86,11 +86,20 @@ def make_scale_grid(rho_min=1e-4, rho_max=50.0, count=400):
     return ScaleGrid(rho_min, rho_max, count, np.exp(x), w)
 
 
+# the largest Poisson wavelet order whose norm 2^d / sqrt(Gamma(2d)) is a
+# finite double: Gamma(2d) overflows from d = 86 on
+POISSON_MAX_ORDER = 85
+
+
 def poisson_wavelet(ctx, d):
-    """Poisson wavelet family of order d >= 1 (self-reconstructing)."""
+    """Poisson wavelet family of order 1 <= d <= POISSON_MAX_ORDER (self-reconstructing)."""
     if d < 1 or int(d) != d:
         raise SphereDomainError(f"Poisson wavelet order must be an integer >= 1, got {d}")
     d = int(d)
+    if d > POISSON_MAX_ORDER:
+        raise SphereDomainError(
+            f"Poisson wavelet order must be <= {POISSON_MAX_ORDER}, got {d}: the norm "
+            "2^d/sqrt(Gamma(2d)) is not a finite double beyond it")
     lam = ctx.lam
     norm = 2.0 ** d / sqrt(gamma(2 * d))
 

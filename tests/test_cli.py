@@ -261,6 +261,17 @@ class TestWavelet:
         dev = float(out.rsplit("max relative deviation:", 1)[1].strip())
         assert dev < 1e-6
 
+    def test_order_beyond_a_finite_norm_exit3(self, capsys):
+        # Gamma(2d) overflows a double from d = 86 on
+        assert main(["wavelet", "admissibility", "--n", "3", "--d", "86", "--lmax", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "<= 85" in err and "Traceback" not in err
+
+    def test_largest_order_reaches_the_scale_grid_check(self, capsys):
+        assert main(["wavelet", "admissibility", "--n", "3", "--d", "85", "--lmax", "4"]) == 4
+        err = capsys.readouterr().err
+        assert "scale grid too narrow" in err and "Traceback" not in err
+
 
 class TestRootFlag:
     def test_L_instead_of_a(self, capsys):

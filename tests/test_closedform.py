@@ -9,6 +9,7 @@ from spherepde import NoClosedFormError, make_context
 from spherepde import closedform as cf
 from spherepde import green_tables
 
+import derived_forms
 import oracles
 
 
@@ -274,6 +275,17 @@ class TestAssembler:
         for t in (-0.6, 0.2, 0.7):
             ref = green_eval_integral(p, t)
             assert abs(form.eval(t) - ref) <= 1e-9 * (1.0 + abs(ref)), (n, L, t)
+
+    def test_every_derivation_matches_its_pin(self):
+        # all 76 derivable (n, L), even n <= 16 and L <= 5, exactly as pinned
+        got = {key: derived_forms.form_fingerprint(cf.derive_green_closed_form(*key))
+               for key in derived_forms.FORMS}
+        assert got == derived_forms.FORMS
+
+    def test_kernel_power_antiderivatives_match_their_pins(self):
+        got = {key: derived_forms.terms_fingerprint(cf.kernel_power_antiderivative(*key))
+               for key in derived_forms.KERNEL_POWER}
+        assert got == derived_forms.KERNEL_POWER
 
     def test_odd_dimension_falls_back(self):
         with pytest.raises(NoClosedFormError):

@@ -1,7 +1,8 @@
 """Source checks: module imports stay at module level and form no cycle,
 only spectra.py knows how a spectrum lays out its coefficients,
-closedform.py has one antiderivative term type and one evaluator, and the
-Gegenbauer recurrence is written once, in geometry.py."""
+closedform.py has one antiderivative term type and one evaluator and
+derives without a memo, and the Gegenbauer recurrence is written once, in
+geometry.py."""
 
 import ast
 from pathlib import Path
@@ -71,11 +72,15 @@ def test_spectrum_layout_stays_in_spectra():
     assert not solver & {"ZonalSpectrum", "GeneralSpectrum", "entries", "padded"}
 
 
+def _function(tree, name):
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return body
+
+
 def _calls(tree, function):
     """Names of the functions a module-level function calls by plain name."""
-    (body,) = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == function]
-    return {node.func.id for node in ast.walk(body)
+    return {node.func.id for node in ast.walk(_function(tree, function))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
@@ -105,3 +110,16 @@ def test_analysis_streams_the_one_gegenbauer_recurrence():
                      and isinstance(node.iter, ast.Call)
                      and getattr(node.iter.func, "id", None) == "range"})
     assert ranged == ["gauss_gegenbauer_rule"], ranged
+
+
+def test_derivation_substitutes_through_power_tables_without_a_memo():
+    # _substitute reads shared power tables instead of raising powers per
+    # monomial; a derivation builds each kernel power antiderivative once;
+    # and a memo would make a repeated derivation measure only cache hits
+    tree = MODULES["closedform"]
+    assert "ppow" not in _calls(tree, "_substitute")
+    built = [node.lineno for node in ast.walk(_function(tree, "derive_green_closed_form"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+             == "kernel_power_antiderivative"]
+    assert len(built) == 2, built
+    assert not {"cache", "lru_cache", "functools"} & set(_names(tree))
