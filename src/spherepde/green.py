@@ -16,8 +16,8 @@ series    -- the coefficient series, adaptive for every n: Abel
              five radii r = 1 - eps, with Richardson extrapolation
              r -> 1 (plain partial sums converge too slowly or not at
              all).
-integral  -- one adaptive quadrature of the radial integral
-             representation.  Swapping the order of the double integral
+integral  -- one fixed quadrature of the radial integral representation.
+             Swapping the order of the double integral
 
     G(t) = -int_0^1 R^{-(n+2L)} int_0^R r^{n+L-2} S(r) dr dR + correction
 
@@ -32,10 +32,9 @@ integral  -- one adaptive quadrature of the radial integral
              M = L with M' = L-1 in the resonant integer case, and both
              sums are empty when M < 0 (always so for a < 0).  At the
              double root n + 2L - 1 = 0, a = -(n-1)^2/4, the weight is
-             its limit -r^{(n-3)/2} ln r.  The subtracted integrand is
-             evaluated from the closed-form Poisson kernel, switching to
-             its geometric tail series for small r where the closed-form
-             difference would cancel catastrophically.
+             its limit -r^{(n-3)/2} ln r.  S is its tail series near
+             r = 0, integrated exactly, and the closed-form Poisson kernel
+             minus the partial sum above (green_eval_integral).
 closed    -- the tabulated closed forms (green_tables registry, exact
              closedform.ClosedForm rows).
 
@@ -43,7 +42,7 @@ GreenFunction(param, backend) is the one switch among them: 'auto' takes
 the registry row when (n, a) is tabulated, else the series.  Called with a
 float t it returns a float; with an array, an array of the same shape.
 green_series_batch (values and tail estimates) and green_eval_integral
-(one point) are the backends' own entries.
+are the backends' own entries.
 
 All Green functions are singular on the diagonal t = 1 (logarithmically
 for n = 2); every backend rejects evaluation there.  The series also
@@ -55,12 +54,10 @@ tail estimate falls short of the error.  The integral backend covers
 those n.
 """
 
-import warnings
 from dataclasses import dataclass
-from math import floor, log, sqrt
+from math import ceil, floor, log, sqrt
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ConvergenceError,
@@ -288,96 +285,98 @@ def green_series_batch(param, ts):
 # integral backend
 # ---------------------------------------------------------------------------
 
-_R_SWITCH = 0.25     # below this radius the subtracted kernel uses its tail series
-_TAIL_TERMS = 96     # geometric tail length at r <= _R_SWITCH (error < 1e-30 for n <= 10)
-_QUAD_RTOL = 1e-8    # quadrature error target, relative to 1 + |G|
+_QUAD_RTOL = 1e-8       # error target, relative to 1 + |G|
+_TAIL_DEGREES = 64      # tail terms past M on [0, r_s], where they fall ~2x per degree or faster
+_HALVINGS = 40          # panels halving toward r = 1, where r = t peaks near the diagonal
+_RULE = np.polynomial.legendre.leggauss(24)        # value, per panel
+_CHECK_RULE = np.polynomial.legendre.leggauss(12)  # error estimate, per panel
+_EPS = np.finfo(float).eps
 
 
-class _SubtractedKernel:
-    """S(r) = Sigma_n p_r(t) - sum_{l<=M} r^l (lambda+l)/lambda C_l(t), vectorised in r.
+def _expm1_over(k, x):
+    """(e^{kx} - 1)/k, with its limit x at k = 0."""
+    return np.expm1(k * x) / k if k else x
 
-    C holds C_l(t) for l <= max(M, _TAIL_TERMS), one recurrence that also
-    serves the correction sum of green_eval_integral.
+
+def _panel_rule(r_s, rule):
+    """Composite Gauss-Legendre nodes and weights on [r_s, 1], with panel
+    edges at most ln 2 apart in ln(r/(1-r)): panels double from r_s, are at
+    most 0.17 wide mid-way and halve toward r = 1 until 1 - r = 2^-_HALVINGS.
     """
-
-    def __init__(self, param, t, subtract_top):
-        ctx = param.ctx
-        self.n = ctx.n
-        self.t = t
-        self.M = subtract_top
-        lam = ctx.lam
-        l_hi = max(self.M, _TAIL_TERMS)
-        ls = np.arange(l_hi + 1)
-        self.C = gegenbauer_matrix(ctx, l_hi, t)[:, 0]
-        self.cl = (lam + ls) / lam * self.C
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        lo = r < _R_SWITCH
-        if np.any(lo):
-            # tail series sum_{l>M} c_l r^l: geometric, no cancellation
-            ls = np.arange(self.M + 1, len(self.cl))
-            out[lo] = (r[lo, None] ** ls) @ self.cl[self.M + 1:]
-        hi = ~lo
-        if np.any(hi):
-            rr = r[hi]
-            u = 1.0 - 2.0 * rr * self.t + rr * rr
-            k = (1.0 - rr * rr) / u ** ((self.n + 1) / 2.0)
-            if self.M >= 0:
-                ls = np.arange(self.M + 1)
-                k = k - (rr[:, None] ** ls) @ self.cl[:self.M + 1]
-            out[hi] = k
-        return out
+    lo, hi = log(r_s / (1.0 - r_s)), _HALVINGS * log(2.0)
+    x = np.linspace(lo, hi, ceil((hi - lo) / log(2.0)) + 1)
+    edges = np.append(1.0 / (1.0 + np.exp(-x)), 1.0)
+    mid = (edges[1:] + edges[:-1])[:, None] / 2.0
+    half = (edges[1:] - edges[:-1])[:, None] / 2.0
+    nodes, weights = rule
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
 def green_eval_integral(param, t):
-    """One adaptive quadrature of the order-swapped integral representation.
+    """The order-swapped integral representation at a float t or an array of t.
 
-    G(t) = -int_0^1 S(r) w(r) dr + correction (module docstring), by
-    adaptive Gauss-Kronrod in r; the error estimate must stay within
-    _QUAD_RTOL (1 + |G|).  Requires a real root L, i.e.
-    a >= -(n-1)^2/4.
+    G(t) = -int_0^1 S(r) w(r) dr + correction (module docstring).  Below
+    r_s = min(1/2, (M+2)/(M+2+4 lambda)) the tail terms c_l r^l, l > M,
+    already fall, and each integrates exactly; above it the subtracted
+    closed kernel has not yet cancelled away, and goes through _panel_rule
+    in one (nodes x points) evaluation.  ConvergenceError unless the tail
+    converges and |G| is finite with |Q24 - Q12| plus a roundoff floor
+    within _QUAD_RTOL (1 + |G|).  Needs a real root L: a >= -(n-1)^2/4.
+    A float t gives a float, an array an array of its shape.
     """
     if param.L is None:
         raise SphereDomainError(
             f"a = {param.a} < -(n-1)^2/4: the integral representation needs a real "
             "root L; use the series backend")
     t = _check_t_for_eval(t)
-    n, L = param.ctx.n, param.L
+    ts = np.ravel(t)
+    ctx, L = param.ctx, param.L
+    lam = ctx.lam
     if param.resonant:
-        sub_top, corr_top = param.L_res, param.L_res - 1
+        M, corr_top = param.L_res, param.L_res - 1
     else:
-        sub_top = corr_top = max(param.L0, -1)
-    S = _SubtractedKernel(param, t, sub_top)
+        M = corr_top = max(param.L0, -1)
+    k = ctx.n + 2.0 * L - 1.0     # w(r) = -r^{-L-1} (r^k - 1)/k
+    ls = np.arange(M + _TAIL_DEGREES + 1)
+    C = gegenbauer_matrix(ctx, M + _TAIL_DEGREES, ts)
+    c = ((lam + ls) / lam)[:, None] * C
 
-    k = n + 2.0 * L - 1.0
-    if k == 0.0:
-        # double root a = -(n-1)^2/4: the k -> 0 limit of the weight
-        def integrand(r):
-            return -S(r) * r ** ((n - 3) / 2.0) * log(r)
-    else:
-        def integrand(r):
-            return S(r) * (r ** (-L - 1.0) - r ** (n + L - 2.0)) / k
-
-    with warnings.catch_warnings():
-        # the explicit error check below governs; quad's certification
-        # warning near roundoff level is redundant with it
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        # quad's relative target is relative to the integral, which the
-        # correction sum can cancel to a much smaller G (integral 12.9,
-        # G = 0.64 at n = 3, a = 3.3, t = 0.993), so it aims well below
-        val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=_QUAD_RTOL / 4.0,
-                                  epsrel=_QUAD_RTOL * 1e-3, limit=400)
-    total = -val
-    if corr_top >= 0:
-        total += float(green_coefficients(param, corr_top) @ S.C[:corr_top + 1])
-    if err > _QUAD_RTOL * (1.0 + abs(total)):
+    # [0, r_s]: int_0^{r_s} r^l w(r) dr in closed form, p = l - L > 0
+    r_s = min(0.5, (M + 2.0) / (M + 2.0 + 4.0 * lam))
+    p = ls[M + 1:] - L
+    moments = r_s ** p / (p * (p + k)) * (1.0 - p * _expm1_over(k, log(r_s)))
+    terms = moments[:, None] * c[M + 1:]
+    size = np.abs(terms).sum(axis=0)
+    if np.any(np.abs(terms[-2:]).max(axis=0) > _EPS * size):
         raise ConvergenceError(
-            f"integral backend did not reach {_QUAD_RTOL:.0e} (1 + |G|) at t = {t} "
-            f"(error estimate {err:.2e}, |G| = {abs(total):.3g})",
-            achieved=err)
-    return total
+            f"integral backend: the tail series on [0, {r_s:.3g}] does not converge "
+            f"in {_TAIL_DEGREES} degrees")
+
+    # [r_s, 1]: the subtracted closed kernel at the nodes of both rules at once
+    r, w = _panel_rule(r_s, _RULE)
+    r_check, w_check = _panel_rule(r_s, _CHECK_RULE)
+    r = np.concatenate([r, r_check])[:, None]
+    weight = -r ** (-L - 1.0) * _expm1_over(k, np.log(r))
+    with np.errstate(over="ignore", invalid="ignore"):    # a |G| beyond a double fails below
+        u = (r - ts) ** 2 + (1.0 - ts) * (1.0 + ts)     # 1 - 2rt + r^2
+        near = u < 0.5      # ln u from u near the diagonal, else from u - 1 = r(r - 2t)
+        log_u = np.where(near, np.log(u), np.log1p(r * (r - 2.0 * ts)))
+        kernel = (1.0 - r * r) * np.exp(-(ctx.n + 1) / 2.0 * log_u)
+        f = (kernel - r ** ls[:M + 1] @ c[:M + 1]) * weight
+        # roundoff floor: every term before it cancels; ln u is off by eps (|ln u| + near)
+        scale = ((1.0 + (ctx.n + 1) / 2.0 * (np.abs(log_u) + near)) * kernel
+                 + r ** ls[:M + 1] @ np.abs(c[:M + 1])) * weight
+        value = w @ f[:w.size]
+        err = np.abs(value - w_check @ f[w.size:]) + 8.0 * _EPS * (w @ scale[:w.size] + size)
+        total = green_coefficients(param, corr_top) @ C[:corr_top + 1] - terms.sum(axis=0) - value
+    bad = ~np.isfinite(total) | ~(err <= _QUAD_RTOL * (1.0 + np.abs(total)))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"integral backend did not reach {_QUAD_RTOL:.0e} (1 + |G|) at t = {ts[i]} "
+            f"(error estimate {err[i]:.2e}, |G| = {abs(total[i]):.3g})",
+            achieved=float(err[i]))
+    return float(total[0]) if isinstance(t, float) else total.reshape(np.shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ class GreenFunction:
 
     A float or 0-d t gives a float.  An array gives an array of its shape:
     one domain and diagonal check, then one row.eval for 'closed', one
-    green_series_batch for 'series', one green_eval_integral per point for
+    green_series_batch for 'series', one green_eval_integral for
     'integral'.  Callers that need the series tail estimate call
     green_series_batch directly.  A row with a (1+t) denominator (the odd-n
     rows) raises NoClosedFormError at t = -1, where its terms are 0/0.
@@ -438,6 +437,5 @@ class GreenFunction:
             vals = green_series_batch(self.param, np.ravel(ts))[0]
             return float(vals[0]) if scalar else vals.reshape(ts.shape)
         if kind == "integral":
-            vals = [green_eval_integral(self.param, t) for t in np.ravel(ts)]
-            return vals[0] if scalar else np.reshape(vals, ts.shape)
+            return green_eval_integral(self.param, ts)
         raise SphereDomainError(f"unknown Green backend {kind!r}")

@@ -6,6 +6,7 @@ adaptive quadrature serve as the second route for each checked identity.
 """
 
 import decimal
+import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +14,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.special import eval_legendre, roots_jacobi
+from scipy.special import eval_gegenbauer, eval_legendre, roots_jacobi
 
 
 def gegenbauer_fraction(lam, l, t):
@@ -92,6 +93,110 @@ def zonal_kernel_convolution(n, kernel, f, alpha_t, m_theta=4000, m_gamma=None,
     if m_gamma is None:
         m_gamma = 80
     return zonal_convolution_quadrature(n, kernel, f, alpha_t, m_theta, m_gamma)
+
+
+def green_integral_mp(n, a, t, dps=40):
+    """G(t) for Delta* + a on S^n from its radial integral representation, at dps digits.
+
+    The representation of the library's integral backend (green module
+    docstring), a >= -(n-1)^2/4, by an independent route in mpmath:
+
+        G(t) = -int_0^1 S(r) w(r) dr + sum_{l<=M'} G-hat(l) C_l(t).
+
+    Below r0 = 1/(8 (lambda+1)) the tail series S = sum_{l>M} c_l r^l is
+    integrated term by term with exact moments, summed until a term falls
+    below 10^-(dps+5) of the sum.  Above r0, tanh-sinh quadrature of the
+    closed kernel minus its partial sum, split at 1/2 and at t.  Near r = 0
+    that difference cancels to nothing at any working precision (at a
+    resonant a it loses every digit by r ~ 1e-30), hence the series there;
+    at r0 it still cancels to ~r0^(M+1) of the kernel, so the working
+    precision carries that many more digits.
+    """
+    with mp.workdps(dps + 10):
+        L = (-(n - 1) + mp.sqrt((n - 1) ** 2 + 4 * mp.mpf(a))) / 2
+        M = int(mp.floor(L + mp.mpf(10) ** -(dps // 2)))
+        resonant = abs(L - M) < mp.mpf(10) ** -(dps // 2)
+        M = max(M, -1)
+        corr_top = M - 1 if resonant else M
+    with mp.workdps(dps + 10 + int((M + 1) * math.log10(4 * (n + 1)))):
+        n, a, t = mp.mpf(n), mp.mpf(a), mp.mpf(t)
+        lam = (n - 1) / 2
+        L = (-(n - 1) + mp.sqrt((n - 1) ** 2 + 4 * a)) / 2
+        k = n + 2 * L - 1
+
+        def gegenbauer():
+            prev, cur, l = mp.mpf(0), mp.mpf(1), 0
+            while True:
+                yield l, cur
+                prev, cur, l = cur, (2 * (l + lam) * t * cur - (l + 2 * lam - 1) * prev) / (l + 1), l + 1
+
+        def weight(r):
+            return -mp.log(r) * r ** ((n - 3) / 2) if k == 0 else (r ** (-L - 1) - r ** (n + L - 2)) / k
+
+        def moment(l, x):     # int_0^x r^l w(r) dr
+            p = l - L
+            if k == 0:
+                return -x ** p * (mp.log(x) / p - 1 / p ** 2)
+            return (x ** p / p - x ** (p + k) / (p + k)) / k
+
+        r0 = 1 / (8 * (lam + 1))
+        low, corr, sizes, tail = [], mp.mpf(0), [], mp.mpf(0)
+        for l, C in gegenbauer():
+            c = (lam + l) / lam * C
+            if l <= M:
+                low.append(c)
+                if l <= corr_top:
+                    corr += c / (a - l * (n + l - 1))
+                continue
+            term = c * moment(l, r0)
+            tail += term
+            sizes.append(abs(term))
+            if len(sizes) > 4 and max(sizes[-3:]) < mp.mpf(10) ** -(dps + 5) * abs(tail):
+                break
+
+        def integrand(r):
+            kernel = (1 - r * r) / (1 - 2 * r * t + r * r) ** ((n + 1) / 2)
+            return (kernel - sum(c * r ** l for l, c in enumerate(low))) * weight(r)
+
+        split = sorted({r0, mp.mpf(1) / 2, *([t] if r0 < t < 1 else []), mp.mpf(1)})
+        body = mp.quad(integrand, split)
+        return -(tail + body) + corr
+
+
+def green_integral_quad(n, a, t):
+    """green_integral_mp's representation in double precision, by adaptive_quad.
+
+    The tail series (sixty terms past M, C_l from scipy) below
+    r0 = 1/(8 (lambda+1)) and the closed kernel minus its partial sum
+    above it, split at 1/2 and at t, each through adaptive Gauss-Kronrod
+    to a tight target.  The r^{-L-1} weight meets the tail's first power
+    r^{M+1} as an integrable r^{M-L} at r = 0, which QAGS extrapolates.
+    """
+    lam = (n - 1) / 2.0
+    L = (-(n - 1) + np.sqrt((n - 1) ** 2 + 4.0 * a)) / 2.0
+    k = n + 2.0 * L - 1.0
+    M = max(int(np.floor(L + 1e-9)), -1)
+    corr_top = M - 1 if abs(L - round(L)) <= 1e-9 else M
+    ls = np.arange(M + 61)
+    c = (lam + ls) / lam * eval_gegenbauer(ls, lam, t)
+
+    def weight(r):
+        return -np.log(r) * r ** ((n - 3) / 2.0) if k == 0 else (r ** (-L - 1) - r ** (n + L - 2)) / k
+
+    def low(r):
+        return (r ** ls[M + 1:]) @ c[M + 1:] * weight(r)
+
+    def high(r):
+        kernel = (1 - r * r) / (1 - 2 * r * t + r * r) ** ((n + 1) / 2.0)
+        return (kernel - (r ** ls[:M + 1]) @ c[:M + 1]) * weight(r)
+
+    r0 = 1.0 / (8.0 * (lam + 1.0))
+    split = sorted({r0, 0.5, *([t] if r0 < t < 1 else []), 1.0})
+    tight = {"epsabs": 1e-14, "epsrel": 1e-12}
+    body = adaptive_quad(low, 0.0, r0, **tight)
+    body += sum(adaptive_quad(high, lo, hi, **tight) for lo, hi in zip(split, split[1:]))
+    corr = sum(c[l] / (a - l * (n + l - 1)) for l in range(corr_top + 1))
+    return corr - body
 
 
 # exact Gauss-Gegenbauer moments for the quadrature tests

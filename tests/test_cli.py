@@ -159,6 +159,14 @@ class TestGreen:
         err = capsys.readouterr().err
         assert "integral backend" in err and "Traceback" not in err
 
+    def test_integral_beyond_a_double_exits_numeric(self, capsys):
+        # u^{-(n+1)/2} overflows at n = 342, t = 0.999: no -inf data row
+        assert main(["green", "--n", "342", "--a", "0", "--t", "0.999",
+                     "--backend", "integral"]) == 4
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error:") and "Traceback" not in cap.err
+
     def test_closed_rejects_t_outside_domain(self, capsys):
         for t in ("1", "1.5"):
             assert main(["green", "--n", "2", "--a", "0", "--t", t, "--backend", "closed"]) == 3

@@ -30,6 +30,9 @@ from spherepde.green import (
 from spherepde.spectra import default_rule
 from spherepde import green_tables
 
+import integral_values
+import oracles
+
 
 class TestParameter:
     def test_root_identity(self):
@@ -240,6 +243,13 @@ class TestIntegral:
     def test_half_integer_root(self):
         p = helmholtz_parameter(make_context(3), 1.25)
         assert abs(green_eval_integral(p, 0.0) - pi / (2.0 * sqrt(2.0))) < 1e-8
+        # and roots just below an integer (L = 2.916, 0.928, -0.087), where
+        # the weight r^{-L-1} meets the tail's first power as r^{-0.08}
+        for n, a in ((4, 17.25), (6, 5.5), (16, -1.3)):
+            p = helmholtz_parameter(make_context(n), a)
+            for t in (-0.7, 0.2, 0.7):
+                ref = oracles.green_integral_quad(n, a, t)
+                assert abs(green_eval_integral(p, t) - ref) <= 1e-11 * (1 + abs(ref)), (n, a, t)
 
     def test_degenerate_double_root(self):
         # a = -lam^2: n=5, a=-4 (L = -2); table 4 row
@@ -260,6 +270,19 @@ class TestIntegral:
                 err = abs(green_eval_integral(p, t) - c)
                 assert err <= 1e-6 * (1 + abs(c)), (row.n, row.L, t, err)
         assert sorted(double_roots) == [(5, -2), (7, -3)]
+
+    def test_large_n_against_the_high_precision_oracle(self):
+        # the oracle reproduces registry rows, so its large-n pins can judge
+        for n, L in ((2, 0), (3, 1), (4, 1), (8, 1)):
+            row = green_tables.lookup_by_root(n, L)
+            for t in (-0.9, 0.3, 0.9):
+                c = row.eval(t)
+                ref = float(oracles.green_integral_mp(n, float(row.a), t, dps=30))
+                assert abs(ref - c) <= 1e-13 * (1 + abs(c)), (n, L, t)
+        # n = 30..342, a = 0 and a = n; |G| spans 0.008 to 2e119
+        for (n, a, t), ref in integral_values.LARGE_N.items():
+            got = green_eval_integral(helmholtz_parameter(make_context(n), float(a)), t)
+            assert abs(got - ref) <= 1e-8 * (1 + abs(ref)), (n, a, t, got, ref)
 
     def test_rejects_complex_root(self):
         p = helmholtz_parameter(make_context(2), -1.0)

@@ -1,10 +1,13 @@
 """Source checks: module imports stay at module level and form no cycle,
 only spectra.py knows how a spectrum lays out its coefficients,
 closedform.py has one antiderivative term type and one evaluator and
-derives without a memo, and the Gegenbauer recurrence is written once, in
-geometry.py."""
+derives without a memo, the Gegenbauer recurrence is written once, in
+geometry.py, and green.py integrates with NumPy alone, so importing the
+package loads no scipy.integrate."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spherepde"
@@ -123,3 +126,25 @@ def test_derivation_substitutes_through_power_tables_without_a_memo():
              == "kernel_power_antiderivative"]
     assert len(built) == 2, built
     assert not {"cache", "lru_cache", "functools"} & set(_names(tree))
+
+
+def test_green_imports_neither_scipy_nor_warnings():
+    # the integral backend is one fixed Gauss-Legendre rule, no adaptive quad
+    tree = MODULES["green"]
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not {"scipy", "warnings"} & imported, imported
+    assert "quad" not in set(_names(tree))
+
+
+def test_importing_the_package_loads_no_scipy_integrate():
+    code = ("import sys\n"
+            "import spherepde\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "import spherepde.cli\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.split() == ["False", "False"], out
