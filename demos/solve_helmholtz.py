@@ -36,7 +36,7 @@ for a in (0.0, -2.0, 7.5):
     param = helmholtz_parameter(ctx, a)
     rep = solve_helmholtz(SolveRequest(param=param, f=f))
     res = verify_solution(param, rep.u, f)
-    print(f"\na = {a}: green backend {rep.green_backend}")
+    print(f"\na = {a}:")
     print(f"  u(t = 0.5)    = {synthesize(rep.u, 0.5): .10f}")
     print(f"  residual norm = {res.norm:.3e}")
 

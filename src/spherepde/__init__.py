@@ -39,6 +39,7 @@ from .wavelets import (
     check_admissibility,
     inverse_transform,
     make_scale_grid,
+    poisson_scale_grid,
     poisson_wavelet,
     reconstruction_wavelet,
     roundtrip_error,

@@ -41,6 +41,9 @@ from . import green_tables
 from .closedform import derive_green_closed_form
 from .geometry import gegenbauer_bound, make_context
 from .green import (
+    _ABEL_DIAG_GAP,
+    _ABEL_RTOL,
+    _QUAD_RTOL,
     GreenFunction,
     green_series_batch,
     helmholtz_parameter,
@@ -59,8 +62,9 @@ from .spectra import (
 )
 from .solver import SolveRequest, solve_helmholtz, solve_resonant
 from .wavelets import (
+    _TAIL_TOL,
     check_admissibility,
-    make_scale_grid,
+    poisson_scale_grid,
     poisson_wavelet,
     roundtrip_error,
     wavelet_transform,
@@ -71,6 +75,9 @@ EXIT_USAGE = 1
 EXIT_RESONANCE = 2
 EXIT_SOLVABILITY = 3
 EXIT_NUMERIC = 4
+
+# relative size of f-hat(0) that a wavelet round trip refuses as a mean
+_MEAN_TOL = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +91,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x):
     return f"{x:.12g}"
+
+
+def _sci(x):
+    """A tolerance in one-digit scientific notation: 6e-5, not 6e-05."""
+    mantissa, exponent = f"{x:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def _atomic_write(path, text):
@@ -182,8 +195,7 @@ def cmd_solve(args):
     if f.ctx.n != ctx.n:
         raise SphereDomainError(
             f"input spectrum is for n={f.ctx.n}, requested n={ctx.n}")
-    req = SolveRequest(param=param, f=f, backend=args.backend,
-                       resonant_tol=args.tol)
+    req = SolveRequest(param=param, f=f, resonant_tol=args.tol)
     if param.resonant and param.L_res >= 1:
         if not args.resonant:
             print(f"error: a = {param.a} is resonant at degree {param.L_res} "
@@ -199,12 +211,10 @@ def cmd_solve(args):
     header = _header_lines({
         "n": ctx.n, "a": _fmt(param.a),
         "L": "none" if param.L is None else _fmt(param.L),
-        "green backend": report.green_backend,
         "resonant tolerance": _fmt(args.tol),
         "residual": _fmt(report.residual_norm),
     })
     _emit(args.out, format_spectrum(report.u, extra_comments=header, fmt="%.12g"))
-    print(f"green backend: {report.green_backend}")
     print(f"spectral residual: {_fmt(report.residual_norm)}")
     for l, gap in report.condition_warnings:
         print(f"warning: degree {l} is ill-conditioned, |a - l(n+l-1)| = {_fmt(gap)}")
@@ -266,8 +276,9 @@ def cmd_green(args):
     kv = {"n": ctx.n, "a": _fmt(param.a),
           "L": "none" if param.L is None else _fmt(param.L),
           "backends": "+".join(backends),
-          "tolerances": "series Abel cut 1e-14 with Richardson tail estimate, "
-                        "1-t >= 6e-5 n; integral 1e-8 (1+|G|)"}
+          "tolerances": f"series Abel cut {_sci(_ABEL_RTOL)} with Richardson tail "
+                        f"estimate, 1-t >= {_sci(_ABEL_DIAG_GAP)} n; "
+                        f"integral {_sci(_QUAD_RTOL)} (1+|G|)"}
     if tail is not None:
         kv["series tail estimate"] = _fmt(tail)
     kv.update(notes)
@@ -291,11 +302,11 @@ def cmd_wavelet(args):
     mode = args.mode
 
     if mode == "admissibility":
-        grid = make_scale_grid(1e-8, 60.0, 800)
+        grid = poisson_scale_grid(args.d, args.lmax)
         rep = check_admissibility(psi, psi, args.lmax, grid)
         kv = {"n": ctx.n, "wavelet": psi.tag, "l max": args.lmax,
               "grid": f"[{grid.rho_min},{grid.rho_max}] x {grid.count}",
-              "tail tolerance": "1e-12",
+              "tail tolerance": _sci(_TAIL_TOL),
               "max relative deviation": _fmt(rep.max_rel_deviation())}
         lines = [f"# {s}" for s in _header_lines(kv)]
         lines.append("l,integral,target,deviation")
@@ -311,9 +322,9 @@ def cmd_wavelet(args):
         raise SphereDomainError("wavelet transforms need a zonal input spectrum")
     if f.ctx.n != ctx.n:
         raise SphereDomainError(f"input spectrum is for n={f.ctx.n}, requested n={ctx.n}")
-    grid = make_scale_grid(args.rho_min, args.rho_max, args.scales)
+    grid = poisson_scale_grid(args.d, f.l_max)
 
-    if mode == "roundtrip" and abs(f.coeffs[0]) > 1e-12 * max(norm_l2(f), 1e-300):
+    if mode == "roundtrip" and abs(f.coeffs[0]) > _MEAN_TOL * max(norm_l2(f), 1e-300):
         print(f"error: round-trip inversion requires a zero-mean input; "
               f"f-hat(0) = {_fmt(abs(f.coeffs[0]))}", file=sys.stderr)
         return EXIT_SOLVABILITY
@@ -321,7 +332,7 @@ def cmd_wavelet(args):
     W = wavelet_transform(psi, f, grid)
     kv = {"n": ctx.n, "wavelet": psi.tag, "Lmax": f.l_max,
           "grid": f"[{grid.rho_min},{grid.rho_max}] x {grid.count}",
-          "mean tolerance": "1e-12"}
+          "mean tolerance": _sci(_MEAN_TOL)}
     err = None
     if mode == "roundtrip":
         err = roundtrip_error(psi, psi, f, grid)
@@ -387,13 +398,14 @@ def cmd_verify(args):
     check("Poisson kernel series vs closed form", worst, 1e-10)
 
     worst = 0.0
+    l_max = 16 if args.fast else 32
     for n in (2, 5, 8):
         ctx = make_context(n)
         for d in (1, 2, 3):
             w = poisson_wavelet(ctx, d)
-            rep = check_admissibility(w, w, 16 if args.fast else 32)
+            rep = check_admissibility(w, w, l_max, poisson_scale_grid(d, l_max))
             worst = max(worst, rep.max_rel_deviation())
-    check("Poisson wavelet admissibility", worst, 1e-6)
+    check("Poisson wavelet admissibility", worst, 1e-10)
 
     worst = 0.0
     for n in (2, 4):
@@ -402,8 +414,8 @@ def cmd_verify(args):
         coeffs[0] = 0.0
         f = ZonalSpectrum(ctx, coeffs)
         w = poisson_wavelet(ctx, 1)
-        worst = max(worst, roundtrip_error(w, w, f, make_scale_grid()))
-    check("wavelet round trip", worst, 1e-3)
+        worst = max(worst, roundtrip_error(w, w, f, poisson_scale_grid(1, f.l_max)))
+    check("wavelet round trip", worst, 1e-10)
 
     worst = 0.0
     for n in (2, 3, 5):
@@ -449,9 +461,6 @@ def build_parser():
     common(ps)
     ps.add_argument("--in", required=True, help="input spectrum file (f)")
     ps.add_argument("--out", required=True, help="output spectrum file (u)")
-    ps.add_argument("--backend", default="auto",
-                    choices=["auto", "closed", "series", "integral"],
-                    help="Green backend recorded in the report")
     ps.add_argument("--resonant", action="store_true",
                     help="allow resonant a (solve with zero resonant content)")
     ps.add_argument("--tol", type=float, default=1e-8,
@@ -477,9 +486,6 @@ def build_parser():
     pw.add_argument("--config", default=None)
     pw.add_argument("--in", default=None, help="input zonal spectrum file")
     pw.add_argument("--out", default=None, help="output CSV (stdout when omitted)")
-    pw.add_argument("--rho-min", dest="rho_min", type=float, default=1e-4)
-    pw.add_argument("--rho-max", dest="rho_max", type=float, default=50.0)
-    pw.add_argument("--scales", type=int, default=400)
     pw.add_argument("--lmax", type=int, default=32)
     pw.set_defaults(func=cmd_wavelet)
 

@@ -130,8 +130,8 @@ def gegenbauer_bound(ctx, l):
 def gegenbauer_at_one(ctx, l_max):
     """C_l^lambda(1) = binom(l + 2 lambda - 1, l) for l = 0..l_max.
 
-    Computed by the stable product form C_l(1) = C_{l-1}(1) (l + 2l - 2 ... )
-    i.e. C_l(1) = C_{l-1}(1) * (l + 2 lambda - 1) / l.
+    Computed by the stable product form
+    C_l(1) = C_{l-1}(1) * (l + 2 lambda - 1) / l.
     """
     two_lam = 2.0 * ctx.lam
     out = np.empty(l_max + 1)

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResonanceError, SolvabilityError, SphereDomainError
-from .green import (
-    GreenFunction,
-    HelmholtzParameter,
-    condition_warnings,
-    eigen_gap,
-)
+from .green import HelmholtzParameter, condition_warnings, eigen_gap
 from .spectra import rebuild, unpack
 
 DEFAULT_RESONANT_TOL = 1e-8
@@ -40,7 +35,6 @@ DEFAULT_RESONANT_TOL = 1e-8
 class SolveRequest:
     param: HelmholtzParameter
     f: object                     # a zonal or a general spectrum
-    backend: str = "auto"         # Green backend a pointwise caller would use
     resonant_tol: float = DEFAULT_RESONANT_TOL
 
 
@@ -49,7 +43,6 @@ class SolveReport:
     u: object
     residual_norm: float
     condition_warnings: list = field(default_factory=list)
-    green_backend: str = ""
 
 
 def _at_resonance(param, degrees):
@@ -93,7 +86,6 @@ def _solve(req):
         u=rebuild(f, u),
         residual_norm=float(np.linalg.norm(residual)),
         condition_warnings=condition_warnings(param, int(np.max(degrees, initial=0))),
-        green_backend=GreenFunction(param, req.backend).resolved_backend(),
     )
 
 

@@ -15,11 +15,12 @@ arrays of scales and degrees, each transform evaluates it once as a
 quadrature weights.
 
 The scale integral is discretised by a trapezoid rule on a log-uniform
-grid.  Integrands of the Poisson type (rho l)^d exp(-rho l) decay
-exponentially at both ends in log(rho), so truncation at [rho_min,
-rho_max] leaves computable tails and the trapezoid rule converges
-spectrally between them; the inversion error is measured, not assumed
-(see the round-trip report in the tests/demos).
+grid.  For the Poisson pair the admissibility integrand over its target
+is, in s = 2 rho l, the same function s^(2d) exp(-s) / Gamma(2d) at every
+degree, so poisson_scale_grid bounds both of its errors by construction:
+the truncation at [rho_min, rho_max] from the two roots of that level,
+and the trapezoid aliasing from |Gamma(2d + 2 pi i/h)| / Gamma(2d).  Any
+other family takes an explicit make_scale_grid.
 
 The workhorse family are the Poisson wavelets of order d >= 1,
 
@@ -29,7 +30,7 @@ which are their own reconstruction family.
 """
 
 from dataclasses import dataclass
-from math import gamma, log, sqrt
+from math import ceil, exp, frexp, gamma, ldexp, lgamma, log, log1p, pi, sqrt
 
 import numpy as np
 
@@ -38,7 +39,8 @@ from .geometry import SphereContext
 from .spectra import ZonalSpectrum, norm_l2
 
 # Endpoint integrand level (relative to the admissibility target) above
-# which a scale grid is considered too narrow.
+# which a scale grid is considered too narrow; poisson_scale_grid also
+# holds its aliasing bound to half of it.
 _TAIL_TOL = 1e-12
 
 
@@ -67,13 +69,8 @@ class ScaleGrid:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def refined(self, widen=1.0, factor=2):
-        """A finer (and optionally wider) grid, for convergence studies."""
-        return make_scale_grid(self.rho_min / widen, self.rho_max * widen,
-                               self.count * factor)
 
-
-def make_scale_grid(rho_min=1e-4, rho_max=50.0, count=400):
+def make_scale_grid(rho_min, rho_max, count):
     """Log-uniform trapezoid grid; weights integrate drho/rho exactly for constants."""
     if not (0.0 < rho_min < rho_max):
         raise QuadratureError(f"need 0 < rho_min < rho_max, got [{rho_min}, {rho_max}]")
@@ -91,8 +88,8 @@ def make_scale_grid(rho_min=1e-4, rho_max=50.0, count=400):
 POISSON_MAX_ORDER = 85
 
 
-def poisson_wavelet(ctx, d):
-    """Poisson wavelet family of order 1 <= d <= POISSON_MAX_ORDER (self-reconstructing)."""
+def _poisson_order(d):
+    """d as an int, or SphereDomainError unless 1 <= d <= POISSON_MAX_ORDER."""
     if d < 1 or int(d) != d:
         raise SphereDomainError(f"Poisson wavelet order must be an integer >= 1, got {d}")
     d = int(d)
@@ -100,8 +97,20 @@ def poisson_wavelet(ctx, d):
         raise SphereDomainError(
             f"Poisson wavelet order must be <= {POISSON_MAX_ORDER}, got {d}: the norm "
             "2^d/sqrt(Gamma(2d)) is not a finite double beyond it")
+    return d
+
+
+def poisson_wavelet(ctx, d):
+    """Poisson wavelet family of order 1 <= d <= POISSON_MAX_ORDER (self-reconstructing)."""
+    d = _poisson_order(d)
     lam = ctx.lam
     norm = 2.0 ** d / sqrt(gamma(2 * d))
+    # norm l^d = (2^k l)^d (norm 2^-kd) with 2^k <= norm^(1/d): the power
+    # stays finite wherever the product does (l^d alone overflows at
+    # d = 85, l = 5000), and scaling by powers of two rounds nothing, so
+    # the factor is bit for bit norm l^d wherever that is finite
+    k = frexp(norm ** (1.0 / d))[1] - 1
+    two_k, scaled_norm = 2.0 ** k, ldexp(norm, -k * d)
 
     def hat(rho, l):
         # one table buffer: exp(-rho l) in place, times a per-degree
@@ -112,11 +121,71 @@ def poisson_wavelet(ctx, d):
         l = np.asarray(l, dtype=float)
         table = np.asarray(np.multiply(-rho, l))
         np.exp(table, out=table)
-        table *= norm * l ** d * (lam + l) / lam
+        table *= scaled_norm * (two_k * l) ** d * (lam + l) / lam
         table *= rho ** d
         return table if table.ndim else float(table)
 
     return WaveletFamily(ctx=ctx, hat=hat, tag=f"poisson(d={d})")
+
+
+def _crossing(f, inside, step, level):
+    """Where f, above level at inside and falling outward, meets level.
+
+    Steps outward by step until f <= level, then bisects; returns the
+    outer end of the last bracket, where f <= level.
+    """
+    outside = inside + step
+    while f(outside) > level:
+        inside, outside = outside, outside + step
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        if f(mid) > level:
+            inside = mid
+        else:
+            outside = mid
+    return outside
+
+
+def _log_abs_gamma(m, y):
+    """ln |Gamma(m + iy)| for an integer m >= 1 and y > 0, exactly:
+    |Gamma(m + iy)|^2 = (pi y / sinh(pi y)) prod_{k=1}^{m-1} (k^2 + y^2)."""
+    z = pi * y
+    log_sinh = z + log1p(-exp(-2.0 * z)) - log(2.0)
+    return 0.5 * (log(z) - log_sinh + sum(log(k * k + y * y) for k in range(1, m)))
+
+
+def poisson_scale_grid(d, l_max):
+    """The make_scale_grid grid on which the order-d Poisson pair is
+    admissible to _TAIL_TOL for every degree 1..l_max (l_max = 0 takes
+    the l = 1 grid).
+
+    In s = 2 rho l the admissibility integrand over its target is
+    p(s) = s^(2d) exp(-s) / Gamma(2d) at every degree:
+    - rho_min = s_lo / (2 l_max) and rho_max = s_hi / 2, with s_lo < 2d <
+      s_hi the roots of p = _TAIL_TOL, keep the endpoint levels that
+      check_admissibility tests below _TAIL_TOL at every degree;
+    - in x = ln rho each degree's integrand is a shift of one function
+      whose Fourier transform is Gamma(2d - i w) / Gamma(2d), so the
+      trapezoid step h aliases by about 2 |Gamma(2d + 2 pi i/h)| / Gamma(2d)
+      (Trefethen & Weideman, SIAM Review 56 (2014)); h keeps that at
+      _TAIL_TOL / 2.
+    """
+    m = 2 * _poisson_order(d)
+    log_gamma_m = lgamma(m)
+
+    def log_p(u):                       # ln p(e^u)
+        return m * u - exp(u) - log_gamma_m
+
+    def log_alias(v):                   # ln of the aliasing bound at 2 pi/h = e^v
+        return log(2.0) + _log_abs_gamma(m, exp(v)) - log_gamma_m
+
+    s_lo = exp(_crossing(log_p, log(m), -1.0, log(_TAIL_TOL)))
+    s_hi = exp(_crossing(log_p, log(m), 1.0, log(_TAIL_TOL)))
+    h = 2.0 * pi / exp(_crossing(log_alias, 0.0, 1.0, log(_TAIL_TOL / 2.0)))
+    # widened by a hair, so that the endpoint levels pass the strict check
+    rho_min = 0.999 * s_lo / (2.0 * max(l_max, 1))
+    rho_max = 1.001 * s_hi / 2.0
+    return make_scale_grid(rho_min, rho_max, ceil(log(rho_max / rho_min) / h) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +206,14 @@ class AdmissibilityReport:
         return float(np.max(np.abs(self.deviation) / scale))
 
 
-def check_admissibility(psi, omega, l_max, grid=None):
-    """Numeric admissibility integrals for l = 0..l_max.
+def check_admissibility(psi, omega, l_max, grid):
+    """Numeric admissibility integrals for l = 0..l_max on the scale grid.
 
     Raises QuadratureError (with the endpoint integrand levels) for the
     lowest degree l >= 1 whose integrand the grid is too narrow to hold.
     """
     if psi.ctx != omega.ctx:
         raise SphereDomainError("wavelet families live on different spheres")
-    if grid is None:
-        grid = make_scale_grid(1e-8, 60.0, 800)
     lam = psi.ctx.lam
     ls = np.arange(l_max + 1)
     target = ((lam + ls) / lam) ** 2
@@ -171,15 +238,13 @@ def check_admissibility(psi, omega, l_max, grid=None):
                                deviation=integral - target)
 
 
-def reconstruction_wavelet(psi, l_max, grid=None):
+def reconstruction_wavelet(psi, l_max, grid):
     """Reconstruction family Omega with Omega-hat = Psi-hat / alpha_l(Psi).
 
     alpha_l = (lambda/(lambda+l))^2 int |Psi-hat(l)|^2 drho/rho must be
     nonzero for 1 <= l <= l_max; Omega-hat is 0 at l = 0 and undefined
-    above l_max.
+    above l_max; alpha_l is integrated on the scale grid.
     """
-    if grid is None:
-        grid = make_scale_grid(1e-8, 60.0, 800)
     lam = psi.ctx.lam
     ls = np.arange(l_max + 1)
     vals = np.abs(psi.hat(grid.nodes[:, None], ls)) ** 2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherepde.cli import _merge_config, build_parser, main
-from spherepde.spectra import load_spectrum
+from spherepde import ZonalSpectrum, make_context
+from spherepde.spectra import load_spectrum, save_spectrum
 
 
 def _write_spec(path, lines):
@@ -29,7 +30,6 @@ class TestSolve:
         assert u.coeffs[2] == pytest.approx(-1.0 / 6.0, rel=1e-11)
         text = out.read_text()
         assert text.startswith("# zonal n=2")
-        assert "# green backend: closed_form(table1)" in text
         captured = capsys.readouterr()
         assert "residual" in captured.out
 
@@ -65,13 +65,12 @@ class TestSolve:
                      "--in", str(f), "--out", str(tmp_path / "u.spec")])
         assert code == 3
 
-    def test_table4_backend_report(self, tmp_path, f_poisson, capsys):
-        f = tmp_path / "f3.spec"
-        _write_spec(f, ["# zonal n=3 Lmax=1", "0\t0", "1\t1"])
-        code = main(["solve", "--n", "3", "--a", "-0.75",
-                     "--in", str(f), "--out", str(tmp_path / "u.spec")])
-        assert code == 0
-        assert "closed_form(table4)" in capsys.readouterr().out
+    def test_no_green_backend_option(self, tmp_path, f_poisson):
+        # a solve divides spectra and evaluates no Green function
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "2", "--a", "0", "--backend", "closed",
+                  "--in", str(f_poisson), "--out", str(tmp_path / "u.spec")])
+        assert exc.value.code == 1
 
     def test_missing_input_exit1(self, tmp_path):
         code = main(["solve", "--n", "2", "--a", "0",
@@ -247,19 +246,45 @@ class TestWavelet:
         _write_spec(f, ["# zonal n=2 Lmax=2", "0\t0", "1\t2", "2\t1"])
         out = tmp_path / "w.csv"
         code = main(["wavelet", "forward", "--n", "2", "--d", "1",
-                     "--in", str(f), "--out", str(out),
-                     "--rho-min", "0.5", "--rho-max", "2.0", "--scales", "3"])
+                     "--in", str(f), "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
+        count = int([l for l in lines if l.startswith("# grid:")][0].rsplit(" x ", 1)[1])
         data = [l for l in lines if l and not l.startswith("#") and l != "rho,l,re,im"]
-        assert len(data) == 3 * 3            # 3 scales x degrees 0..2
-        # first node rho = 0.5, degree 1: (lam/(lam+1)) f1 conj(hat(0.5,1))
+        assert len(data) == count * 3        # scales x degrees 0..2
+        # first node, degree 1: (lam/(lam+1)) f1 conj(hat(rho,1))
         rho, l, re, im = data[1].split(",")
-        assert float(rho) == pytest.approx(0.5)
+        rho = float(rho)
         assert int(l) == 1
-        expected = (0.5 / 1.5) * 2.0 * (2.0 * 0.5 * np.exp(-0.5) * 3.0)
+        expected = (0.5 / 1.5) * 2.0 * (2.0 * rho * np.exp(-rho) * 3.0)
         assert float(re) == pytest.approx(expected, rel=1e-10)
         assert float(im) == 0.0
+
+    def test_roundtrip_at_a_high_degree(self, tmp_path, capsys):
+        # the scale grid follows Lmax: 1.2e-2 on the old fixed [1e-4, 50] x 400
+        coeffs = np.random.default_rng(3).standard_normal(2049)
+        coeffs[0] = 0.0
+        f = tmp_path / "f.spec"
+        save_spectrum(ZonalSpectrum(make_context(2), coeffs), f)
+        code = main(["wavelet", "roundtrip", "--n", "2", "--d", "1",
+                     "--in", str(f), "--out", str(tmp_path / "w.csv")])
+        assert code == 0
+        err = float(capsys.readouterr().out.split("roundtrip relative error:")[1].strip())
+        assert err <= 1e-11
+
+    @pytest.mark.parametrize("argv", [["--n", "2", "--d", "1", "--lmax", "64"],
+                                      ["--n", "3", "--d", "30", "--lmax", "4"]])
+    def test_admissibility_grid_follows_order_and_lmax(self, capsys, argv):
+        assert main(["wavelet", "admissibility", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "# tail tolerance: 1e-12" in out
+        assert float(out.rsplit("max relative deviation:", 1)[1].strip()) <= 1e-11
+
+    @pytest.mark.parametrize("flag", ["--rho-min", "--rho-max", "--scales"])
+    def test_no_scale_grid_options(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["wavelet", "admissibility", "--n", "2", flag, "3"])
+        assert exc.value.code == 1
 
     def test_admissibility_report(self, tmp_path, capsys):
         code = main(["wavelet", "admissibility", "--n", "2", "--d", "2",
@@ -276,9 +301,11 @@ class TestWavelet:
         assert err.startswith("error:") and "<= 85" in err and "Traceback" not in err
 
     def test_largest_order_reaches_the_scale_grid_check(self, capsys):
-        assert main(["wavelet", "admissibility", "--n", "3", "--d", "85", "--lmax", "4"]) == 4
-        err = capsys.readouterr().err
-        assert "scale grid too narrow" in err and "Traceback" not in err
+        # and passes it: the grid is built for the order
+        assert main(["wavelet", "admissibility", "--n", "3", "--d", "85", "--lmax", "4"]) == 0
+        cap = capsys.readouterr()
+        assert cap.err == ""
+        assert float(cap.out.rsplit("max relative deviation:", 1)[1].strip()) <= 1e-11
 
 
 class TestRootFlag:
@@ -321,13 +348,17 @@ class TestConfig:
         assert exc.value.code == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_config_applies_to_the_chosen_command(self, tmp_path, f_poisson, capsys):
-        # solve's --backend default differs from green's; the file still applies
+    def test_config_applies_to_the_chosen_command(self, tmp_path, capsys):
+        # resonant is a solve flag, green has none; the file still applies
+        f = tmp_path / "f.spec"
+        _write_spec(f, ["# zonal n=2 Lmax=2", "0\t0", "1\t0", "2\t1"])
+        argv = ["solve", "--n", "2", "--a", "2", "--in", str(f),
+                "--out", str(tmp_path / "u.spec")]
+        assert main(argv) == 2
         conf = tmp_path / "job.cfg"
-        conf.write_text("backend = series\n")
-        assert main(["solve", "--n", "2", "--a", "0", "--in", str(f_poisson),
-                     "--out", str(tmp_path / "u.spec"), "--config", str(conf)]) == 0
-        assert "green backend: series" in capsys.readouterr().out
+        conf.write_text("resonant = true\n")
+        assert main([*argv, "--config", str(conf)]) == 0
+        assert load_spectrum(tmp_path / "u.spec").coeffs[2] == pytest.approx(-0.25)
 
 
 class TestUnreadableFiles:

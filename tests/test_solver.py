@@ -103,12 +103,6 @@ class TestSolve:
                + 3.0 * solve_helmholtz(SolveRequest(param=p, f=g)).u.coeffs)
         assert_allclose(lhs, rhs, rtol=5e-15, atol=5e-16)
 
-    def test_backend_tag(self):
-        ctx = make_context(3)
-        rep = solve_helmholtz(SolveRequest(param=helmholtz_parameter(ctx, -0.75),
-                                           f=_delta(ctx, 1)))
-        assert rep.green_backend == "closed_form(table4)"
-
     def test_residual_property_random(self):
         rng = np.random.default_rng(77)
         for n in range(2, 7):

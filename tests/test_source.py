@@ -2,8 +2,9 @@
 only spectra.py knows how a spectrum lays out its coefficients,
 closedform.py has one antiderivative term type and one evaluator and
 derives without a memo, the Gegenbauer recurrence is written once, in
-geometry.py, and green.py integrates with NumPy alone, so importing the
-package loads no scipy.integrate."""
+geometry.py, green.py integrates and wavelets.py builds its scale grids
+with NumPy and math alone, so importing the package loads no
+scipy.integrate."""
 
 import ast
 import subprocess
@@ -128,15 +129,26 @@ def test_derivation_substitutes_through_power_tables_without_a_memo():
     assert not {"cache", "lru_cache", "functools"} & set(_names(tree))
 
 
+def _absolute_imports(tree):
+    """Top-level packages a module imports with `import x` or `from x import y`."""
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    return imported | {node.module.split(".")[0] for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level == 0}
+
+
 def test_green_imports_neither_scipy_nor_warnings():
     # the integral backend is one fixed Gauss-Legendre rule, no adaptive quad
     tree = MODULES["green"]
-    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    imported = _absolute_imports(tree)
     assert not {"scipy", "warnings"} & imported, imported
     assert "quad" not in set(_names(tree))
+
+
+def test_wavelets_imports_no_scipy():
+    # the scale grid rule needs math.lgamma and |Gamma(m + iy)| in closed form
+    imported = _absolute_imports(MODULES["wavelets"])
+    assert "scipy" not in imported, imported
 
 
 def test_importing_the_package_loads_no_scipy_integrate():

@@ -1,6 +1,7 @@
 """Wavelet families, admissibility, transform and inversion."""
 
-from math import exp, gamma, log, sqrt
+import warnings
+from math import exp, gamma, lgamma, log, sqrt
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spherepde import (
     inverse_transform,
     make_context,
     make_scale_grid,
+    poisson_scale_grid,
     poisson_wavelet,
     reconstruction_wavelet,
     roundtrip_error,
@@ -61,6 +63,23 @@ class TestPoissonWavelet:
         with pytest.raises(SphereDomainError):
             poisson_wavelet(make_context(2), 0)
 
+    @pytest.mark.parametrize("rho,l", [(0.05, 5000), (1e-3, 100000), (145.0, 1),
+                                       (0.05, 100000)])
+    def test_highest_order_at_high_degrees(self, rho, l):
+        # l^85 alone overflows from l = 4200 on; the value is finite and
+        # matches the formula taken in logs
+        ctx = make_context(3)
+        d = 85
+        x = rho * l
+        want = exp(d * log(2.0) - lgamma(2 * d) / 2 + d * log(x) - x
+                   + log((ctx.lam + l) / ctx.lam))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poisson_wavelet(ctx, d).hat(rho, l)
+        assert_allclose(got, want, rtol=1e-12)
+        if (rho, l) == (0.05, 5000):
+            assert_allclose(got, 1.6700143793e-28, rtol=1e-9)
+
     @pytest.mark.parametrize("n,d", [(2, 1), (5, 2), (8, 3)])
     def test_table_matches_scalar_calls(self, n, d):
         # hat(nodes[:, None], ls) holds the one-degree calls as its columns
@@ -85,12 +104,48 @@ class TestScaleGrid:
         with pytest.raises(QuadratureError):
             make_scale_grid(0.1, 1.0, 1)
 
-    def test_refined(self):
-        g = make_scale_grid(1e-3, 10.0, 50)
-        g2 = g.refined(widen=2.0, factor=3)
-        assert g2.count == 150
-        assert g2.rho_min == pytest.approx(5e-4)
-        assert g2.rho_max == pytest.approx(20.0)
+
+# (n, d, L) over which poisson_scale_grid is gated
+_RULE_CASES = [(n, d, L) for n in (2, 3, 8) for d in (1, 2, 3, 4, 8, 20, 85)
+               for L in (1, 16, 256, 2048)] + [(n, 85, 5000) for n in (2, 3, 8)]
+
+
+class TestPoissonScaleGrid:
+    @pytest.mark.parametrize("n,d,L", _RULE_CASES)
+    def test_admissible_and_invertible_to_the_tail_tolerance(self, n, d, L):
+        ctx = make_context(n)
+        w = poisson_wavelet(ctx, d)
+        grid = poisson_scale_grid(d, L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_admissibility(w, w, L, grid)
+            coeffs = np.random.default_rng(n * 10007 + d * 101 + L).standard_normal(L + 1)
+            coeffs[0] = 0.0
+            err = roundtrip_error(w, w, ZonalSpectrum(ctx, coeffs), grid)
+        assert rep.max_rel_deviation() <= 1e-11
+        assert err <= 1e-11
+        # the range is ln(rho_max/rho_min) = ln(L s_hi/s_lo): 9.7 e-folds at
+        # d = 85, L = 5000, where the step is 0.0617
+        assert grid.count <= (150 if L <= 2048 else 160)
+
+    def test_degree_zero_takes_the_degree_one_grid(self):
+        for d in (1, 4):
+            g0, g1 = poisson_scale_grid(d, 0), poisson_scale_grid(d, 1)
+            assert np.array_equal(g0.nodes, g1.nodes)
+            assert np.array_equal(g0.weights, g1.weights)
+
+    def test_range_follows_l_max_and_step_follows_d(self):
+        g16, g2048 = poisson_scale_grid(2, 16), poisson_scale_grid(2, 2048)
+        assert g2048.rho_max == g16.rho_max
+        assert_allclose(g2048.rho_min * 2048, g16.rho_min * 16, rtol=1e-15)
+        steps = [log(g.nodes[1] / g.nodes[0]) for g in map(poisson_scale_grid, (1, 8, 85),
+                                                           (16, 16, 16))]
+        assert steps[0] > steps[1] > steps[2]
+
+    def test_rejects_bad_order(self):
+        for d in (0, 1.5, 86):
+            with pytest.raises(SphereDomainError):
+                poisson_scale_grid(d, 8)
 
 
 class TestAdmissibility:
@@ -132,7 +187,7 @@ class TestAdmissibility:
         w2 = poisson_wavelet(make_context(2), 1)
         w3 = poisson_wavelet(make_context(3), 1)
         with pytest.raises(SphereDomainError):
-            check_admissibility(w2, w3, 4)
+            check_admissibility(w2, w3, 4, make_scale_grid(**WIDE))
 
 
 class TestReconstruction:
@@ -242,7 +297,7 @@ class TestInversion:
         ctx = make_context(2)
         psi = poisson_wavelet(ctx, 1)
         f = ZonalSpectrum(ctx, [0.0, 0.0, 1.0])
-        grid = make_scale_grid()                 # the reference defaults
+        grid = make_scale_grid(1e-4, 50.0, 400)  # the reference grid
         rec = inverse_transform(psi, wavelet_transform(psi, f, grid), grid)
         assert abs(rec.coeffs[2] - 1.0) < 1e-4
 
@@ -250,7 +305,7 @@ class TestInversion:
         ctx = make_context(3)
         psi = poisson_wavelet(ctx, 1)
         f = ZonalSpectrum(ctx, np.zeros(4))
-        assert roundtrip_error(psi, psi, f, make_scale_grid()) == 0.0
+        assert roundtrip_error(psi, psi, f, make_scale_grid(1e-4, 50.0, 400)) == 0.0
 
     def test_random_bandlimited_roundtrip(self):
         rng = np.random.default_rng(31)
@@ -260,7 +315,7 @@ class TestInversion:
             coeffs[0] = 0.0
             f = ZonalSpectrum(ctx, coeffs)
             psi = poisson_wavelet(ctx, 1)
-            err = roundtrip_error(psi, psi, f, make_scale_grid())
+            err = roundtrip_error(psi, psi, f, make_scale_grid(1e-4, 50.0, 400))
             assert err <= 1e-3
 
     def test_refinement_improves(self):
@@ -316,7 +371,7 @@ class TestInversion:
         ctx = make_context(2)
         psi = poisson_wavelet(ctx, 1)
         f = ZonalSpectrum(ctx, [5.0, 1.0])
-        grid = make_scale_grid()
+        grid = make_scale_grid(1e-4, 50.0, 400)
         rec = inverse_transform(psi, wavelet_transform(psi, f, grid), grid)
         assert rec.coeffs[0] == 0.0
 
