@@ -137,8 +137,30 @@ def _load_config(path, parser):
     return out
 
 
-def _merge_config(args, parser):
-    """Fill unset args from --config file values (flags win).
+def positive_int(text):
+    """An int >= 1, as an argparse type: anything else is a usage error."""
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {val}")
+    return val
+
+
+def _given_on_command_line(argv):
+    """The dests that argv sets: a parse of it with a marker for every default.
+
+    The marker is not a str, which argparse would convert and check
+    against a positional's choices.
+    """
+    unset = object()
+    parser = build_parser()
+    for sub in [parser, *parser._subparsers._group_actions[0].choices.values()]:
+        for action in sub._actions:
+            action.default = unset
+    return {dest for dest, val in vars(parser.parse_args(argv)).items() if val is not unset}
+
+
+def _merge_config(args, parser, argv):
+    """Fill args that argv does not set from --config file values (flags win).
 
     Values convert by their option's type and must be among its choices; a
     line that does not is a usage error naming it.
@@ -147,12 +169,11 @@ def _merge_config(args, parser):
         return args
     command = parser._subparsers._group_actions[0].choices[args.command]
     actions = {a.dest: a for a in command._actions}
+    given = _given_on_command_line(argv)
     for key, (lineno, sval) in _load_config(args.config, parser).items():
-        if key not in actions or not hasattr(args, key):
+        if key not in actions or not hasattr(args, key) or key in given:
             continue
         action = actions[key]
-        if getattr(args, key) != action.default:
-            continue        # explicitly set on the command line
         if isinstance(action.default, bool):
             val = sval.lower() in ("1", "true", "yes", "on")
         elif action.type is None:
@@ -160,9 +181,9 @@ def _merge_config(args, parser):
         else:
             try:
                 val = action.type(sval)
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 parser.error(f"config {args.config} line {lineno}: {key} = {sval!r} "
-                             f"is not a valid {action.type.__name__}")
+                             f"is not a valid {action.type.__name__.replace('_', ' ')}")
         if action.choices is not None and val not in action.choices:
             parser.error(f"config {args.config} line {lineno}: {key} = {sval!r} "
                          f"is not one of {', '.join(action.choices)}")
@@ -381,6 +402,13 @@ def cmd_verify(args):
     check("closed vs integral (all table rows)", worst_i, 1e-6)
 
     worst = 0.0
+    for n, a in ((2, -0.5), (3, -2.0), (5, -10.0), (8, -20.0)):    # a < -(n-1)^2/4
+        param = helmholtz_parameter(make_context(n), a)
+        worst = max(worst, deviation(GreenFunction(param, "integral")(ts),
+                                     GreenFunction(param, "series")(ts)))
+    check("integral vs series (complex roots)", worst, 1e-4)
+
+    worst = 0.0
     for n in range(2, 9):
         ctx = make_context(n)
         for r in (0.3, 0.5, 0.7, 0.9):
@@ -472,7 +500,7 @@ def build_parser():
                     help="defaults to eval with --t, table with --grid")
     common(pg)
     pg.add_argument("--t", type=float, default=None, help="single evaluation point")
-    pg.add_argument("--grid", type=int, default=19,
+    pg.add_argument("--grid", type=positive_int, default=19,
                     help="number of uniform interior sample points")
     pg.add_argument("--backend", default="all",
                     choices=["all", "closed", "series", "integral"])
@@ -497,9 +525,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(args, parser, argv)
         return args.func(args)
     except ResonanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,17 +32,24 @@ integral  -- one fixed quadrature of the radial integral representation.
              M = L with M' = L-1 in the resonant integer case, and both
              sums are empty when M < 0 (always so for a < 0).  At the
              double root n + 2L - 1 = 0, a = -(n-1)^2/4, the weight is
-             its limit -r^{(n-3)/2} ln r.  S is its tail series near
-             r = 0, integrated exactly, and the closed-form Poisson kernel
-             minus the partial sum above (green_eval_integral).
+             its limit -r^{(n-3)/2} ln r.  Below it the roots are
+             complex, L = -lambda + i beta with beta = sqrt(-(n-1)^2 - 4a)/2,
+             M = -1, and the same formula gives the real weight
+             -r^{(n-3)/2} sin(beta ln r)/beta, whose beta -> 0 limit is
+             the double-root weight.  S is its tail series near r = 0,
+             integrated exactly, and the closed-form Poisson kernel minus
+             the partial sum above (green_eval_integral).  It serves every
+             a, to an error target relative to 1 + |G|.
 closed    -- the tabulated closed forms (green_tables registry, exact
              closedform.ClosedForm rows).
 
 GreenFunction(param, backend) is the one switch among them: 'auto' takes
-the registry row when (n, a) is tabulated, else the series.  Called with a
-float t it returns a float; with an array, an array of the same shape.
-green_series_batch (values and tail estimates) and green_eval_integral
-are the backends' own entries.
+the registry row when (n, a) is tabulated, else the integral.  The series
+is not on that route; it is the independent reference that green table,
+verify and the tests compare the other two against.  Called with a float
+t GreenFunction returns a float; with an array, an array of the same
+shape.  green_series_batch (values and tail estimates) and
+green_eval_integral are the backends' own entries.
 
 All Green functions are singular on the diagonal t = 1 (logarithmically
 for n = 2); every backend rejects evaluation there.  The series also
@@ -88,11 +95,11 @@ class HelmholtzParameter:
     """Helmholtz parameter a with its root L of a = L(n+L-1).
 
     L is the principal (larger) root; for a < -(n-1)^2/4 both roots are
-    complex, L is None and only the series backend applies.  L0 = floor(L)
-    is the subtraction depth of the integral representation (the other
-    root -n-L+1 is never larger).  resonant marks a = l(n+l-1) for an
-    integer l >= 0 (recorded as L_res); the Poisson case a = 0 is resonant
-    at 0.
+    complex, -lambda +- i beta, and L and L0 are None (green_eval_integral
+    takes the complex root itself).  L0 = floor(L) is the subtraction
+    depth of the integral representation (the other root -n-L+1 is never
+    larger).  resonant marks a = l(n+l-1) for an integer l >= 0 (recorded
+    as L_res); the Poisson case a = 0 is resonant at 0.
     """
 
     ctx: SphereContext
@@ -315,25 +322,34 @@ def _panel_rule(r_s, rule):
 def green_eval_integral(param, t):
     """The order-swapped integral representation at a float t or an array of t.
 
-    G(t) = -int_0^1 S(r) w(r) dr + correction (module docstring).  Below
-    r_s = min(1/2, (M+2)/(M+2+4 lambda)) the tail terms c_l r^l, l > M,
-    already fall, and each integrates exactly; above it the subtracted
-    closed kernel has not yet cancelled away, and goes through _panel_rule
-    in one (nodes x points) evaluation.  ConvergenceError unless the tail
-    converges and |G| is finite with |Q24 - Q12| plus a roundoff floor
-    within _QUAD_RTOL (1 + |G|).  Needs a real root L: a >= -(n-1)^2/4.
-    A float t gives a float, an array an array of its shape.
+    G(t) = -int_0^1 S(r) w(r) dr + correction (module docstring), for
+    every a.  Below r_s = min(1/2, (M+2)/(M+2+4 lambda)) the tail terms
+    c_l r^l, l > M, already fall, and each integrates exactly; above it
+    the subtracted closed kernel has not yet cancelled away, and goes
+    through _panel_rule in one (nodes x points) evaluation.  For complex
+    roots the weight and the tail moments are the real parts of the
+    same expressions at complex L.
+
+    ConvergenceError unless the tail converges and |G| is finite with
+    |Q24 - Q12| plus a roundoff floor (from |w|, which changes sign for
+    complex roots) within _QUAD_RTOL (1 + |G|); it is raised, for
+    example, where the weight oscillates too fast for the panels
+    (n = 11, a = -10000) or the kernel is too steep (n = 8, a = 2000.7).
+    The target is relative to 1 + |G|, not |G|: for a far below
+    -(n-1)^2/4, G decays exponentially away from the diagonal (|G| ~ 2e-20
+    at n = 8, a = -400, t = -0.9), and the value there is accurate in
+    absolute terms only.  A float t gives a float, an array an array of
+    its shape.
     """
-    if param.L is None:
-        raise SphereDomainError(
-            f"a = {param.a} < -(n-1)^2/4: the integral representation needs a real "
-            "root L; use the series backend")
     t = _check_t_for_eval(t)
     ts = np.ravel(t)
     ctx, L = param.ctx, param.L
     lam = ctx.lam
     if param.resonant:
         M, corr_top = param.L_res, param.L_res - 1
+    elif L is None:     # complex roots -lambda +- i beta, beta = sqrt(-(n-1)^2 - 4a)/2
+        L = complex(-lam, sqrt(-(ctx.n - 1.0) ** 2 - 4.0 * param.a) / 2.0)
+        M = corr_top = -1
     else:
         M = corr_top = max(param.L0, -1)
     k = ctx.n + 2.0 * L - 1.0     # w(r) = -r^{-L-1} (r^k - 1)/k
@@ -341,10 +357,10 @@ def green_eval_integral(param, t):
     C = gegenbauer_matrix(ctx, M + _TAIL_DEGREES, ts)
     c = ((lam + ls) / lam)[:, None] * C
 
-    # [0, r_s]: int_0^{r_s} r^l w(r) dr in closed form, p = l - L > 0
+    # [0, r_s]: int_0^{r_s} r^l w(r) dr in closed form, p = l - L, Re p > 0
     r_s = min(0.5, (M + 2.0) / (M + 2.0 + 4.0 * lam))
     p = ls[M + 1:] - L
-    moments = r_s ** p / (p * (p + k)) * (1.0 - p * _expm1_over(k, log(r_s)))
+    moments = np.real(r_s ** p / (p * (p + k)) * (1.0 - p * _expm1_over(k, log(r_s))))
     terms = moments[:, None] * c[M + 1:]
     size = np.abs(terms).sum(axis=0)
     if np.any(np.abs(terms[-2:]).max(axis=0) > _EPS * size):
@@ -356,7 +372,7 @@ def green_eval_integral(param, t):
     r, w = _panel_rule(r_s, _RULE)
     r_check, w_check = _panel_rule(r_s, _CHECK_RULE)
     r = np.concatenate([r, r_check])[:, None]
-    weight = -r ** (-L - 1.0) * _expm1_over(k, np.log(r))
+    weight = np.real(-r ** (-L - 1.0) * _expm1_over(k, np.log(r)))
     with np.errstate(over="ignore", invalid="ignore"):    # a |G| beyond a double fails below
         u = (r - ts) ** 2 + (1.0 - ts) * (1.0 + ts)     # 1 - 2rt + r^2
         near = u < 0.5      # ln u from u near the diagonal, else from u - 1 = r(r - 2t)
@@ -365,7 +381,7 @@ def green_eval_integral(param, t):
         f = (kernel - r ** ls[:M + 1] @ c[:M + 1]) * weight
         # roundoff floor: every term before it cancels; ln u is off by eps (|ln u| + near)
         scale = ((1.0 + (ctx.n + 1) / 2.0 * (np.abs(log_u) + near)) * kernel
-                 + r ** ls[:M + 1] @ np.abs(c[:M + 1])) * weight
+                 + r ** ls[:M + 1] @ np.abs(c[:M + 1])) * np.abs(weight)
         value = w @ f[:w.size]
         err = np.abs(value - w_check @ f[w.size:]) + 8.0 * _EPS * (w @ scale[:w.size] + size)
         total = green_coefficients(param, corr_top) @ C[:corr_top + 1] - terms.sum(axis=0) - value
@@ -388,9 +404,12 @@ class GreenFunction:
     """G for one parameter through one backend, at a scalar t or an array of t.
 
     backend: 'closed' (the registry row), 'series', 'integral', or 'auto'
-    (the registry row when (n, a) is tabulated, else the adaptive series).
-    The row and the backend are resolved once, at construction; this is
-    the only place that maps a backend name to an evaluation.
+    (the registry row when (n, a) is tabulated, else the integral, which
+    serves every a and raises ConvergenceError where it misses its
+    target; 'auto' never falls back to the series, which stays the
+    cross-check).  The row and the backend are resolved once, at
+    construction; this is the only place that maps a backend name to an
+    evaluation.
 
     A float or 0-d t gives a float.  An array gives an array of its shape:
     one domain and diagonal check, then one row.eval for 'closed', one
@@ -409,7 +428,7 @@ class GreenFunction:
         if self.backend in ("auto", "closed"):
             self._row = green_tables.lookup(self.param.ctx.n, self.param.a)
             if self.backend == "auto":
-                self._kind = "closed" if self._row is not None else "series"
+                self._kind = "closed" if self._row is not None else "integral"
         # a (1+t) denominator: the row's terms cancel at the antipode only in the limit
         self._antipode_pole = self._row is not None and any(b for *_, b, _c in self._row.terms)
 
@@ -427,7 +446,7 @@ class GreenFunction:
             if self._row is None:
                 raise NoClosedFormError(
                     f"no closed form tabulated for n={self.param.ctx.n}, a={self.param.a}; "
-                    "use the series or integral backend")
+                    "use the integral backend")
             if self._antipode_pole and (ts == -1.0 if scalar else np.any(ts == -1.0)):
                 raise NoClosedFormError(
                     f"the closed form for n={self.param.ctx.n}, a={self.param.a} has a (1+t) "

@@ -100,6 +100,12 @@ def _poisson_order(d):
     return d
 
 
+def _check_l_max(l_max):
+    """SphereDomainError unless l_max >= 0 (degrees run 0..l_max)."""
+    if l_max < 0:
+        raise SphereDomainError(f"l_max must be >= 0, got {l_max}")
+
+
 def poisson_wavelet(ctx, d):
     """Poisson wavelet family of order 1 <= d <= POISSON_MAX_ORDER (self-reconstructing)."""
     d = _poisson_order(d)
@@ -170,6 +176,7 @@ def poisson_scale_grid(d, l_max):
       (Trefethen & Weideman, SIAM Review 56 (2014)); h keeps that at
       _TAIL_TOL / 2.
     """
+    _check_l_max(l_max)
     m = 2 * _poisson_order(d)
     log_gamma_m = lgamma(m)
 
@@ -214,6 +221,7 @@ def check_admissibility(psi, omega, l_max, grid):
     """
     if psi.ctx != omega.ctx:
         raise SphereDomainError("wavelet families live on different spheres")
+    _check_l_max(l_max)
     lam = psi.ctx.lam
     ls = np.arange(l_max + 1)
     target = ((lam + ls) / lam) ** 2
@@ -245,6 +253,7 @@ def reconstruction_wavelet(psi, l_max, grid):
     nonzero for 1 <= l <= l_max; Omega-hat is 0 at l = 0 and undefined
     above l_max; alpha_l is integrated on the scale grid.
     """
+    _check_l_max(l_max)
     lam = psi.ctx.lam
     ls = np.arange(l_max + 1)
     vals = np.abs(psi.hat(grid.nodes[:, None], ls)) ** 2

@@ -99,9 +99,14 @@ def green_integral_mp(n, a, t, dps=40):
     """G(t) for Delta* + a on S^n from its radial integral representation, at dps digits.
 
     The representation of the library's integral backend (green module
-    docstring), a >= -(n-1)^2/4, by an independent route in mpmath:
+    docstring), by an independent route in mpmath:
 
         G(t) = -int_0^1 S(r) w(r) dr + sum_{l<=M'} G-hat(l) C_l(t).
+
+    For a < -(n-1)^2/4 the roots are -lambda +- i beta, M = -1 and the
+    weight is the real -r^{(n-3)/2} sin(beta ln r)/beta; its moments are
+    -Im(x^{q + i beta}/(q + i beta))/beta with q = l + lambda, and the
+    quadrature above r0 splits at the zeros r = e^{-j pi/beta} of the sine.
 
     Below r0 = 1/(8 (lambda+1)) the tail series S = sum_{l>M} c_l r^l is
     integrated term by term with exact moments, summed until a term falls
@@ -112,17 +117,24 @@ def green_integral_mp(n, a, t, dps=40):
     at r0 it still cancels to ~r0^(M+1) of the kernel, so the working
     precision carries that many more digits.
     """
+    complex_roots = (n - 1) ** 2 + 4 * Fraction(a) < 0
     with mp.workdps(dps + 10):
-        L = (-(n - 1) + mp.sqrt((n - 1) ** 2 + 4 * mp.mpf(a))) / 2
-        M = int(mp.floor(L + mp.mpf(10) ** -(dps // 2)))
-        resonant = abs(L - M) < mp.mpf(10) ** -(dps // 2)
-        M = max(M, -1)
-        corr_top = M - 1 if resonant else M
+        if complex_roots:
+            M = corr_top = -1
+        else:
+            L = (-(n - 1) + mp.sqrt((n - 1) ** 2 + 4 * mp.mpf(a))) / 2
+            M = int(mp.floor(L + mp.mpf(10) ** -(dps // 2)))
+            resonant = abs(L - M) < mp.mpf(10) ** -(dps // 2)
+            M = max(M, -1)
+            corr_top = M - 1 if resonant else M
     with mp.workdps(dps + 10 + int((M + 1) * math.log10(4 * (n + 1)))):
         n, a, t = mp.mpf(n), mp.mpf(a), mp.mpf(t)
         lam = (n - 1) / 2
-        L = (-(n - 1) + mp.sqrt((n - 1) ** 2 + 4 * a)) / 2
-        k = n + 2 * L - 1
+        if complex_roots:
+            beta = mp.sqrt(-(n - 1) ** 2 - 4 * a) / 2
+        else:
+            L = (-(n - 1) + mp.sqrt((n - 1) ** 2 + 4 * a)) / 2
+            k = n + 2 * L - 1
 
         def gegenbauer():
             prev, cur, l = mp.mpf(0), mp.mpf(1), 0
@@ -131,9 +143,14 @@ def green_integral_mp(n, a, t, dps=40):
                 prev, cur, l = cur, (2 * (l + lam) * t * cur - (l + 2 * lam - 1) * prev) / (l + 1), l + 1
 
         def weight(r):
+            if complex_roots:
+                return -r ** ((n - 3) / 2) * mp.sin(beta * mp.log(r)) / beta
             return -mp.log(r) * r ** ((n - 3) / 2) if k == 0 else (r ** (-L - 1) - r ** (n + L - 2)) / k
 
         def moment(l, x):     # int_0^x r^l w(r) dr
+            if complex_roots:
+                q = mp.mpc(l + lam, beta)
+                return -mp.im(mp.exp(q * mp.log(x)) / q) / beta
             p = l - L
             if k == 0:
                 return -x ** p * (mp.log(x) / p - 1 / p ** 2)
@@ -158,7 +175,10 @@ def green_integral_mp(n, a, t, dps=40):
             kernel = (1 - r * r) / (1 - 2 * r * t + r * r) ** ((n + 1) / 2)
             return (kernel - sum(c * r ** l for l, c in enumerate(low))) * weight(r)
 
-        split = sorted({r0, mp.mpf(1) / 2, *([t] if r0 < t < 1 else []), mp.mpf(1)})
+        split = {r0, mp.mpf(1) / 2, *([t] if r0 < t < 1 else []), mp.mpf(1)}
+        if complex_roots:
+            split |= {mp.exp(-j * mp.pi / beta) for j in range(1, int(-mp.log(r0) * beta / mp.pi) + 1)}
+        split = sorted(split)
         body = mp.quad(integrand, split)
         return -(tail + body) + corr
 

@@ -182,6 +182,27 @@ class TestGreen:
         row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert float(row[2]) == pytest.approx(25 / 48, rel=1e-7)
 
+    def test_complex_roots_tabulate_through_the_integral(self, capsys):
+        # a = -400 < -(n-1)^2/4 on S^8: no real root, no registry row
+        assert main(["green", "--n", "8", "--a", "-400", "--grid", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "t,theta,series,integral" in lines and "# L: none" in lines
+        integral = [float(l.split(",")[3]) for l in lines if l[0] in "-0123456789"]
+        assert len(integral) == 5 and all(np.isfinite(integral))
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exit1(self, tmp_path, capsys, grid):
+        with pytest.raises(SystemExit) as exc:
+            main(["green", "--n", "2", "--a", "0", "--grid", grid])
+        assert exc.value.code == 1
+        assert "--grid: must be >= 1" in capsys.readouterr().err
+        conf = tmp_path / "job.cfg"
+        conf.write_text(f"grid = {grid}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["green", "--n", "2", "--a", "0", "--config", str(conf)])
+        assert exc.value.code == 1
+        assert "line 1: grid" in capsys.readouterr().err
+
     def test_derive(self, capsys):
         assert main(["green", "derive", "--n", "2", "--L", "0"]) == 0
         out = capsys.readouterr().out
@@ -294,6 +315,11 @@ class TestWavelet:
         dev = float(out.rsplit("max relative deviation:", 1)[1].strip())
         assert dev < 1e-6
 
+    def test_negative_lmax_exit3(self, capsys):
+        assert main(["wavelet", "admissibility", "--n", "2", "--lmax", "-1"]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == "" and "l_max must be >= 0" in cap.err and "Traceback" not in cap.err
+
     def test_order_beyond_a_finite_norm_exit3(self, capsys):
         # Gamma(2d) overflows a double from d = 86 on
         assert main(["wavelet", "admissibility", "--n", "3", "--d", "86", "--lmax", "4"]) == 3
@@ -327,6 +353,21 @@ class TestConfig:
         rows = [l for l in capsys.readouterr().out.splitlines()
                 if l and not l.startswith("#") and not l.startswith("t,")]
         assert len(rows) == 7          # flag wins over the file's 5
+
+    def test_flag_equal_to_its_default_wins(self, tmp_path, capsys):
+        # --grid 19 and --backend all are the defaults, and still given
+        conf = tmp_path / "job.cfg"
+        conf.write_text("grid = 3\nbackend = integral\n")
+        assert main(["green", "table", "--n", "3", "--a", "0", "--grid", "19",
+                     "--backend", "all", "--config", str(conf)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "t,theta,closed,series,integral" in lines
+        assert len([l for l in lines if l and not l.startswith(("#", "t,"))]) == 19
+        # without the flags the file applies
+        assert main(["green", "table", "--n", "3", "--a", "0", "--config", str(conf)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "t,theta,integral" in lines
+        assert len([l for l in lines if l and not l.startswith(("#", "t,"))]) == 3
 
     @pytest.mark.parametrize("text,lineno", [("n = 2\na 0\n", 2),
                                              ("n = 2\n# comment\ngrid = abc\n", 3)],
@@ -411,8 +452,9 @@ class TestConfigFuzz:
         conf = tmp_path_factory.mktemp("config") / "job.cfg"
         conf.write_text(text, encoding="utf-8")
         parser = build_parser()
-        args = parser.parse_args([*argv, "--config", str(conf)])
+        argv = [*argv, "--config", str(conf)]
+        args = parser.parse_args(argv)
         try:
-            _merge_config(args, parser)
+            _merge_config(args, parser, argv)
         except SystemExit as exc:
             assert exc.code == 1

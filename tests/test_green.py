@@ -193,8 +193,9 @@ class TestSeries:
             green_series_batch(p, np.array([0.0, 0.9999999]))
         with pytest.raises(ConvergenceError):
             GreenFunction(p, "series")(0.9999999)
-        with pytest.raises(ConvergenceError):     # untabulated a: auto is series
-            GreenFunction(helmholtz_parameter(make_context(2), 0.7), "auto")(0.9999999)
+        # untabulated a: auto is the integral, which resolves the point
+        auto = GreenFunction(helmholtz_parameter(make_context(2), 0.7), "auto")
+        assert auto(0.9999999) == pytest.approx(-15.38127704081575, rel=1e-13)
         # n = 3 at 1 - t = 1e-4: a tail of 0.59 would understate an error of 1.02
         with pytest.raises(ConvergenceError):
             green_series_batch(helmholtz_parameter(make_context(3), 0.0), np.array([0.9999]))
@@ -284,10 +285,54 @@ class TestIntegral:
             got = green_eval_integral(helmholtz_parameter(make_context(n), float(a)), t)
             assert abs(got - ref) <= 1e-8 * (1 + abs(ref)), (n, a, t, got, ref)
 
-    def test_rejects_complex_root(self):
-        p = helmholtz_parameter(make_context(2), -1.0)
-        with pytest.raises(SphereDomainError):
-            green_eval_integral(p, 0.0)
+    def test_complex_root_pins_match_the_series(self):
+        # the oracle's sin weight branch against the independent series, at
+        # the points verify checks; one pin recomputed ties them to the oracle
+        ref = integral_values.COMPLEX_ROOTS
+        assert float(oracles.green_integral_mp(8, -20, 0.5, dps=30)) == ref[(8, -20, 0.5)]
+        for n, a in ((2, -0.5), (3, -2), (5, -10), (8, -20)):
+            ts = np.array([-0.9, -0.5, 0.0, 0.5, 0.9])
+            vals, _tails = green_series_batch(helmholtz_parameter(make_context(n), a), ts)
+            for v, t in zip(vals, ts):
+                assert abs(v - ref[(n, a, t)]) <= 1e-6 * (1 + abs(ref[(n, a, t)])), (n, a, t)
+
+    def test_complex_roots_match_the_oracle(self):
+        # a < -(n-1)^2/4: |G| spans 4e-28 to 7e21 over these pins
+        cases = {}
+        for (n, a, t), ref in integral_values.COMPLEX_ROOTS.items():
+            cases.setdefault((n, a), []).append((t, ref))
+        assert len(cases) == 9
+        for (n, a), pins in cases.items():
+            p = helmholtz_parameter(make_context(n), a)
+            assert p.L is None
+            ts, refs = map(np.array, zip(*pins))
+            got = green_eval_integral(p, ts)
+            assert np.all(np.abs(got - refs) <= 1e-13 * (1 + np.abs(refs))), (n, a, got - refs)
+
+    def test_complex_root_beyond_the_panels_raises(self):
+        # beta = 99.9: sin(beta ln r) turns ~35 radians per panel
+        p = helmholtz_parameter(make_context(11), -10000.0)
+        for backend in ("integral", "auto"):
+            with pytest.raises(ConvergenceError, match="did not reach 1e-08"):
+                GreenFunction(p, backend)(0.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_smooth_across_the_double_root(self, n):
+        # complex roots below a = -(n-1)^2/4, the log weight at it, real
+        # roots above: second differences are G'' h^2 (G'' ~ 130 at n = 2)
+        # and shrink 100-fold from h = 1e-3 to 1e-4, where a jump in G or
+        # G' between the branches would shrink at most 10-fold
+        ctx, a0 = make_context(n), -(n - 1) ** 2 / 4.0
+        ts = np.array([-0.9, -0.3, 0.2, 0.6, 0.95])
+
+        def second_difference(h):
+            g = [green_eval_integral(helmholtz_parameter(ctx, a0 + s * h), ts) for s in (-1, 0, 1)]
+            return g[0] - 2.0 * g[1] + g[2], g[1]
+
+        d2_wide, _g = second_difference(1e-3)
+        d2, g = second_difference(1e-4)
+        assert np.all(np.abs(d2) <= 1e-6 * (1 + np.abs(g)))
+        assert np.linalg.norm(d2_wide) / np.linalg.norm(d2) == pytest.approx(100.0, rel=1e-2)
 
     def test_rejects_diagonal(self):
         p = helmholtz_parameter(make_context(3), 0.0)
@@ -378,7 +423,22 @@ class TestFacade:
         gf = GreenFunction(p)
         assert gf.resolved_backend() == "closed_form(table4)"
         p2 = helmholtz_parameter(make_context(6), 123.4)
-        assert GreenFunction(p2).resolved_backend() == "series"
+        assert GreenFunction(p2).resolved_backend() == "integral"
+
+    @pytest.mark.parametrize("n, a", [(4, 1.3), (20, 1.5), (40, 7.0), (6, -30.0), (17, -400.0)])
+    def test_auto_off_the_registry_is_the_integral(self, n, a):
+        # every untabulated a, real or complex roots, at any n
+        p = helmholtz_parameter(make_context(n), a)
+        gf = GreenFunction(p)
+        assert green_tables.lookup(n, a) is None and gf.resolved_backend() == "integral"
+        ts = np.array([-0.9, 0.3, 0.9])
+        assert np.array_equal(gf(ts), green_eval_integral(p, ts))
+        assert gf(0.3) == green_eval_integral(p, 0.3)
+
+    def test_auto_beyond_the_series_dimensions(self):
+        # the series refuses n >= 18; the integral's value, to 13 digits
+        gf = GreenFunction(helmholtz_parameter(make_context(20), 1.5))
+        assert gf(0.3) == pytest.approx(0.53675012320530, rel=1e-13)
 
     def test_backend_dispatch(self):
         p = helmholtz_parameter(make_context(2), 0.0)

@@ -189,6 +189,16 @@ class TestAdmissibility:
         with pytest.raises(SphereDomainError):
             check_admissibility(w2, w3, 4, make_scale_grid(**WIDE))
 
+    def test_negative_l_max_rejected(self):
+        # no degree to check: an IndexError on the empty degree range before
+        psi = poisson_wavelet(make_context(2), 1)
+        grid = make_scale_grid(**WIDE)
+        for build in (lambda: poisson_scale_grid(1, -1),
+                      lambda: check_admissibility(psi, psi, -1, grid),
+                      lambda: reconstruction_wavelet(psi, -1, grid)):
+            with pytest.raises(SphereDomainError, match="l_max must be >= 0, got -1"):
+                build()
+
 
 class TestReconstruction:
     def test_poisson_self_reconstructing(self):
