@@ -11,13 +11,14 @@ verify         run the cross-backend verification suites
 Exit codes: 0 success, 1 usage or parse error, 2 resonance guard,
 3 solvability or domain error, 4 numeric non-convergence.
 
-Config files are flat ``key = value`` text (same keys as the long
-options, with ``-`` replaced by ``_``); explicit command-line flags
-override file values, and a malformed line is a usage error.  All
-output files are written atomically and begin with comment headers
-recording the parameters, tolerances, and version; numbers are printed
-with 12 significant digits, so identical configurations give
-byte-identical outputs.
+solve and green take exactly one of --a and --L; wavelet forward and
+roundtrip need --in.  Config files are flat ``key = value`` text (same
+keys as the long options, with ``-`` replaced by ``_``) whose values
+become the command's defaults, so command-line flags override them; a
+malformed line is a usage error.  All output files are written
+atomically and begin with comment headers recording the parameters,
+tolerances, and version; numbers are printed with 12 significant
+digits, so identical configurations give byte-identical outputs.
 """
 
 import argparse
@@ -60,7 +61,7 @@ from .spectra import (
     poisson_kernel_spectrum,
     synthesize,
 )
-from .solver import SolveRequest, solve_helmholtz, solve_resonant
+from .solver import DEFAULT_RESONANT_TOL, SolveRequest, solve_helmholtz, solve_resonant
 from .wavelets import (
     _TAIL_TOL,
     check_admissibility,
@@ -78,6 +79,26 @@ EXIT_NUMERIC = 4
 
 # relative size of f-hat(0) that a wavelet round trip refuses as a mean
 _MEAN_TOL = 1e-12
+
+
+class _UsageError(Exception):
+    """A command line that parses but lacks what its command needs."""
+
+
+# the first type that matches an error sets the exit code: SpectrumParseError
+# ahead of its base class SphereDomainError
+_EXIT_CODES = {
+    ResonanceError: EXIT_RESONANCE,
+    _UsageError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    UnicodeDecodeError: EXIT_USAGE,
+    SpectrumParseError: EXIT_USAGE,
+    SolvabilityError: EXIT_SOLVABILITY,
+    SphereDomainError: EXIT_SOLVABILITY,
+    NoClosedFormError: EXIT_SOLVABILITY,
+    ConvergenceError: EXIT_NUMERIC,
+    QuadratureError: EXIT_NUMERIC,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,20 +142,19 @@ def _emit(out, text):
         sys.stdout.write(text)
 
 
-def _load_config(path, parser):
-    """{key: (line number, value text)} of a flat 'key = value' file."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                parser.error(f"config {path} line {lineno} is not 'key = value': "
-                             f"{raw.strip()!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = (lineno, val.strip())
-    return out
+def _header_lines(kv):
+    lines = [f"spherepde v{__version__}"]
+    lines += [f"{k}: {v}" for k, v in kv.items()]
+    return lines
+
+
+def _emit_table(out, kv, columns, rows):
+    """Write a CSV table through _emit: '#' header lines from kv, the column
+    line, then one line per row of numbers."""
+    lines = [f"# {s}" for s in _header_lines(kv)]
+    lines.append(",".join(columns))
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    _emit(out, "\n".join(lines) + "\n")
 
 
 def positive_int(text):
@@ -145,35 +165,32 @@ def positive_int(text):
     return val
 
 
-def _given_on_command_line(argv):
-    """The dests that argv sets: a parse of it with a marker for every default.
-
-    The marker is not a str, which argparse would convert and check
-    against a positional's choices.
-    """
-    unset = object()
-    parser = build_parser()
-    for sub in [parser, *parser._subparsers._group_actions[0].choices.values()]:
-        for action in sub._actions:
-            action.default = unset
-    return {dest for dest, val in vars(parser.parse_args(argv)).items() if val is not unset}
-
-
-def _merge_config(args, parser, argv):
-    """Fill args that argv does not set from --config file values (flags win).
+def _config_defaults(path, command, parser):
+    """{dest: value} of command's options from a flat 'key = value' file.
 
     Values convert by their option's type and must be among its choices; a
-    line that does not is a usage error naming it.
+    line that does not, or that is not 'key = value', is a usage error
+    naming it.  Keys that are not options of command are skipped, so one
+    file serves every command.  main makes the result the command's
+    defaults, so any flag on the command line wins.
     """
-    if not getattr(args, "config", None):
-        return args
-    command = parser._subparsers._group_actions[0].choices[args.command]
-    actions = {a.dest: a for a in command._actions}
-    given = _given_on_command_line(argv)
-    for key, (lineno, sval) in _load_config(args.config, parser).items():
-        if key not in actions or not hasattr(args, key) or key in given:
+    lines = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                parser.error(f"config {path} line {lineno} is not 'key = value': "
+                             f"{raw.strip()!r}")
+            key, val = line.split("=", 1)
+            lines[key.strip().replace("-", "_")] = (lineno, val.strip())
+    actions = {a.dest: a for a in command._actions if a.default is not argparse.SUPPRESS}
+    values = {}
+    for key, (lineno, sval) in lines.items():
+        action = actions.get(key)
+        if action is None:
             continue
-        action = actions[key]
         if isinstance(action.default, bool):
             val = sval.lower() in ("1", "true", "yes", "on")
         elif action.type is None:
@@ -182,27 +199,32 @@ def _merge_config(args, parser, argv):
             try:
                 val = action.type(sval)
             except (ValueError, argparse.ArgumentTypeError):
-                parser.error(f"config {args.config} line {lineno}: {key} = {sval!r} "
+                parser.error(f"config {path} line {lineno}: {key} = {sval!r} "
                              f"is not a valid {action.type.__name__.replace('_', ' ')}")
         if action.choices is not None and val not in action.choices:
-            parser.error(f"config {args.config} line {lineno}: {key} = {sval!r} "
+            parser.error(f"config {path} line {lineno}: {key} = {sval!r} "
                          f"is not one of {', '.join(action.choices)}")
-        setattr(args, key, val)
-    return args
+        values[key] = val
+    return values
 
 
 def _param_from_args(ctx, args):
-    if getattr(args, "L", None) is not None:
-        return parameter_from_root(ctx, float(args.L))
-    if args.a is None:
-        raise SphereDomainError("one of --a or --L is required")
-    return helmholtz_parameter(ctx, float(args.a))
+    if (args.a is None) == (args.L is None):
+        raise _UsageError("give exactly one of --a or --L")
+    if args.L is not None:
+        return parameter_from_root(ctx, args.L)
+    return helmholtz_parameter(ctx, args.a)
 
 
-def _header_lines(kv):
-    lines = [f"spherepde v{__version__}"]
-    lines += [f"{k}: {v}" for k, v in kv.items()]
-    return lines
+def _load_input(args, ctx):
+    """The --in spectrum, checked to be on ctx's sphere."""
+    path = getattr(args, "in")
+    if path is None:        # solve's parser requires --in; wavelet's cannot
+        raise _UsageError(f"{args.command} {args.mode} needs --in")
+    f = load_spectrum(path)
+    if f.ctx.n != ctx.n:
+        raise SphereDomainError(f"input spectrum is for n={f.ctx.n}, requested n={ctx.n}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +234,16 @@ def _header_lines(kv):
 def cmd_solve(args):
     ctx = make_context(args.n)
     param = _param_from_args(ctx, args)
-    f = load_spectrum(getattr(args, "in"))
-    if f.ctx.n != ctx.n:
-        raise SphereDomainError(
-            f"input spectrum is for n={f.ctx.n}, requested n={ctx.n}")
+    f = _load_input(args, ctx)
     req = SolveRequest(param=param, f=f, resonant_tol=args.tol)
     if param.resonant and param.L_res >= 1:
         if not args.resonant:
-            print(f"error: a = {param.a} is resonant at degree {param.L_res} "
-                  f"(a = L(n+L-1) with L = {param.L_res}); the problem is solvable "
-                  "only if f has no degree-"
-                  f"{param.L_res} content, and the solution is then unique up to "
-                  "that degree. Re-run with --resonant to solve with the "
-                  "zero-content normalisation.", file=sys.stderr)
-            return EXIT_RESONANCE
+            raise ResonanceError(
+                f"a = {param.a} is resonant at degree {param.L_res} "
+                f"(a = L(n+L-1) with L = {param.L_res}); the problem is solvable "
+                f"only if f has no degree-{param.L_res} content, and the solution "
+                "is then unique up to that degree. Re-run with --resonant to solve "
+                "with the zero-content normalisation.")
         report = solve_resonant(req)
     else:
         report = solve_helmholtz(req)
@@ -246,21 +264,10 @@ def cmd_solve(args):
 # green
 # ---------------------------------------------------------------------------
 
-def _green_samples(args):
-    if args.t is not None:
-        return np.array([float(args.t)])
-    k = args.grid
-    return np.linspace(-1.0, 1.0, k + 2)[1:-1]
-
-
 def cmd_green(args):
     ctx = make_context(args.n)
     param = _param_from_args(ctx, args)
-    mode = args.mode
-    if mode is None:
-        mode = "eval" if args.t is not None else "table"
-
-    if mode == "derive":
+    if args.mode == "derive":
         try:
             L = param.L
             if L is None:
@@ -272,8 +279,7 @@ def cmd_green(args):
         except NoClosedFormError as exc:
             form = green_tables.lookup(ctx.n, param.a)
             if form is None:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_SOLVABILITY
+                raise
             head = f"# assembly unavailable ({exc}); tabulated form:"
         _emit(args.out, f"{head}\ntext:  {form.text()}\nlatex: {form.latex()}\n")
         return EXIT_OK
@@ -285,31 +291,33 @@ def cmd_green(args):
         backends[backends.index("closed")] = "series"
         notes["fallback"] = "no closed form for (n, a); 'closed' column uses series"
         backends = list(dict.fromkeys(backends))
-    ts = _green_samples(args)
+    ts = np.array([args.t]) if args.t is not None else np.linspace(-1, 1, args.grid + 2)[1:-1]
     cols = {}
     tail = None
     for b in backends:
-        if b == "series":     # called directly for its tail estimate
+        if b != "series":
+            cols[b] = GreenFunction(param, b)(ts)
+            continue
+        try:                  # called directly for its tail estimate
             cols[b], tails = green_series_batch(param, ts)
             tail = float(np.max(tails))
-        else:
-            cols[b] = GreenFunction(param, b)(ts)
+        except ConvergenceError as exc:
+            if args.backend != "all":
+                raise
+            # under 'all' the series is the cross-check; the other columns answer
+            notes["series"] = f"column dropped: {exc}"
     kv = {"n": ctx.n, "a": _fmt(param.a),
           "L": "none" if param.L is None else _fmt(param.L),
-          "backends": "+".join(backends),
+          "backends": "+".join(cols),
           "tolerances": f"series Abel cut {_sci(_ABEL_RTOL)} with Richardson tail "
                         f"estimate, 1-t >= {_sci(_ABEL_DIAG_GAP)} n; "
                         f"integral {_sci(_QUAD_RTOL)} (1+|G|)"}
     if tail is not None:
         kv["series tail estimate"] = _fmt(tail)
     kv.update(notes)
-    lines = [f"# {s}" for s in _header_lines(kv)]
-    lines.append(",".join(["t", "theta"] + list(cols)))
-    for i, t in enumerate(ts):
-        row = [_fmt(t), _fmt(float(np.arccos(np.clip(t, -1, 1))))]
-        row += [_fmt(cols[b][i]) for b in cols]
-        lines.append(",".join(row))
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit_table(args.out, kv, ["t", "theta", *cols],
+                ([t, np.arccos(np.clip(t, -1, 1)), *vals]
+                 for t, *vals in zip(ts, *cols.values())))
     return EXIT_OK
 
 
@@ -320,51 +328,38 @@ def cmd_green(args):
 def cmd_wavelet(args):
     ctx = make_context(args.n)
     psi = poisson_wavelet(ctx, args.d)
-    mode = args.mode
-
-    if mode == "admissibility":
+    if args.mode == "admissibility":
         grid = poisson_scale_grid(args.d, args.lmax)
         rep = check_admissibility(psi, psi, args.lmax, grid)
         kv = {"n": ctx.n, "wavelet": psi.tag, "l max": args.lmax,
               "grid": f"[{grid.rho_min},{grid.rho_max}] x {grid.count}",
               "tail tolerance": _sci(_TAIL_TOL),
               "max relative deviation": _fmt(rep.max_rel_deviation())}
-        lines = [f"# {s}" for s in _header_lines(kv)]
-        lines.append("l,integral,target,deviation")
-        for i in range(len(rep.l)):
-            lines.append(",".join([str(int(rep.l[i])), _fmt(float(np.real(rep.integral[i]))),
-                                   _fmt(rep.target[i]), _fmt(float(np.real(rep.deviation[i])))]))
-        _emit(args.out, "\n".join(lines) + "\n")
+        _emit_table(args.out, kv, ["l", "integral", "target", "deviation"],
+                    zip(rep.l, np.real(rep.integral), rep.target, np.real(rep.deviation)))
         print(f"max relative deviation: {_fmt(rep.max_rel_deviation())}")
         return EXIT_OK
 
-    f = load_spectrum(getattr(args, "in"))
+    f = _load_input(args, ctx)
     if not isinstance(f, ZonalSpectrum):
         raise SphereDomainError("wavelet transforms need a zonal input spectrum")
-    if f.ctx.n != ctx.n:
-        raise SphereDomainError(f"input spectrum is for n={f.ctx.n}, requested n={ctx.n}")
     grid = poisson_scale_grid(args.d, f.l_max)
 
-    if mode == "roundtrip" and abs(f.coeffs[0]) > _MEAN_TOL * max(norm_l2(f), 1e-300):
-        print(f"error: round-trip inversion requires a zero-mean input; "
-              f"f-hat(0) = {_fmt(abs(f.coeffs[0]))}", file=sys.stderr)
-        return EXIT_SOLVABILITY
+    if args.mode == "roundtrip" and abs(f.coeffs[0]) > _MEAN_TOL * max(norm_l2(f), 1e-300):
+        raise SolvabilityError("round-trip inversion requires a zero-mean input; "
+                               f"f-hat(0) = {_fmt(abs(f.coeffs[0]))}")
 
     W = wavelet_transform(psi, f, grid)
     kv = {"n": ctx.n, "wavelet": psi.tag, "Lmax": f.l_max,
           "grid": f"[{grid.rho_min},{grid.rho_max}] x {grid.count}",
           "mean tolerance": _sci(_MEAN_TOL)}
     err = None
-    if mode == "roundtrip":
+    if args.mode == "roundtrip":
         err = roundtrip_error(psi, psi, f, grid)
         kv["roundtrip relative error"] = _fmt(err)
-    lines = [f"# {s}" for s in _header_lines(kv)]
-    lines.append("rho,l,re,im")
-    for j, rho in enumerate(grid.nodes):
-        for l in range(W.l_max + 1):
-            c = complex(W.coeffs[j, l])
-            lines.append(",".join([_fmt(rho), str(l), _fmt(c.real), _fmt(c.imag)]))
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit_table(args.out, kv, ["rho", "l", "re", "im"],
+                ([rho, l, c.real, c.imag]
+                 for rho, row in zip(grid.nodes, W.coeffs) for l, c in enumerate(row)))
     if err is not None:
         print(f"roundtrip relative error: {_fmt(err)}")
     return EXIT_OK
@@ -478,11 +473,12 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"spherepde {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, helmholtz=True):
         sp.add_argument("--n", type=int, required=True, help="sphere dimension (>= 2)")
-        sp.add_argument("--a", type=float, default=None, help="Helmholtz parameter a")
-        sp.add_argument("--L", type=float, default=None,
-                        help="alternative to --a: the root L with a = L(n+L-1)")
+        if helmholtz:
+            sp.add_argument("--a", type=float, default=None, help="Helmholtz parameter a")
+            sp.add_argument("--L", type=float, default=None,
+                            help="alternative to --a: the root L with a = L(n+L-1)")
         sp.add_argument("--config", default=None, help="flat key = value config file")
 
     ps = sub.add_parser("solve", help="solve Delta* u + a u = f")
@@ -491,7 +487,7 @@ def build_parser():
     ps.add_argument("--out", required=True, help="output spectrum file (u)")
     ps.add_argument("--resonant", action="store_true",
                     help="allow resonant a (solve with zero resonant content)")
-    ps.add_argument("--tol", type=float, default=1e-8,
+    ps.add_argument("--tol", type=float, default=DEFAULT_RESONANT_TOL,
                     help="resonant solvability tolerance (relative)")
     ps.set_defaults(func=cmd_solve)
 
@@ -509,10 +505,10 @@ def build_parser():
 
     pw = sub.add_parser("wavelet", help="wavelet transform utilities")
     pw.add_argument("mode", choices=["forward", "roundtrip", "admissibility"])
-    pw.add_argument("--n", type=int, required=True)
+    common(pw, helmholtz=False)
     pw.add_argument("--d", type=int, default=1, help="Poisson wavelet order")
-    pw.add_argument("--config", default=None)
-    pw.add_argument("--in", default=None, help="input zonal spectrum file")
+    pw.add_argument("--in", default=None,
+                    help="input zonal spectrum file (forward, roundtrip)")
     pw.add_argument("--out", default=None, help="output CSV (stdout when omitted)")
     pw.add_argument("--lmax", type=int, default=32)
     pw.set_defaults(func=cmd_wavelet)
@@ -520,28 +516,22 @@ def build_parser():
     pv = sub.add_parser("verify", help="run the cross-backend verification suites")
     pv.add_argument("--fast", action="store_true", help="reduced row/point coverage")
     pv.set_defaults(func=cmd_verify)
+    p.commands = sub.choices
     return p
 
 
 def main(argv=None):
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser, argv)
+        if getattr(args, "config", None):
+            command = parser.commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command, parser))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except ResonanceError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except (OSError, UnicodeDecodeError, SpectrumParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SolvabilityError, SphereDomainError, NoClosedFormError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVABILITY
-    except (ConvergenceError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

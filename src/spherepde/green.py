@@ -399,6 +399,9 @@ def green_eval_integral(param, t):
 # facade: the one backend switch
 # ---------------------------------------------------------------------------
 
+_BACKENDS = ("auto", "closed", "series", "integral")
+
+
 @dataclass
 class GreenFunction:
     """G for one parameter through one backend, at a scalar t or an array of t.
@@ -408,8 +411,8 @@ class GreenFunction:
     serves every a and raises ConvergenceError where it misses its
     target; 'auto' never falls back to the series, which stays the
     cross-check).  The row and the backend are resolved once, at
-    construction; this is the only place that maps a backend name to an
-    evaluation.
+    construction, which raises SphereDomainError for any other name; this
+    is the only place that maps a backend name to an evaluation.
 
     A float or 0-d t gives a float.  An array gives an array of its shape:
     one domain and diagonal check, then one row.eval for 'closed', one
@@ -423,6 +426,8 @@ class GreenFunction:
     backend: str = "auto"
 
     def __post_init__(self):
+        if self.backend not in _BACKENDS:
+            raise SphereDomainError(f"unknown Green backend {self.backend!r}")
         self._row = None
         self._kind = self.backend
         if self.backend in ("auto", "closed"):
@@ -455,6 +460,4 @@ class GreenFunction:
         if kind == "series":
             vals = green_series_batch(self.param, np.ravel(ts))[0]
             return float(vals[0]) if scalar else vals.reshape(ts.shape)
-        if kind == "integral":
-            return green_eval_integral(self.param, ts)
-        raise SphereDomainError(f"unknown Green backend {kind!r}")
+        return green_eval_integral(self.param, ts)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherepde.cli import _merge_config, build_parser, main
+from spherepde.cli import _config_defaults, build_parser, main
 from spherepde import ZonalSpectrum, make_context
 from spherepde.spectra import load_spectrum, save_spectrum
 
@@ -158,6 +158,24 @@ class TestGreen:
         err = capsys.readouterr().err
         assert "integral backend" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,columns", [
+        (["--n", "20", "--a", "1.5", "--t", "0.3"], "t,theta,integral"),
+        (["--n", "2", "--a", "0", "--t", "0.99995"], "t,theta,closed,integral")],
+        ids=["n-above-17", "near-diagonal"])
+    def test_default_drops_a_refused_series_column(self, capsys, argv, columns):
+        # under --backend all the series is the cross-check: the other columns answer
+        assert main(["green", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert columns in lines
+        assert any(l.startswith("# series: column dropped: the series backend") for l in lines)
+        row = [float(v) for v in lines[-1].split(",")]
+        assert all(np.isfinite(row))
+        if len(row) == 4:
+            assert row[2] == pytest.approx(row[3], rel=1e-8)
+        # asked for by name, the series still refuses
+        assert main(["green", *argv, "--backend", "series"]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_integral_beyond_a_double_exits_numeric(self, capsys):
         # u^{-(n+1)/2} overflows at n = 342, t = 0.999: no -inf data row
         assert main(["green", "--n", "342", "--a", "0", "--t", "0.999",
@@ -293,6 +311,12 @@ class TestWavelet:
         err = float(capsys.readouterr().out.split("roundtrip relative error:")[1].strip())
         assert err <= 1e-11
 
+    @pytest.mark.parametrize("mode", ["forward", "roundtrip"])
+    def test_missing_input_flag_exit1(self, capsys, mode):
+        assert main(["wavelet", mode, "--n", "2"]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == f"error: wavelet {mode} needs --in\n"
+
     @pytest.mark.parametrize("argv", [["--n", "2", "--d", "1", "--lmax", "64"],
                                       ["--n", "3", "--d", "30", "--lmax", "4"]])
     def test_admissibility_grid_follows_order_and_lmax(self, capsys, argv):
@@ -342,6 +366,16 @@ class TestRootFlag:
         row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert float(row[2]) == pytest.approx(np.pi / 4.0)
 
+    @pytest.mark.parametrize("argv,config", [(["--a", "0", "--L", "1"], ""), ([], ""),
+                                             (["--L", "1"], "a = 0\n")],
+                             ids=["both", "neither", "both-after-config"])
+    def test_exactly_one_of_a_and_L_exit1(self, tmp_path, capsys, argv, config):
+        conf = tmp_path / "job.cfg"
+        conf.write_text(config)
+        assert main(["green", "--n", "2", "--t", "0.2", "--config", str(conf), *argv]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "error: give exactly one of --a or --L\n"
+
 
 class TestConfig:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
@@ -375,11 +409,13 @@ class TestConfig:
     def test_malformed_config_line_exit1(self, tmp_path, capsys, text, lineno):
         conf = tmp_path / "job.cfg"
         conf.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main(["green", "table", "--n", "2", "--a", "0", "--config", str(conf)])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert f"line {lineno}" in err and "Traceback" not in err
+        # the whole file is checked, also a line that a flag overrides
+        for flags in ([], ["--grid", "7"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["green", "table", "--n", "2", "--a", "0", "--config", str(conf), *flags])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert f"line {lineno}" in err and "Traceback" not in err
 
     def test_config_value_outside_the_choices_exit1(self, tmp_path, capsys):
         conf = tmp_path / "job.cfg"
@@ -453,8 +489,9 @@ class TestConfigFuzz:
         conf.write_text(text, encoding="utf-8")
         parser = build_parser()
         argv = [*argv, "--config", str(conf)]
-        args = parser.parse_args(argv)
+        command = parser.commands[parser.parse_args(argv).command]
         try:
-            _merge_config(args, parser, argv)
+            command.set_defaults(**_config_defaults(str(conf), command, parser))
+            parser.parse_args(argv)
         except SystemExit as exc:
             assert exc.code == 1

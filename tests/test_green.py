@@ -469,6 +469,6 @@ class TestFacade:
             gf(np.array([0.0, -1.5]))
 
     def test_unknown_backend(self):
-        gf = GreenFunction(helmholtz_parameter(make_context(3), 0.0), "bogus")
-        with pytest.raises(SphereDomainError, match="unknown Green backend"):
-            gf(0.3)
+        # refused when built, before any call
+        with pytest.raises(SphereDomainError, match="unknown Green backend 'bogus'"):
+            GreenFunction(helmholtz_parameter(make_context(3), 0.0), "bogus")
