@@ -67,9 +67,10 @@ def make_context(n):
 
 
 def _clamp_t(t):
-    """Clamp roundoff excursions of t to [-1, 1]; reject real excursions."""
+    """Clamp roundoff excursions of t to [-1, 1]; reject real excursions and NaN."""
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + _T_SLACK):
+    # written so that a NaN fails the test, as an excursion does
+    if not np.all(np.abs(t) <= 1.0 + _T_SLACK):
         bad = float(np.max(np.abs(t)))
         raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {bad}")
     return np.clip(t, -1.0, 1.0)

@@ -193,7 +193,7 @@ def _check_t_for_eval(t):
     """
     if isinstance(t, float) or np.ndim(t) == 0:
         t = float(t)
-        if abs(t) > 1.0 + _T_SLACK:
+        if not abs(t) <= 1.0 + _T_SLACK:    # NaN fails it too
             raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {abs(t)}")
         # clamped below only: a t above 1 within the slack fails the diagonal test
         t = top = -1.0 if t < -1.0 else t

@@ -316,7 +316,7 @@ def gauss_gegenbauer_reference(mu, m, digits=40):
     """Nodes and weights of the m-point Gauss rule for (1-t^2)^{mu-1/2}, ascending.
 
     Computed to `digits` significant digits, independently of the
-    library's eigenvalue route: two Newton steps on C_m^mu from scipy's
+    library's asymptotic starts: two Newton steps on C_m^mu from scipy's
     roots_jacobi nodes, with C_m and C_{m-1} from the forward recurrence,
     C_m' from (1-x^2) C_m' = (m+2mu-1) C_{m-1} - m x C_m, and the
     classical weight formula

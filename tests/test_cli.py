@@ -189,6 +189,13 @@ class TestGreen:
             assert main(["green", "--n", "2", "--a", "0", "--t", t, "--backend", "closed"]) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("backend", ["all", "closed", "series", "integral"])
+    def test_nan_t_exit3(self, backend, capsys):
+        # was nan,nan,nan with exit 0 (closed, series) and exit 4 (integral)
+        assert main(["green", "--n", "2", "--a", "0", "--t", "nan", "--backend", backend]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "|t| = nan" in err and "Traceback" not in err
+
     def test_antipode_on_an_odd_n_closed_row_exits_3(self, capsys):
         # the n = 5 Poisson row has a (1+t) denominator, 0/0 at t = -1
         for backend in ("all", "closed"):

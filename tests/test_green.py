@@ -468,6 +468,14 @@ class TestFacade:
         with pytest.raises(SphereDomainError, match=r"\|t\| = 1.5"):
             gf(np.array([0.0, -1.5]))
 
+    @pytest.mark.parametrize("backend", ["auto", "closed", "series", "integral"])
+    def test_nan_t_is_a_domain_error(self, backend):
+        # NaN fails the range test rather than passing it, as a scalar and in an array
+        gf = GreenFunction(helmholtz_parameter(make_context(3), 0.0), backend)
+        for t in (float("nan"), np.float64("nan"), np.array([0.2, np.nan])):
+            with pytest.raises(SphereDomainError, match=r"\|t\| = nan"):
+                gf(t)
+
     def test_unknown_backend(self):
         # refused when built, before any call
         with pytest.raises(SphereDomainError, match="unknown Green backend 'bogus'"):

@@ -2,9 +2,10 @@
 only spectra.py knows how a spectrum lays out its coefficients,
 closedform.py has one antiderivative term type and one evaluator and
 derives without a memo, the Gegenbauer recurrence is written once, in
-geometry.py, green.py integrates and wavelets.py builds its scale grids
-with NumPy and math alone, so importing the package loads no
-scipy.integrate."""
+geometry.py, and no module imports SciPy: green.py integrates,
+wavelets.py builds its scale grids and spectra.py its Gauss rules with
+NumPy and math alone, so neither importing the package nor building a
+rule and analysing with it loads SciPy."""
 
 import ast
 import subprocess
@@ -160,3 +161,24 @@ def test_importing_the_package_loads_no_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(SRC.parent)})
     assert out.stdout.split() == ["False", "False"], out
+
+
+def test_no_module_imports_scipy():
+    imported = {name: _absolute_imports(tree) for name, tree in MODULES.items()}
+    assert not [name for name, packages in imported.items() if "scipy" in packages]
+
+
+def test_import_and_analysis_load_no_scipy():
+    code = ("import sys\n"
+            "import spherepde\n"
+            "print('scipy' in sys.modules)\n"
+            "import spherepde.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "from spherepde import analyze, default_rule, make_context\n"
+            "ctx = make_context(8)\n"
+            "rule = default_rule(ctx, 2048)\n"
+            "analyze(ctx, lambda t: 1.0 + t * t, 2048, rule)\n"
+            "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.split() == ["False", "False", "False"], out

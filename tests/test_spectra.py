@@ -1,5 +1,7 @@
 """Spectra, quadrature, convolution, and the Poisson kernel."""
 
+from math import gamma
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from spherepde import (
     poisson_kernel_spectrum,
     synthesize,
 )
+from spherepde import spectra
 from spherepde.geometry import gegenbauer_matrix
 from spherepde.spectra import (
     degree_norms,
@@ -61,8 +64,13 @@ class TestQuadrature:
         assert np.all(rule.weights > 0)
         assert np.all(np.abs(rule.nodes) < 1.0)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 30, 301])
-    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize(
+        "mu, m",
+        [(mu, m) for mu in (0.0, 0.5, 1.0, 2.0, 3.5) for m in (1, 2, 3, 7, 30, 301)]
+        # mu < 1/2 has no turning point; a large mu puts it far from the endpoint
+        + [(mu, m) for mu in (0.25, 5.0, 8.0, 19.5, 50.0, 170.5) for m in (2, 7, 30, 301)]
+        # b_k^2 from a product of roundings of k + mu put these 2.7e-12 off
+        + [(8.0, 1029), (0.3, 301), (2.2, 301)])
     def test_against_extended_precision(self, mu, m):
         # the Golub-Welsch rule this replaced was 1.4e-11 off in the weights at m = 301
         rule = gauss_gegenbauer_rule(mu, m)
@@ -71,6 +79,46 @@ class TestQuadrature:
         assert np.max(np.abs(rule.weights / weights - 1.0)) <= (1e-13 if m <= 30 else 1e-12)
         assert np.array_equal(rule.nodes, -rule.nodes[::-1])
         assert np.array_equal(rule.weights, rule.weights[::-1])
+
+    @given(st.floats(0.0, 170.5), st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_shape_property(self, mu, m):
+        rule = gauss_gegenbauer_rule(mu, m)
+        assert np.all(np.diff(rule.nodes) > 0)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        mu0 = np.sqrt(np.pi) * gamma(mu + 0.5) / gamma(mu + 1.0)
+        # at most 1.2e-14 over 20 480 draws, 13 of them above 1e-14 (mu < 1e-6
+        # at m >= 54, and mu = 127.3 at m = 2); the eigensolver rule this
+        # replaced reached 1.02e-14
+        assert abs(np.sum(rule.weights) / mu0 - 1.0) <= 2e-14
+
+    def test_no_warning_at_the_largest_dimension(self):
+        # n = 342 (mu = 170.5): p_{m-1}^2 passes the doubles at m = 2053, which
+        # was an overflow warning; the suite turns a RuntimeWarning into a
+        # failure, and a weight below the doubles may be 0
+        rule = gauss_gegenbauer_rule(170.5, 2053)
+        assert np.all(np.isfinite(rule.nodes)) and np.all(rule.weights >= 0.0)
+        assert np.all(rule.weights[1000:1053] > 0.0)
+
+    def test_merged_starting_nodes_raise(self, monkeypatch):
+        # two starts in one zero's basin converge to one node: the rule is
+        # refused rather than returned short of a zero
+        good = spectra._starting_nodes
+        monkeypatch.setattr(spectra, "_starting_nodes",
+                            lambda mu, m: np.sort(np.r_[good(mu, m)[:1], good(mu, m)[:-1]]))
+        with pytest.raises(QuadratureError, match="merged or lost"):
+            gauss_gegenbauer_rule(1.5, 40)
+
+    @pytest.mark.parametrize("mu", [-0.5, float("nan"), float("inf")])
+    def test_weight_exponent_refused(self, mu):
+        with pytest.raises(QuadratureError, match="finite and >= 0"):
+            gauss_gegenbauer_rule(mu, 5)
+
+    def test_unconverged_passes_raise(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_NEWTON_PASSES", 1)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            gauss_gegenbauer_rule(1.5, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +196,12 @@ class TestSynthesize:
     def test_domain_error(self):
         with pytest.raises(SphereDomainError):
             synthesize(ZonalSpectrum(make_context(2), [1.0]), 1.5)
+
+    def test_nan_t_is_a_domain_error(self):
+        f = ZonalSpectrum(make_context(2), [1.0, 2.0])
+        for t in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(SphereDomainError, match=r"\|t\| = nan"):
+                synthesize(f, t)
 
 
 # ---------------------------------------------------------------------------
