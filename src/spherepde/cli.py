@@ -269,15 +269,12 @@ def cmd_green(args):
     param = _param_from_args(ctx, args)
     if args.mode == "derive":
         try:
-            L = param.L
-            if L is None:
-                raise NoClosedFormError(f"a = {param.a} has no real root L")
-            if abs(L - round(L)) <= 1e-9:
-                L = int(round(L))
-            form = derive_green_closed_form(ctx.n, L)
-            head = f"# assembled closed form, n={ctx.n}, L={L}, a={_fmt(param.a)}"
+            if param.root is None:
+                raise NoClosedFormError(f"a = {param.a} has no integer or half-integer root")
+            form = derive_green_closed_form(ctx.n, param.root)
+            head = f"# assembled closed form, n={ctx.n}, L={param.root}, a={_fmt(param.a)}"
         except NoClosedFormError as exc:
-            form = green_tables.lookup(ctx.n, param.a)
+            form = green_tables.lookup_by_root(ctx.n, param.root)
             if form is None:
                 raise
             head = f"# assembly unavailable ({exc}); tabulated form:"
@@ -286,26 +283,20 @@ def cmd_green(args):
 
     backends = (["closed", "series", "integral"] if args.backend == "all"
                 else [args.backend])
-    notes = {}
-    if "closed" in backends and green_tables.lookup(ctx.n, param.a) is None:
-        backends[backends.index("closed")] = "series"
-        notes["fallback"] = "no closed form for (n, a); 'closed' column uses series"
-        backends = list(dict.fromkeys(backends))
     ts = np.array([args.t]) if args.t is not None else np.linspace(-1, 1, args.grid + 2)[1:-1]
-    cols = {}
-    tail = None
+    cols, notes, tail = {}, {}, None
     for b in backends:
-        if b != "series":
-            cols[b] = GreenFunction(param, b)(ts)
-            continue
-        try:                  # called directly for its tail estimate
-            cols[b], tails = green_series_batch(param, ts)
-            tail = float(np.max(tails))
-        except ConvergenceError as exc:
-            if args.backend != "all":
+        try:
+            if b == "series":     # called directly for its tail estimate
+                cols[b], tails = green_series_batch(param, ts)
+                tail = float(np.max(tails))
+            else:
+                cols[b] = GreenFunction(param, b)(ts)
+        except (NoClosedFormError, ConvergenceError) as exc:
+            if args.backend != "all" or b == "integral":
                 raise
-            # under 'all' the series is the cross-check; the other columns answer
-            notes["series"] = f"column dropped: {exc}"
+            # under 'all' only the integral, which serves every a, must answer
+            notes[b] = f"column dropped: {exc}"
     kv = {"n": ctx.n, "a": _fmt(param.a),
           "L": "none" if param.L is None else _fmt(param.L),
           "backends": "+".join(cols),

@@ -18,7 +18,8 @@ double precision).  On [-1, 1] the polynomials obey the uniform bound
 """
 
 from dataclasses import dataclass
-from math import gamma, pi
+from fractions import Fraction
+from math import gamma, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -27,9 +28,28 @@ from .errors import SphereDomainError
 # Tolerated roundoff excursion of t outside [-1, 1] (arccos/cos round trips).
 _T_SLACK = 1e-12
 
-# a counts as the eigenvalue l(n+l-1) within this relative gap: the
-# resonance test of green and the registry match of green_tables.lookup.
+# a sits on the root L of a = L(n+L-1) within this relative gap
+# (helmholtz_root), and a Green coefficient has a pole within it.
 RESONANCE_RTOL = 1e-9
+
+
+def helmholtz_root(n, a):
+    """(L, root) of a = L(n+L-1) on S^n; a non-finite a raises SphereDomainError.
+
+    L is the principal (larger) root, None when both are complex.  root is
+    the half-integer nearest L (-lambda for complex roots) as a Fraction
+    when a lies within RESONANCE_RTOL (1 + |a|) of root(n+root-1), else
+    None: it keys the registry, and an integer root >= 0 is resonant.
+    """
+    a = float(a)
+    if not isfinite(a):
+        raise SphereDomainError(f"Helmholtz parameter a must be finite, got a = {a}")
+    disc = (n - 1.0) ** 2 + 4.0 * a
+    L = (sqrt(disc) - (n - 1.0)) / 2.0 if disc >= 0.0 else None
+    near = round(2.0 * L) / 2.0 if L is not None else -(n - 1) / 2.0
+    if abs(a - near * (n + near - 1.0)) <= RESONANCE_RTOL * (1.0 + abs(a)):
+        return L, Fraction(near)
+    return L, None
 
 
 @dataclass(frozen=True)

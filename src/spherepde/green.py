@@ -62,6 +62,7 @@ those n.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import ceil, floor, log, sqrt
 
 import numpy as np
@@ -80,6 +81,7 @@ from .geometry import (
     eigenvalue,
     gegenbauer_bound,
     gegenbauer_matrix,
+    helmholtz_root,
 )
 from . import green_tables
 
@@ -92,50 +94,39 @@ _DIAG_TOL = 1e-12   # t >= 1 - _DIAG_TOL counts as the diagonal
 
 @dataclass(frozen=True)
 class HelmholtzParameter:
-    """Helmholtz parameter a with its root L of a = L(n+L-1).
+    """Helmholtz parameter a with its roots, decided once by geometry.helmholtz_root.
 
-    L is the principal (larger) root; for a < -(n-1)^2/4 both roots are
-    complex, -lambda +- i beta, and L and L0 are None (green_eval_integral
-    takes the complex root itself).  L0 = floor(L) is the subtraction
-    depth of the integral representation (the other root -n-L+1 is never
-    larger).  resonant marks a = l(n+l-1) for an integer l >= 0 (recorded
-    as L_res); the Poisson case a = 0 is resonant at 0.
+    L is the principal root of a = L(n+L-1), None when both roots are
+    complex (green_eval_integral takes the complex root itself); floor(L)
+    is the integral's subtraction depth, never below the other root's.
+    root is the half-integer a sits on, or None: it picks the registry row,
+    and an integer root >= 0 is the resonant degree L_res (0 for a = 0).
     """
 
     ctx: SphereContext
     a: float
     L: float | None
-    L0: int | None
-    resonant: bool
-    L_res: int | None
+    root: Fraction | None
+
+    @property
+    def resonant(self):
+        return self.root is not None and self.root.denominator == 1 and self.root >= 0
+
+    @property
+    def L_res(self):
+        return int(self.root) if self.resonant else None
 
 
 def helmholtz_parameter(ctx, a):
     """Build the parameter record for Delta* + a on the given sphere."""
-    a = float(a)
-    n = ctx.n
-    disc = (n - 1.0) ** 2 + 4.0 * a
-    if disc >= 0.0:
-        L = (-(n - 1.0) + sqrt(disc)) / 2.0
-        L0 = floor(L)
-    else:
-        L = None
-        L0 = None
-    resonant = False
-    L_res = None
-    if L is not None and L >= -0.5:
-        cand = int(round(L))
-        if cand >= 0 and abs(a - cand * (n + cand - 1)) <= RESONANCE_RTOL * (1.0 + abs(a)):
-            resonant = True
-            L_res = cand
-    return HelmholtzParameter(ctx=ctx, a=a, L=L, L0=L0, resonant=resonant, L_res=L_res)
+    L, root = helmholtz_root(ctx.n, a)
+    return HelmholtzParameter(ctx=ctx, a=float(a), L=L, root=root)
 
 
 def parameter_from_root(ctx, L):
     """Parameter with a = L(n+L-1); L and its reflection -n-L+1 give the same record."""
     L = float(L)
-    a = L * (ctx.n + L - 1.0)
-    return helmholtz_parameter(ctx, a)
+    return helmholtz_parameter(ctx, L * (ctx.n + L - 1.0))
 
 
 def eigen_gap(param, l):
@@ -147,30 +138,20 @@ def green_coefficient(param, l):
     """G-hat(l) = (lambda+l)/lambda / (a - l(n+l-1)); 0 at the excluded degree."""
     if l < 0:
         raise SphereDomainError(f"degree l must be >= 0, got {l}")
-    if param.resonant and l == param.L_res:
-        return 0.0
-    gap = float(eigen_gap(param, l))
-    if abs(gap) <= RESONANCE_RTOL * (1.0 + abs(param.a)):
-        raise ResonanceError(
-            f"a = {param.a} is resonant at degree {l}; the Green coefficient has a pole",
-            degree=l)
-    lam = param.ctx.lam
-    return (lam + l) / lam / gap
+    return float(green_coefficients(param, l)[l])
 
 
 def green_coefficients(param, l_max):
-    """Vector of Green coefficients for l = 0..l_max (excluded degree zeroed)."""
+    """Green coefficients for l = 0..l_max, excluded degree zeroed; a pole elsewhere raises."""
     ls = np.arange(l_max + 1)
     gap = eigen_gap(param, ls)
+    ok = ls != (param.L_res if param.resonant else -1)     # -1: no degree is excluded
+    poles = ls[ok & (np.abs(gap) <= RESONANCE_RTOL * (1.0 + abs(param.a)))]
+    if poles.size:
+        raise ResonanceError(f"a = {param.a} is resonant at degree {poles[0]}",
+                             degree=int(poles[0]))
     lam = param.ctx.lam
-    small = np.abs(gap) <= RESONANCE_RTOL * (1.0 + abs(param.a))
-    if np.any(small):
-        bad = ls[small]
-        if not (param.resonant and bad.size == 1 and bad[0] == param.L_res):
-            raise ResonanceError(
-                f"a = {param.a} is resonant at degree {int(bad[0])}", degree=int(bad[0]))
     out = np.zeros(l_max + 1)
-    ok = ~small
     out[ok] = (lam + ls[ok]) / lam / gap[ok]
     return out
 
@@ -179,9 +160,8 @@ def condition_warnings(param, l_max):
     """Degrees whose eigenvalue gap is dangerously small (but not resonant)."""
     ls = np.arange(l_max + 1)
     gap = np.abs(eigen_gap(param, ls))
-    near = (gap <= CONDITION_WARN_RTOL * (1.0 + abs(param.a)))
-    if param.resonant:
-        near &= ls != param.L_res
+    near = gap <= CONDITION_WARN_RTOL * (1.0 + abs(param.a))
+    near &= ls != (param.L_res if param.resonant else -1)
     return [(int(l), float(g)) for l, g in zip(ls[near], gap[near])]
 
 
@@ -298,6 +278,10 @@ _HALVINGS = 40          # panels halving toward r = 1, where r = t peaks near th
 _RULE = np.polynomial.legendre.leggauss(24)        # value, per panel
 _CHECK_RULE = np.polynomial.legendre.leggauss(12)  # error estimate, per panel
 _EPS = np.finfo(float).eps
+# The weight r^{-L-1} reaches 2^{L+1} at the panels' start r_s <= 1/2, beyond the
+# doubles once L > 1023: a deeper M = floor(L) is refused before any allocation
+# (no point converges from M ~ 400 on).
+_DEPTH_MAX = 1022
 
 
 def _expm1_over(k, x):
@@ -330,11 +314,12 @@ def green_eval_integral(param, t):
     roots the weight and the tail moments are the real parts of the
     same expressions at complex L.
 
-    ConvergenceError unless the tail converges and |G| is finite with
-    |Q24 - Q12| plus a roundoff floor (from |w|, which changes sign for
-    complex roots) within _QUAD_RTOL (1 + |G|); it is raised, for
-    example, where the weight oscillates too fast for the panels
-    (n = 11, a = -10000) or the kernel is too steep (n = 8, a = 2000.7).
+    ConvergenceError for a depth M above _DEPTH_MAX, and unless the tail
+    converges and |G| is finite with |Q24 - Q12| plus a roundoff floor
+    (from |w|, which changes sign for complex roots) within
+    _QUAD_RTOL (1 + |G|); it is raised, for example, where the weight
+    oscillates too fast for the panels (n = 11, a = -10000) or the kernel
+    is too steep (n = 8, a = 2000.7).
     The target is relative to 1 + |G|, not |G|: for a far below
     -(n-1)^2/4, G decays exponentially away from the diagonal (|G| ~ 2e-20
     at n = 8, a = -400, t = -0.9), and the value there is accurate in
@@ -351,7 +336,11 @@ def green_eval_integral(param, t):
         L = complex(-lam, sqrt(-(ctx.n - 1.0) ** 2 - 4.0 * param.a) / 2.0)
         M = corr_top = -1
     else:
-        M = corr_top = max(param.L0, -1)
+        M = corr_top = max(floor(L), -1)
+    if M > _DEPTH_MAX:
+        raise ConvergenceError(
+            f"integral backend: L = {param.L:.6g} puts the subtraction depth above "
+            f"{_DEPTH_MAX}, where the weight r^(-L-1) leaves the doubles")
     k = ctx.n + 2.0 * L - 1.0     # w(r) = -r^{-L-1} (r^k - 1)/k
     ls = np.arange(M + _TAIL_DEGREES + 1)
     C = gegenbauer_matrix(ctx, M + _TAIL_DEGREES, ts)
@@ -428,12 +417,10 @@ class GreenFunction:
     def __post_init__(self):
         if self.backend not in _BACKENDS:
             raise SphereDomainError(f"unknown Green backend {self.backend!r}")
-        self._row = None
+        self._row = green_tables.lookup_by_root(self.param.ctx.n, self.param.root)
         self._kind = self.backend
-        if self.backend in ("auto", "closed"):
-            self._row = green_tables.lookup(self.param.ctx.n, self.param.a)
-            if self.backend == "auto":
-                self._kind = "closed" if self._row is not None else "integral"
+        if self.backend == "auto":
+            self._kind = "closed" if self._row is not None else "integral"
         # a (1+t) denominator: the row's terms cancel at the antipode only in the limit
         self._antipode_pole = self._row is not None and any(b for *_, b, _c in self._row.terms)
 

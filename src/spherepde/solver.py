@@ -37,6 +37,11 @@ class SolveRequest:
     f: object                     # a zonal or a general spectrum
     resonant_tol: float = DEFAULT_RESONANT_TOL
 
+    def __post_init__(self):
+        if not 0.0 <= self.resonant_tol < np.inf:      # NaN fails it too
+            raise SphereDomainError(
+                f"resonant tolerance must be finite and >= 0, got {self.resonant_tol}")
+
 
 @dataclass
 class SolveReport:
@@ -47,9 +52,7 @@ class SolveReport:
 
 def _at_resonance(param, degrees):
     """Mask of the entries at the resonant degree L_res; none for non-resonant a."""
-    if param.resonant:
-        return degrees == param.L_res
-    return np.zeros(degrees.shape, dtype=bool)
+    return degrees == (param.L_res if param.resonant else -1)     # degrees are >= 0
 
 
 def _residual(param, degrees, uv, fv, at_res):

@@ -41,7 +41,7 @@ import cmath
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gamma, inf, sqrt, pi
-from numbers import Number, Real
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .geometry import (
     _clamp_t,
     eigenvalue,
     gegenbauer_at_one,
-    gegenbauer_matrix,
     gegenbauer_rows,
     make_context,
     surface_measure,
@@ -176,14 +175,19 @@ def gauss_gegenbauer_rule(mu, m):
     of the same coefficients (b_1^2 = 1/(2(1+mu)) is written with its mu
     cancelled).  p_m has exactly floor(m/2) positive zeros, so converged,
     strictly increasing nodes in (0, 1) are all of them; anything else
-    raises QuadratureError.
+    raises QuadratureError, as do an m that is not a whole number and a
+    mu whose Gamma(mu + 1) is beyond the doubles (mu > 170.6).
     """
-    if m < 1:
-        raise QuadratureError(f"need at least one node, got {m}")
+    if not isinstance(m, Integral) or m < 1:
+        raise QuadratureError(f"need a whole number of nodes, at least one, got {m!r}")
     if not 0.0 <= mu < inf:
         raise QuadratureError(f"weight exponent mu must be finite and >= 0, got {mu}")
     # zeroth moment: int (1-t^2)^{mu-1/2} dt = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1)
-    mu0 = sqrt(pi) * gamma(mu + 0.5) / gamma(mu + 1.0)
+    try:
+        mu0 = sqrt(pi) * gamma(mu + 0.5) / gamma(mu + 1.0)
+    except OverflowError:
+        raise QuadratureError(f"weight exponent mu = {mu}: Gamma(mu + 1) is beyond the "
+                              "doubles (spheres need mu <= 170.5)") from None
     # b_k^2 = k (k + 2 mu - 1) / (4 (k + mu) (k + mu - 1)), written as 1/4
     # less a term of its own: the product form rounds k + mu and its kin
     # alike for every k, a bias that cost the weights 2.7e-12 at mu = 0.3,
@@ -342,7 +346,7 @@ def _check_same_context(a, b):
 def analyze(ctx, samples, l_max, rule=None):
     """Gegenbauer coefficients of a zonal function from its point values.
 
-    samples  -- callable t -> value (may be vectorised over numpy arrays)
+    samples  -- callable on the array of nodes, called once (a scalar is a constant)
     rule     -- QuadratureRule with exactness >= 2*l_max + 2; built on
                 demand when omitted.
 
@@ -361,10 +365,7 @@ def analyze(ctx, samples, l_max, rule=None):
         raise QuadratureError(
             f"quadrature exactness {rule.exactness} insufficient for l_max={l_max} "
             f"(need >= {2 * l_max + 2}); raise the node count to avoid aliasing")
-    vals = samples(rule.nodes)
-    vals = np.asarray(vals)
-    if vals.shape != rule.nodes.shape:  # non-vectorised callable
-        vals = np.array([samples(float(t)) for t in rule.nodes])
+    vals = np.broadcast_to(samples(rule.nodes), rule.nodes.shape)
     if not np.all(np.isfinite(vals)):
         raise SphereDomainError("samples must be finite on the quadrature nodes")
     wv = rule.weights * vals
@@ -373,10 +374,11 @@ def analyze(ctx, samples, l_max, rule=None):
 
 
 def synthesize(spec, t):
-    """Evaluate the partial sum sum_l coeffs[l] C_l^lambda(t); t scalar or array."""
+    """The partial sum sum_l coeffs[l] C_l^lambda(t), streamed degree by degree."""
     t_arr = np.atleast_1d(_clamp_t(t))
-    C = gegenbauer_matrix(spec.ctx, spec.l_max, t_arr)
-    out = spec.coeffs @ C
+    out = np.zeros(t_arr.shape, dtype=np.result_type(spec.coeffs, float))
+    for c, row in zip(spec.coeffs, gegenbauer_rows(spec.ctx, spec.l_max, t_arr)):
+        out += c * row
     if np.isscalar(t) or np.ndim(t) == 0:
         return out[0]
     return out

@@ -353,3 +353,26 @@ def gauss_gegenbauer_reference(mu, m, digits=40):
             nodes.append(float(x))
             weights.append(float(w))
     return np.array(nodes), np.array(weights)
+
+
+def registry_scan(rows, n, a, rtol):
+    """The row of dimension n whose float a lies within rtol (1 + |a|) of a,
+    by a linear scan over the rows (the registry match before helmholtz_root)."""
+    for row in rows:
+        if row.n == n and abs(a - float(row.a)) <= rtol * (1.0 + abs(a)):
+            return row
+    return None
+
+
+def resonant_degree_by_rounding(n, a, rtol):
+    """The integer l >= 0 with a within rtol (1 + |a|) of l(n+l-1), found by
+    rounding the principal root L; None if there is none (the resonance test
+    before helmholtz_root)."""
+    disc = (n - 1.0) ** 2 + 4.0 * a
+    if disc < 0.0:
+        return None
+    L = (-(n - 1.0) + math.sqrt(disc)) / 2.0
+    cand = int(round(L))
+    if L >= -0.5 and cand >= 0 and abs(a - cand * (n + cand - 1)) <= rtol * (1.0 + abs(a)):
+        return cand
+    return None

@@ -65,6 +65,19 @@ class TestSolve:
                      "--in", str(f), "--out", str(tmp_path / "u.spec")])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [["--a", "2", "--resonant", "--tol", "nan"],
+                                      ["--a", "2", "--resonant", "--tol", "-1"],
+                                      ["--a", "nan"], ["--L", "inf"]])
+    def test_non_finite_parameter_or_tolerance_exit3(self, tmp_path, capsys, argv):
+        # refused as the parameter or tolerance they are, before the input is solved
+        f = tmp_path / "f.spec"
+        _write_spec(f, ["# zonal n=2 Lmax=1", "0\t0", "1\t1"])
+        out = tmp_path / "u.spec"
+        assert main(["solve", "--n", "2", *argv, "--in", str(f), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_no_green_backend_option(self, tmp_path, f_poisson):
         # a solve divides spectra and evaluates no Green function
         with pytest.raises(SystemExit) as exc:
@@ -136,10 +149,17 @@ class TestGreen:
         assert closed == pytest.approx(1 + np.log((1 - t) / 2), rel=1e-10)
 
     def test_no_closed_form_fallback_note(self, capsys):
+        # no registry row: under --backend all the closed column is dropped with
+        # a note, not filled from another backend; asked for by name it refuses
         assert main(["green", "--n", "6", "--a", "100.5", "--t", "0",
                      "--backend", "all"]) == 0
-        out = capsys.readouterr().out
-        assert "fallback" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "t,theta,series,integral" in lines
+        assert any(l.startswith("# closed: column dropped: no closed form") for l in lines)
+        assert main(["green", "--n", "6", "--a", "100.5", "--t", "0",
+                     "--backend", "closed"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "no closed form" in err and "Traceback" not in err
 
     def test_series_tail_header(self, capsys):
         assert main(["green", "--n", "6", "--a", "100.5", "--t", "0",
@@ -184,6 +204,17 @@ class TestGreen:
         assert cap.out == ""
         assert cap.err.startswith("error:") and "Traceback" not in cap.err
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--a", "nan", "--t", "0"], 3), (["--a", "inf", "--t", "0"], 3),
+        (["derive", "--L", "1e300"], 3), (["--a", "1e300", "--t", "0"], 4),
+        (["--L", "3000.37", "--t", "0"], 4)])
+    def test_non_finite_or_too_deep_parameter(self, capsys, argv, code):
+        # exit 3 for an a that is not a finite double, 4 for an integral
+        # subtraction depth beyond the doubles; never a traceback
+        assert main(["green", "--n", "2", *argv]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
     def test_closed_rejects_t_outside_domain(self, capsys):
         for t in ("1", "1.5"):
             assert main(["green", "--n", "2", "--a", "0", "--t", t, "--backend", "closed"]) == 3
@@ -198,11 +229,16 @@ class TestGreen:
 
     def test_antipode_on_an_odd_n_closed_row_exits_3(self, capsys):
         # the n = 5 Poisson row has a (1+t) denominator, 0/0 at t = -1
-        for backend in ("all", "closed"):
-            assert main(["green", "--n", "5", "--a", "0", "--t", "-1",
-                         "--backend", backend]) == 3
+        assert main(["green", "--n", "5", "--a", "0", "--t", "-1",
+                     "--backend", "closed"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "t = -1" in err and "Traceback" not in err
+        # under --backend all the closed column is dropped and the others answer
+        assert main(["green", "--n", "5", "--a", "0", "--t", "-1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "t,theta,series,integral" in lines
+        assert any(l.startswith("# closed: column dropped:") and "t = -1" in l for l in lines)
+        assert float(lines[-1].split(",")[3]) == pytest.approx(25 / 48, rel=1e-7)
         assert main(["green", "--n", "5", "--a", "0", "--t", "-1", "--backend", "series"]) == 0
         row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert float(row[2]) == pytest.approx(25 / 48, rel=1e-7)

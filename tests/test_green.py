@@ -1,5 +1,6 @@
 """Helmholtz parameters and the three Green-function backends."""
 
+from dataclasses import fields
 from fractions import Fraction
 from math import floor, pi, sqrt
 
@@ -20,7 +21,8 @@ from spherepde import (
     make_context,
     parameter_from_root,
 )
-from spherepde import green
+from spherepde import HelmholtzParameter, green
+from spherepde.geometry import RESONANCE_RTOL
 from spherepde.green import (
     _ABEL_DIAG_GAP,
     condition_warnings,
@@ -44,13 +46,14 @@ class TestParameter:
                     assert abs(p.L * (n + p.L - 1) - a) <= 1e-12 * (1 + abs(a))
 
     def test_l0_values(self):
+        # the integral's subtraction depth is floor(L); root is the half-integer a sits on
         ctx = make_context(3)
         p = helmholtz_parameter(ctx, 1.25)      # L = 1/2
         assert p.L == pytest.approx(0.5)
-        assert p.L0 == 0
+        assert floor(p.L) == 0 and p.root == Fraction(1, 2)
         p = helmholtz_parameter(ctx, -0.75)     # L = -1/2, reflection -3/2
         assert p.L == pytest.approx(-0.5)
-        assert p.L0 == -1
+        assert floor(p.L) == -1 and p.root == Fraction(-1, 2)
 
     def test_l0_is_floor_of_the_principal_root(self):
         # the reflected root -n-L+1 never exceeds L, so it never sets the depth
@@ -60,8 +63,8 @@ class TestParameter:
             low = -(n - 1) ** 2 / 4.0
             for a in [low, 0.0, *rng.uniform(low, 60.0, 40), *rng.uniform(low, low + 1.0, 10)]:
                 p = helmholtz_parameter(ctx, a)
-                assert p.L0 == floor(p.L), (n, a)
-                assert floor(-n - p.L + 1) <= p.L0, (n, a)
+                assert floor(-n - p.L + 1) <= floor(p.L), (n, a)
+                assert p.root is None or p.root == round(2 * p.L) / 2, (n, a)
 
     def test_resonance_detection(self):
         ctx = make_context(2)
@@ -87,7 +90,57 @@ class TestParameter:
     def test_complex_root_case(self):
         ctx = make_context(2)     # lam^2 = 1/4
         p = helmholtz_parameter(ctx, -1.0)
-        assert p.L is None and p.L0 is None
+        assert p.L is None and p.root is None
+        p = helmholtz_parameter(ctx, -0.25 - 1e-10)     # just below the double root -1/2
+        assert p.L is None and p.root == Fraction(-1, 2)
+
+    def test_record_holds_a_and_its_roots_only(self):
+        assert [f.name for f in fields(HelmholtzParameter)] == ["ctx", "a", "L", "root"]
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_a_refused(self, a):
+        with pytest.raises(SphereDomainError, match="must be finite"):
+            helmholtz_parameter(make_context(2), a)
+        with pytest.raises(SphereDomainError, match="must be finite"):
+            green_tables.lookup(2, a)
+
+    @pytest.mark.parametrize("L", [float("nan"), float("inf"), -float("inf"), 1e300])
+    def test_non_finite_a_from_a_root_refused(self, L):
+        # L = 1e300 is finite, but a = L(n+L-1) is not
+        with pytest.raises(SphereDomainError, match="must be finite"):
+            parameter_from_root(make_context(2), L)
+
+    def test_root_decision_matches_the_rules_it_replaced(self):
+        # the registry scan and the round(L) resonance rule (tests/oracles.py)
+        # agree with the one root decision, on and just off every row's a ...
+        rows = green_tables.rows_for()
+        for row in rows:
+            a0 = float(row.a)
+            for f in (0.0, 0.99, -0.99, 1.01, -1.01):
+                a = a0 + f * RESONANCE_RTOL * (1.0 + abs(a0))
+                p = helmholtz_parameter(make_context(row.n), a)
+                want = oracles.registry_scan(rows, row.n, a, RESONANCE_RTOL)
+                assert (want is row) == (abs(f) < 1.0), (row.n, row.L, f)
+                assert green_tables.lookup(row.n, a) is want, (row.n, row.L, f)
+                assert GreenFunction(p, "auto")._row is want, (row.n, row.L, f)
+                res = oracles.resonant_degree_by_rounding(row.n, a, RESONANCE_RTOL)
+                assert (p.resonant, p.L_res) == (res is not None, res), (row.n, row.L, f)
+        # ... and at random a, every half-integer root and the double roots, n = 2..40
+        rng = np.random.default_rng(22)
+        for n in range(2, 41):
+            low = -(n - 1) ** 2 / 4.0
+            roots = [Fraction(k, 2) for k in range(1 - n, 24)]
+            on = [float(r * (n + r - 1)) for r in roots]
+            for a0 in [*rng.uniform(low - 5.0, 200.0, 40), *on]:
+                for f in (0.0, 0.5, -0.5, 2.0, -2.0):
+                    a = a0 + f * RESONANCE_RTOL * (1.0 + abs(a0))
+                    p = helmholtz_parameter(make_context(n), a)
+                    assert green_tables.lookup(n, a) is oracles.registry_scan(
+                        rows, n, a, RESONANCE_RTOL), (n, a)
+                    res = oracles.resonant_degree_by_rounding(n, a, RESONANCE_RTOL)
+                    assert (p.resonant, p.L_res) == (res is not None, res), (n, a)
+                    if a0 in on and abs(f) < 1.0:
+                        assert p.root == roots[on.index(a0)], (n, a)
 
 
 class TestCoefficients:
@@ -114,6 +167,7 @@ class TestCoefficients:
                 lam = ctx.lam
                 g = green_coefficients(p, 24)
                 for l in range(25):
+                    assert green_coefficient(p, l) == g[l]
                     if p.resonant and l == p.L_res:
                         assert g[l] == 0.0
                         continue
@@ -315,6 +369,18 @@ class TestIntegral:
         for backend in ("integral", "auto"):
             with pytest.raises(ConvergenceError, match="did not reach 1e-08"):
                 GreenFunction(p, backend)(0.0)
+
+    def test_depth_beyond_the_doubles_refused_before_allocating(self, monkeypatch):
+        # r^{-L-1} reaches 2^{L+1} at r_s = 1/2: from depth 1023 on it leaves the doubles
+        def no_matrix(*args):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(green, "gegenbauer_matrix", no_matrix)
+        for n, a in ((2, 1e300), (2, 3000.37 * 3001.37), (8, 1023.2 * 1030.2), (3, 2000 * 2002)):
+            with pytest.raises(ConvergenceError, match="subtraction depth above 1022"):
+                green_eval_integral(helmholtz_parameter(make_context(n), a), 0.0)
+        with pytest.raises(AssertionError, match="allocated"):     # depth 1022 goes on
+            green_eval_integral(parameter_from_root(make_context(2), 1022.9), 0.0)
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_smooth_across_the_double_root(self, n):

@@ -59,6 +59,14 @@ class TestSolve:
         with pytest.raises(SolvabilityError):
             solve_helmholtz(req)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_resonant_tolerance_refused(self, tol):
+        # a NaN tolerance would pass every mass test and return u = 0 for any f
+        ctx = make_context(2)
+        with pytest.raises(SphereDomainError, match="resonant tolerance must be finite"):
+            SolveRequest(param=helmholtz_parameter(ctx, 2.0), f=_delta(ctx, 1), resonant_tol=tol)
+        SolveRequest(param=helmholtz_parameter(ctx, 2.0), f=_delta(ctx, 2), resonant_tol=0.0)
+
     def test_resonant_redirect(self):
         ctx = make_context(2)
         req = SolveRequest(param=helmholtz_parameter(ctx, 2.0),

@@ -102,12 +102,13 @@ def test_closedform_has_one_term_type_and_one_evaluator():
 
 
 def test_analysis_streams_the_one_gegenbauer_recurrence():
-    # analyze takes C_l row by row from geometry and never builds the
-    # (L+1) x m matrix; the only loop over a range in spectra.py is the
-    # orthonormal recurrence of the quadrature rule
+    # analyze and synthesize take C_l row by row from geometry and never
+    # build the (L+1) x m matrix; the only loop over a range in spectra.py
+    # is the orthonormal recurrence of the quadrature rule
     tree = MODULES["spectra"]
-    assert "gegenbauer_matrix" not in _calls(tree, "analyze")
-    assert "gegenbauer_rows" in _calls(tree, "analyze")
+    for function in ("analyze", "synthesize"):
+        assert "gegenbauer_matrix" not in _calls(tree, function)
+        assert "gegenbauer_rows" in _calls(tree, function)
     ranged = sorted({function.name for function in tree.body
                      if isinstance(function, ast.FunctionDef)
                      for node in ast.walk(function)

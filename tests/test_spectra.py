@@ -115,6 +115,19 @@ class TestQuadrature:
         with pytest.raises(QuadratureError, match="finite and >= 0"):
             gauss_gegenbauer_rule(mu, 5)
 
+    @pytest.mark.parametrize("mu", [171.0, 400.0])
+    def test_weight_exponent_beyond_the_doubles_refused(self, mu):
+        # the zeroth moment's Gamma(mu + 1) leaves the doubles past mu = 170.6
+        with pytest.raises(QuadratureError, match="beyond the doubles"):
+            gauss_gegenbauer_rule(mu, 5)
+
+    @pytest.mark.parametrize("m", [5.5, 5.0, "5", None, 0, -3])
+    def test_node_count_refused(self, m):
+        # a count that is not a whole number is refused, not sliced with
+        with pytest.raises(QuadratureError, match="whole number of nodes"):
+            gauss_gegenbauer_rule(2.0, m)
+        assert gauss_gegenbauer_rule(2.0, np.int64(5)).nodes.size == 5
+
     def test_unconverged_passes_raise(self, monkeypatch):
         monkeypatch.setattr(spectra, "_NEWTON_PASSES", 1)
         with pytest.raises(QuadratureError, match="did not converge"):
@@ -137,6 +150,20 @@ class TestAnalyze:
         ctx = make_context(5)
         spec = analyze(ctx, lambda t: np.ones_like(t), 6)
         assert_allclose(spec.coeffs[0], 1.0, rtol=1e-13)
+        assert_allclose(spec.coeffs[1:], 0.0, atol=1e-13)
+
+    def test_constant_returning_callable(self):
+        # samples is called once, on the nodes; a scalar result is broadcast
+        ctx = make_context(4)
+        calls = []
+
+        def samples(t):
+            calls.append(np.shape(t))
+            return 2.5
+
+        spec = analyze(ctx, samples, 6)
+        assert calls == [(default_rule(ctx, 6).nodes.size,)]
+        assert_allclose(spec.coeffs[0], 2.5, rtol=1e-13)
         assert_allclose(spec.coeffs[1:], 0.0, atol=1e-13)
 
     def test_poisson_kernel_coefficients(self):
@@ -192,6 +219,17 @@ class TestSynthesize:
         spec = poisson_kernel_spectrum(ctx, 0.5, 200)
         got = synthesize(spec, 0.3)
         assert_allclose(got, poisson_kernel(ctx, 0.5, 0.3), rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_streamed_sum_matches_the_matrix_product(self, n):
+        # one recurrence pass, summed degree by degree: only the order of the sum changes
+        ctx = make_context(n)
+        coeffs = np.random.default_rng(n).standard_normal(2049)
+        ts = np.linspace(-1.0, 1.0, 301)
+        want = coeffs @ gegenbauer_matrix(ctx, 2048, ts)
+        got = synthesize(ZonalSpectrum(ctx, coeffs), ts)
+        scale = np.abs(coeffs) @ np.abs(gegenbauer_matrix(ctx, 2048, ts))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     def test_domain_error(self):
         with pytest.raises(SphereDomainError):
