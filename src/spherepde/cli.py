@@ -285,7 +285,8 @@ def cmd_green(args):
                 else [args.backend])
     ts = np.array([args.t]) if args.t is not None else np.linspace(-1, 1, args.grid + 2)[1:-1]
     cols, notes, tail = {}, {}, None
-    for b in backends:
+    # the integral, which must answer, goes first: its refusal costs no other column
+    for b in sorted(backends, key=lambda b: b != "integral"):
         try:
             if b == "series":     # called directly for its tail estimate
                 cols[b], tails = green_series_batch(param, ts)
@@ -297,6 +298,7 @@ def cmd_green(args):
                 raise
             # under 'all' only the integral, which serves every a, must answer
             notes[b] = f"column dropped: {exc}"
+    cols = {b: cols[b] for b in backends if b in cols}
     kv = {"n": ctx.n, "a": _fmt(param.a),
           "L": "none" if param.L is None else _fmt(param.L),
           "backends": "+".join(cols),

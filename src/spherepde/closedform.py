@@ -508,11 +508,21 @@ class ClosedForm:
             scale = pi * sqrt(2.0) if atom == "pi*sqrt2" else 1.0
             plan.append((tuple(float(c) * scale for c in reversed(coeffs)), atom, a, b))
         object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_antipode_pole", any(b for *_, b, _c in self.terms))
 
     def eval(self, t):
-        """G at t: a float for a scalar t, an array of the same shape for an array."""
+        """G at t: a float for a scalar t, an array of the same shape for an array.
+
+        At t = -1 a form with a (1+t) denominator (the odd-n rows), whose
+        terms are 0/0 there, raises NoClosedFormError.
+        """
         scalar = isinstance(t, (float, int)) or np.ndim(t) == 0
         t = float(t) if scalar else np.asarray(t, dtype=float)
+        if self._antipode_pole and (t == -1.0 if scalar else np.any(t == -1.0)):
+            label = f" for n={self.n}, a={float(self.a)}" if self.a is not None else ""
+            raise NoClosedFormError(
+                f"the closed form{label} has a (1+t) denominator and no value at t = -1; "
+                "use the series or integral backend")
         total = 0.0 * t
         for coeffs, atom, a, b in self._plan:
             val = coeffs[0]
@@ -731,6 +741,12 @@ class Collector:
 # the assembler
 # ---------------------------------------------------------------------------
 
+# Largest n + L derived: the cost grows with the kernel power antiderivatives
+# of degree n + L.  At n + L = 40 a derivation took 0.3-1.5 s on a 2-vCPU
+# host ((2, 38), (8, 32), (40, 0), (78, -38)); (2, 64) took 5 s.
+_DERIVE_MAX_NL = 40
+
+
 def derive_green_closed_form(n, L):
     """Closed form of the Green function for even n, integer L, a = L(n+L-1).
 
@@ -741,7 +757,7 @@ def derive_green_closed_form(n, L):
 
     Raises NoClosedFormError outside the supported range (odd n or
     non-integer L: those forms carry inverse-trig terms outside this
-    algebra).
+    algebra), and before building anything for n + L above _DERIVE_MAX_NL.
     """
     if n % 2 != 0 or n < 2:
         raise NoClosedFormError(
@@ -751,6 +767,9 @@ def derive_green_closed_form(n, L):
     L = int(L)
     if 2 * L <= -(n - 1):
         raise NoClosedFormError(f"L={L} lies below the root range for n={n}")
+    if n + L > _DERIVE_MAX_NL:
+        raise NoClosedFormError(
+            f"closed-form assembly is bounded to n + L <= {_DERIVE_MAX_NL}, got n={n}, L={L}")
     J = n // 2
     lam = Fraction(2 * J - 1, 2)
     geg = gegenbauer_poly(lam, max(L, 0))

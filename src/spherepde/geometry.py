@@ -28,8 +28,7 @@ from .errors import SphereDomainError
 # Tolerated roundoff excursion of t outside [-1, 1] (arccos/cos round trips).
 _T_SLACK = 1e-12
 
-# a sits on the root L of a = L(n+L-1) within this relative gap
-# (helmholtz_root), and a Green coefficient has a pole within it.
+# a sits on the root L of a = L(n+L-1) within this relative gap (helmholtz_root).
 RESONANCE_RTOL = 1e-9
 
 
@@ -40,6 +39,13 @@ def helmholtz_root(n, a):
     the half-integer nearest L (-lambda for complex roots) as a Fraction
     when a lies within RESONANCE_RTOL (1 + |a|) of root(n+root-1), else
     None: it keys the registry, and an integer root >= 0 is resonant.
+
+    A root is reported only where that window is narrower than half the
+    a-gap to the nearer neighbouring half-integer root, (n+2 root-1)/2 - 1/4
+    (1/4 at the double root), so that it tells the roots apart.  From
+    L ~ 5e8 on it cannot, and root is None.  No Green backend reaches such
+    degrees (the series cut stops at 2e6, the integral's depth at 1022),
+    and a solve refuses a spectrum degree whose eigenvalue a equals.
     """
     a = float(a)
     if not isfinite(a):
@@ -47,7 +53,9 @@ def helmholtz_root(n, a):
     disc = (n - 1.0) ** 2 + 4.0 * a
     L = (sqrt(disc) - (n - 1.0)) / 2.0 if disc >= 0.0 else None
     near = round(2.0 * L) / 2.0 if L is not None else -(n - 1) / 2.0
-    if abs(a - near * (n + near - 1.0)) <= RESONANCE_RTOL * (1.0 + abs(a)):
+    window = RESONANCE_RTOL * (1.0 + abs(a))
+    half_gap = max(2.0 * (n + 2.0 * near - 1.0) - 1.0, 1.0) / 8.0
+    if window < half_gap and abs(a - near * (n + near - 1.0)) <= window:
         return L, Fraction(near)
     return L, None
 
@@ -87,7 +95,16 @@ def make_context(n):
 
 
 def _clamp_t(t):
-    """Clamp roundoff excursions of t to [-1, 1]; reject real excursions and NaN."""
+    """Clamp roundoff excursions of t to [-1, 1]; reject real excursions and NaN.
+
+    A float or 0-d t gives a float, by conditional expressions (min/max made
+    a scalar Green call ~15 % slower); an array gives an array of t's shape.
+    """
+    if isinstance(t, float) or np.ndim(t) == 0:
+        t = float(t)
+        if not abs(t) <= 1.0 + _T_SLACK:    # NaN fails it too
+            raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {abs(t)}")
+        return -1.0 if t < -1.0 else 1.0 if t > 1.0 else t
     t = np.asarray(t, dtype=float)
     # written so that a NaN fails the test, as an excursion does
     if not np.all(np.abs(t) <= 1.0 + _T_SLACK):

@@ -23,13 +23,12 @@ integral  -- one fixed quadrature of the radial integral representation.
 
              leaves the single integral
 
-    G(t) = -int_0^1 S(r) w(r) dr
-           + sum_{l<=M'} 1/(a-l(n+l-1)) (lambda+l)/lambda C_l(t),
+    G(t) = -int_0^1 S(r) w(r) dr + sum_{l<=M} G-hat(l) C_l(t),
     w(r) = (r^{-L-1} - r^{n+L-2}) / (n+2L-1),
     S(r) = Sigma_n p_r(t) - sum_{l<=M} r^l (lambda+l)/lambda C_l(t),
 
-             where a = L(n+L-1), M = floor(L) for noninteger L (M' = M),
-             M = L with M' = L-1 in the resonant integer case, and both
+             where a = L(n+L-1), M = floor(L) (L itself in the resonant
+             integer case, whose excluded degree has G-hat = 0), and both
              sums are empty when M < 0 (always so for a < 0).  At the
              double root n + 2L - 1 = 0, a = -(n-1)^2/4, the weight is
              its limit -r^{(n-3)/2} ln r.  Below it the roots are
@@ -61,21 +60,14 @@ tail estimate falls short of the error.  The integral backend covers
 those n.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, log, sqrt
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    NoClosedFormError,
-    ResonanceError,
-    SphereDomainError,
-)
+from .errors import ConvergenceError, NoClosedFormError, SphereDomainError
 from .geometry import (
-    _T_SLACK,
-    RESONANCE_RTOL,
     SphereContext,
     _clamp_t,
     eigenvalue,
@@ -86,7 +78,7 @@ from .geometry import (
 from . import green_tables
 
 # A coefficient whose eigenvalue gap is below this relative level (but
-# not resonant, geometry.RESONANCE_RTOL) is flagged as ill-conditioned.
+# not at the excluded degree) is flagged as ill-conditioned.
 CONDITION_WARN_RTOL = 1e-6
 
 _DIAG_TOL = 1e-12   # t >= 1 - _DIAG_TOL counts as the diagonal
@@ -94,7 +86,7 @@ _DIAG_TOL = 1e-12   # t >= 1 - _DIAG_TOL counts as the diagonal
 
 @dataclass(frozen=True)
 class HelmholtzParameter:
-    """Helmholtz parameter a with its roots, decided once by geometry.helmholtz_root.
+    """Helmholtz parameter a with its roots, which it computes (geometry.helmholtz_root).
 
     L is the principal root of a = L(n+L-1), None when both roots are
     complex (green_eval_integral takes the complex root itself); floor(L)
@@ -105,8 +97,14 @@ class HelmholtzParameter:
 
     ctx: SphereContext
     a: float
-    L: float | None
-    root: Fraction | None
+    L: float | None = field(init=False)
+    root: Fraction | None = field(init=False)
+
+    def __post_init__(self):
+        L, root = helmholtz_root(self.ctx.n, self.a)
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "root", root)
 
     @property
     def resonant(self):
@@ -116,11 +114,13 @@ class HelmholtzParameter:
     def L_res(self):
         return int(self.root) if self.resonant else None
 
+    @property
+    def excluded(self):
+        """The degree the Green coefficients drop: L_res, or -1 (none) off resonance."""
+        return self.L_res if self.resonant else -1
 
-def helmholtz_parameter(ctx, a):
-    """Build the parameter record for Delta* + a on the given sphere."""
-    L, root = helmholtz_root(ctx.n, a)
-    return HelmholtzParameter(ctx=ctx, a=float(a), L=L, root=root)
+
+helmholtz_parameter = HelmholtzParameter     # the record for Delta* + a on ctx's sphere
 
 
 def parameter_from_root(ctx, L):
@@ -142,14 +142,10 @@ def green_coefficient(param, l):
 
 
 def green_coefficients(param, l_max):
-    """Green coefficients for l = 0..l_max, excluded degree zeroed; a pole elsewhere raises."""
+    """Green coefficients for l = 0..l_max, the excluded degree zeroed."""
     ls = np.arange(l_max + 1)
     gap = eigen_gap(param, ls)
-    ok = ls != (param.L_res if param.resonant else -1)     # -1: no degree is excluded
-    poles = ls[ok & (np.abs(gap) <= RESONANCE_RTOL * (1.0 + abs(param.a)))]
-    if poles.size:
-        raise ResonanceError(f"a = {param.a} is resonant at degree {poles[0]}",
-                             degree=int(poles[0]))
+    ok = ls != param.excluded
     lam = param.ctx.lam
     out = np.zeros(l_max + 1)
     out[ok] = (lam + ls[ok]) / lam / gap[ok]
@@ -157,29 +153,17 @@ def green_coefficients(param, l_max):
 
 
 def condition_warnings(param, l_max):
-    """Degrees whose eigenvalue gap is dangerously small (but not resonant)."""
+    """Degrees whose eigenvalue gap is dangerously small (but not the excluded one)."""
     ls = np.arange(l_max + 1)
     gap = np.abs(eigen_gap(param, ls))
-    near = gap <= CONDITION_WARN_RTOL * (1.0 + abs(param.a))
-    near &= ls != (param.L_res if param.resonant else -1)
+    near = (gap <= CONDITION_WARN_RTOL * (1.0 + abs(param.a))) & (ls != param.excluded)
     return [(int(l), float(g)) for l, g in zip(ls[near], gap[near])]
 
 
 def _check_t_for_eval(t):
-    """t clamped to [-1, 1] as _clamp_t does; rejects the diagonal t = 1.
-
-    A float for a float or 0-d t (without NumPy: the facade's scalar path
-    runs through here), else an array of t's shape.
-    """
-    if isinstance(t, float) or np.ndim(t) == 0:
-        t = float(t)
-        if not abs(t) <= 1.0 + _T_SLACK:    # NaN fails it too
-            raise SphereDomainError(f"argument t must lie in [-1, 1], got |t| = {abs(t)}")
-        # clamped below only: a t above 1 within the slack fails the diagonal test
-        t = top = -1.0 if t < -1.0 else t
-    else:
-        t = _clamp_t(t)
-        top = float(t.max(initial=-1.0))
+    """_clamp_t(t) (a float for a float or 0-d t), refusing the diagonal t = 1."""
+    t = _clamp_t(t)
+    top = t if isinstance(t, float) else float(t.max(initial=-1.0))
     if top >= 1.0 - _DIAG_TOL:
         raise SphereDomainError(
             "Green functions are singular on the diagonal t = 1; "
@@ -330,13 +314,11 @@ def green_eval_integral(param, t):
     ts = np.ravel(t)
     ctx, L = param.ctx, param.L
     lam = ctx.lam
-    if param.resonant:
-        M, corr_top = param.L_res, param.L_res - 1
-    elif L is None:     # complex roots -lambda +- i beta, beta = sqrt(-(n-1)^2 - 4a)/2
+    if L is None:     # complex roots -lambda +- i beta, beta = sqrt(-(n-1)^2 - 4a)/2
         L = complex(-lam, sqrt(-(ctx.n - 1.0) ** 2 - 4.0 * param.a) / 2.0)
-        M = corr_top = -1
-    else:
-        M = corr_top = max(floor(L), -1)
+        M = -1
+    else:       # floor(L) may fall just short of a resonant degree
+        M = max(floor(L), param.excluded)
     if M > _DEPTH_MAX:
         raise ConvergenceError(
             f"integral backend: L = {param.L:.6g} puts the subtraction depth above "
@@ -373,7 +355,7 @@ def green_eval_integral(param, t):
                  + r ** ls[:M + 1] @ np.abs(c[:M + 1])) * np.abs(weight)
         value = w @ f[:w.size]
         err = np.abs(value - w_check @ f[w.size:]) + 8.0 * _EPS * (w @ scale[:w.size] + size)
-        total = green_coefficients(param, corr_top) @ C[:corr_top + 1] - terms.sum(axis=0) - value
+        total = green_coefficients(param, M) @ C[:M + 1] - terms.sum(axis=0) - value
     bad = ~np.isfinite(total) | ~(err <= _QUAD_RTOL * (1.0 + np.abs(total)))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -404,11 +386,11 @@ class GreenFunction:
     is the only place that maps a backend name to an evaluation.
 
     A float or 0-d t gives a float.  An array gives an array of its shape:
-    one domain and diagonal check, then one row.eval for 'closed', one
-    green_series_batch for 'series', one green_eval_integral for
-    'integral'.  Callers that need the series tail estimate call
-    green_series_batch directly.  A row with a (1+t) denominator (the odd-n
-    rows) raises NoClosedFormError at t = -1, where its terms are 0/0.
+    one row.eval for 'closed', one green_series_batch for 'series', one
+    green_eval_integral for 'integral', each checking t once.  Callers
+    that need the series tail estimate call green_series_batch directly.
+    A row with a (1+t) denominator (the odd-n rows) raises
+    NoClosedFormError at t = -1 (ClosedForm.eval), where its terms are 0/0.
     """
 
     param: HelmholtzParameter
@@ -421,8 +403,6 @@ class GreenFunction:
         self._kind = self.backend
         if self.backend == "auto":
             self._kind = "closed" if self._row is not None else "integral"
-        # a (1+t) denominator: the row's terms cancel at the antipode only in the limit
-        self._antipode_pole = self._row is not None and any(b for *_, b, _c in self._row.terms)
 
     def resolved_backend(self):
         """The backend name, with the registry table for a resolved 'auto'."""
@@ -431,20 +411,15 @@ class GreenFunction:
         return self._kind
 
     def __call__(self, t):
-        ts = _check_t_for_eval(t)
         kind = self._kind
-        scalar = isinstance(ts, float)
         if kind == "closed":
+            t = _check_t_for_eval(t)
             if self._row is None:
                 raise NoClosedFormError(
                     f"no closed form tabulated for n={self.param.ctx.n}, a={self.param.a}; "
                     "use the integral backend")
-            if self._antipode_pole and (ts == -1.0 if scalar else np.any(ts == -1.0)):
-                raise NoClosedFormError(
-                    f"the closed form for n={self.param.ctx.n}, a={self.param.a} has a (1+t) "
-                    "denominator and no value at t = -1; use the series or integral backend")
-            return self._row.eval(ts)
+            return self._row.eval(t)
         if kind == "series":
-            vals = green_series_batch(self.param, np.ravel(ts))[0]
-            return float(vals[0]) if scalar else vals.reshape(ts.shape)
-        return green_eval_integral(self.param, ts)
+            vals = green_series_batch(self.param, np.ravel(t))[0]
+            return float(vals[0]) if np.ndim(t) == 0 else vals.reshape(np.shape(t))
+        return green_eval_integral(self.param, t)

@@ -50,11 +50,6 @@ class SolveReport:
     condition_warnings: list = field(default_factory=list)
 
 
-def _at_resonance(param, degrees):
-    """Mask of the entries at the resonant degree L_res; none for non-resonant a."""
-    return degrees == (param.L_res if param.resonant else -1)     # degrees are >= 0
-
-
 def _residual(param, degrees, uv, fv, at_res):
     """(a - l(n+l-1)) u-hat - f-hat at the entries off the resonant degree."""
     return (eigen_gap(param, degrees) * uv - fv)[~at_res]
@@ -71,7 +66,7 @@ def _solve(req):
     if param.ctx != f.ctx:
         raise SphereDomainError("parameter and right-hand side live on different spheres")
     degrees, values = unpack(f)
-    at_res = _at_resonance(param, degrees)
+    at_res = degrees == param.excluded
     if param.resonant:
         mass = float(np.linalg.norm(values[at_res]))
         norm = float(np.linalg.norm(values))
@@ -82,8 +77,15 @@ def _solve(req):
                 f"{what}: degree-{param.L_res} content of f has mass {mass:.3e} > "
                 f"{req.resonant_tol:.1e} * ||f|| = {req.resonant_tol * norm:.3e}",
                 offending_mass=mass)
+    gap = eigen_gap(param, degrees)
+    # past the roots helmholtz_root resolves (L ~ 5e8) a may still equal a degree's
+    # eigenvalue exactly, and a general spectrum can reach that degree
+    poles = degrees[(gap == 0.0) & ~at_res]
+    if poles.size:
+        raise ResonanceError(f"a = {param.a} is the eigenvalue of degree {poles[0]}, too high "
+                             "for its resonance to be resolved", degree=int(poles[0]))
     u = np.zeros(values.shape, dtype=np.result_type(values, float))
-    np.divide(values, eigen_gap(param, degrees), out=u, where=~at_res)
+    np.divide(values, gap, out=u, where=~at_res)
     residual = _residual(param, degrees, u, values, at_res)
     return SolveReport(
         u=rebuild(f, u),
@@ -136,7 +138,7 @@ def verify_solution(param, u, f):
     if type(u) is not type(f):
         raise SphereDomainError("solution and right-hand side are different kinds of spectra")
     degrees, uv, fv = unpack(u, f)
-    at_res = _at_resonance(param, degrees)
+    at_res = degrees == param.excluded
     residual = _residual(param, degrees, uv, fv, at_res)
     mass = float(np.linalg.norm(fv[at_res])) if param.resonant else None
     return ResidualReport(degrees=degrees[~at_res], residual=residual,

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherepde.cli import _config_defaults, build_parser, main
-from spherepde import ZonalSpectrum, make_context
+from spherepde import ZonalSpectrum, cli, closedform, make_context
 from spherepde.spectra import load_spectrum, save_spectrum
 
 
 def _write_spec(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def _refuse(*args):
+    raise AssertionError(f"called with {args}")
 
 
 @pytest.fixture
@@ -50,6 +54,26 @@ class TestSolve:
         assert code == 0
         u = load_spectrum(out)
         assert u.coeffs[2] == pytest.approx(-0.25)
+
+    def test_ill_conditioned_degree_warned(self, tmp_path, f_poisson, capsys):
+        # gap 1e-6 at degree 1: above the resonance window 1e-9 (1 + |a|),
+        # within the conditioning one 1e-6 (1 + |a|)
+        assert main(["solve", "--n", "2", "--a", "2.000001", "--in", str(f_poisson),
+                     "--out", str(tmp_path / "u.spec")]) == 0
+        (warning,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning:")]
+        head, gap = warning.split(" = ")
+        assert head == "warning: degree 1 is ill-conditioned, |a - l(n+l-1)|"
+        assert float(gap) == pytest.approx(1e-6, rel=1e-9)
+
+    def test_a_beyond_resolvable_roots_solves(self, tmp_path, capsys):
+        # a = 1e300 used to sit on a 150-digit resonant degree (exit 2)
+        f = tmp_path / "f.spec"
+        _write_spec(f, ["# zonal n=2 Lmax=3", "0\t0", "1\t1", "2\t0.5", "3\t0.25"])
+        out = tmp_path / "u.spec"
+        assert main(["solve", "--n", "2", "--a", "1e300", "--in", str(f),
+                     "--out", str(out)]) == 0
+        u = load_spectrum(out).coeffs
+        assert np.all(np.isfinite(u)) and u[3] == pytest.approx(2.5e-301, rel=1e-11, abs=0)
 
     def test_solvability_exit3(self, tmp_path, capsys):
         f = tmp_path / "f.spec"
@@ -269,6 +293,40 @@ class TestGreen:
         out = capsys.readouterr().out
         assert "log((1-t)/2)" in out and "latex" in out
 
+    def test_derive_without_a_resolvable_root_exits_3_at_once(self, monkeypatch, capsys):
+        # a = 1e300 used to start a derivation at a 150-digit degree
+        monkeypatch.setattr(cli, "derive_green_closed_form", _refuse)
+        assert main(["green", "derive", "--n", "2", "--a", "1e300"]) == 3
+        assert "no integer or half-integer root" in capsys.readouterr().err
+
+    def test_derive_past_the_bound_exits_3(self, monkeypatch, capsys):
+        # (2, 200) used to run past a 15 s timeout
+        monkeypatch.setattr(closedform, "kernel_power_antiderivative", _refuse)
+        assert main(["green", "derive", "--n", "2", "--L", "200"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "n + L <= 40" in err
+
+    def test_all_computes_the_integral_first(self, monkeypatch, capsys):
+        # an integral refusal costs no series column
+        monkeypatch.setattr(cli, "green_series_batch", _refuse)
+        assert main(["green", "--n", "8", "--L", "1100.5", "--grid", "19"]) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_all_keeps_its_column_order(self, capsys):
+        assert main(["green", "--n", "2", "--a", "0", "--grid", "19"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# backends: closed+series+integral" in lines
+        assert "t,theta,closed,series,integral" in lines
+        assert lines.index("# backends: closed+series+integral") < [
+            i for i, l in enumerate(lines) if l.startswith("# series tail estimate")][0]
+        table = [l.split(",") for l in lines if not l.startswith(("#", "t,"))]
+        for i, backend in enumerate(("closed", "series", "integral"), 2):
+            assert main(["green", "--n", "2", "--a", "0", "--grid", "19",
+                         "--backend", backend]) == 0
+            single = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                      if not l.startswith(("#", "t,"))]
+            assert [row[2] for row in single] == [row[i] for row in table], backend
+
     def test_derive_needs_an_integer_real_root(self, capsys):
         # L = 1/2 on S^4 is neither derivable nor tabulated; a = -10 has no real root
         assert main(["green", "derive", "--n", "4", "--L", "0.5"]) == 3
@@ -291,6 +349,14 @@ class TestGreen:
         main(["green", "--n", "4", "--a", "4", "--grid", "11", "--out", str(a)])
         main(["green", "--n", "4", "--a", "4", "--grid", "11", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestVerify:
+    def test_fast_passes_its_eight_checks(self, capsys):
+        assert main(["verify", "--fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(l.startswith("PASS  ") for l in lines) == 8
+        assert lines[-1] == "all checks passed"
 
 
 class TestWavelet:

@@ -287,6 +287,17 @@ class TestAssembler:
                for key in derived_forms.KERNEL_POWER}
         assert got == derived_forms.KERNEL_POWER
 
+    def test_derivation_bounded_before_building_anything(self, monkeypatch):
+        # (2, 200) ran past a 15 s timeout; every pinned form stays inside
+        def refuse(*args):
+            raise AssertionError("built a kernel power antiderivative")
+
+        assert all(n + L <= cf._DERIVE_MAX_NL for n, L in derived_forms.FORMS)
+        monkeypatch.setattr(cf, "kernel_power_antiderivative", refuse)
+        for n, L in ((2, 200), (2, 39), (40, 1), (80, -39)):
+            with pytest.raises(NoClosedFormError, match="n \\+ L <= 40"):
+                cf.derive_green_closed_form(n, L)
+
     def test_odd_dimension_falls_back(self):
         with pytest.raises(NoClosedFormError):
             cf.derive_green_closed_form(3, 0)

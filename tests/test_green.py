@@ -22,7 +22,7 @@ from spherepde import (
     parameter_from_root,
 )
 from spherepde import HelmholtzParameter, green
-from spherepde.geometry import RESONANCE_RTOL
+from spherepde.geometry import RESONANCE_RTOL, helmholtz_root
 from spherepde.green import (
     _ABEL_DIAG_GAP,
     condition_warnings,
@@ -141,6 +141,25 @@ class TestParameter:
                     assert (p.resonant, p.L_res) == (res is not None, res), (n, a)
                     if a0 in on and abs(f) < 1.0:
                         assert p.root == roots[on.index(a0)], (n, a)
+
+    @pytest.mark.parametrize("a", [3e17, 1e20, 1e300])
+    def test_no_root_where_the_window_spans_the_root_gap(self, a):
+        # RESONANCE_RTOL (1 + |a|) is wider than half the a-gap between
+        # neighbouring half-integer roots here (was 547722557, 19999999999/2
+        # and a 150-digit integer)
+        assert helmholtz_root(2, a)[1] is None
+        p = helmholtz_parameter(make_context(2), a)
+        assert p.root is None and not p.resonant and p.excluded == -1
+
+    def test_roots_kept_where_they_are_resolved(self):
+        assert helmholtz_root(2, 1e16)[1] == Fraction(199999999, 2)
+        for row in green_tables.rows_for():
+            assert helmholtz_root(row.n, float(row.a))[1] == row.L, (row.n, row.L)
+        halves = np.unique(np.geomspace(1, 2e6, 80).astype(int))
+        for n in range(2, 41):
+            for k in halves:
+                L = Fraction(int(k), 2)
+                assert parameter_from_root(make_context(n), float(L)).root == L, (n, L)
 
 
 class TestCoefficients:
@@ -287,6 +306,18 @@ class TestSeries:
 
 
 class TestIntegral:
+    @pytest.mark.parametrize("n, L", [(2, 1), (3, 2), (4, 3), (8, 2)])
+    @pytest.mark.parametrize("f", [-3e-10, 3e-10])
+    def test_resonant_a_just_off_its_root(self, n, L, f):
+        # floor(L) falls one short of the resonant degree for f < 0; the
+        # subtraction depth is still L, whose coefficient is excluded
+        p = helmholtz_parameter(make_context(n), L * (n + L - 1) * (1.0 + f))
+        assert p.resonant and p.L_res == L
+        ts = np.array([-0.5, 0.3, 0.9])
+        want = GreenFunction(p, "closed")(ts)
+        got = GreenFunction(p, "integral")(ts)
+        assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want))), (got, want)
+
     def test_poisson_n2(self):
         p = helmholtz_parameter(make_context(2), 0.0)
         assert abs(green_eval_integral(p, 0.0) - 0.3068528194400547) < 1e-6
@@ -455,6 +486,19 @@ class TestClosed:
             else:
                 assert np.isfinite(gf(-1.0))
         assert refused == 21
+
+    def test_a_row_refuses_its_own_antipode(self):
+        # ClosedForm.eval refuses t = -1 on a (1+t) denominator, also called
+        # directly (it was a ZeroDivisionError), and answers next to it
+        for n, a in ((3, 0.0), (5, 0.0), (9, 0.0), (7, -9.0)):
+            row = green_tables.lookup(n, a)
+            with pytest.raises(NoClosedFormError,
+                               match=f"n={n}, a={a} has a \\(1\\+t\\) denominator .* t = -1"):
+                row.eval(-1.0)
+            with pytest.raises(NoClosedFormError, match="t = -1"):
+                row.eval(np.array([0.3, -1.0]))
+            assert np.isfinite(row.eval(-0.999))
+        assert np.isfinite(green_tables.lookup(2, 0.0).eval(-1.0))
 
     def test_registry_size_and_keys(self):
         assert len(green_tables.rows_for()) == 66

@@ -173,6 +173,18 @@ class TestResonant:
             solve_resonant(SolveRequest(param=helmholtz_parameter(ctx, 2.5),
                                         f=_delta(ctx, 2)))
 
+    def test_eigenvalue_past_the_resolvable_roots_refused(self):
+        # a = l(l+1) exactly at l = 6e8 has no resolvable root (the window
+        # 1e-9 (1 + |a|) spans several), yet a general spectrum reaches l
+        ctx = make_context(2)
+        l = 600_000_000
+        p = helmholtz_parameter(ctx, float(l * (l + 1)))
+        assert p.root is None
+        f = GeneralSpectrum(ctx, {(1, "k"): 1.0, (l, "k"): 1.0})
+        with pytest.raises(ResonanceError, match=f"eigenvalue of degree {l}") as exc:
+            solve_helmholtz(SolveRequest(param=p, f=f))
+        assert exc.value.degree == l
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
     def test_solvability_contract(self, n, L):

@@ -2,7 +2,9 @@
 only spectra.py knows how a spectrum lays out its coefficients,
 closedform.py has one antiderivative term type and one evaluator and
 derives without a memo, the Gegenbauer recurrence is written once, in
-geometry.py, and no module imports SciPy: green.py integrates,
+geometry.py, each fact of G has one owner (a's root and the excluded
+degree the parameter record, t's range geometry._clamp_t, the antipode
+ClosedForm), and no module imports SciPy: green.py integrates,
 wavelets.py builds its scale grids and spectra.py its Gauss rules with
 NumPy and math alone, so neither importing the package nor building a
 rule and analysing with it loads SciPy."""
@@ -10,7 +12,12 @@ rule and analysing with it loads SciPy."""
 import ast
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from spherepde import HelmholtzParameter, make_context
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spherepde"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -183,3 +190,50 @@ def test_import_and_analysis_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(SRC.parent)})
     assert out.stdout.split() == ["False", "False", "False"], out
+
+
+def test_geometry_alone_decides_roots_and_t_range():
+    # helmholtz_root reads RESONANCE_RTOL and _clamp_t reads _T_SLACK
+    for constant in ("RESONANCE_RTOL", "_T_SLACK"):
+        owners = sorted(name for name, tree in MODULES.items() if constant in set(_names(tree)))
+        assert owners == ["geometry"], (constant, owners)
+
+
+def test_green_rederives_no_fact_of_its_inputs():
+    # no per-degree pole test (ResonanceError), no second depth for the
+    # excluded degree (corr_top), no reading of a row's terms for its antipode
+    tree = MODULES["green"]
+    assert "terms" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used = set(_names(tree)) & {"ResonanceError", "corr_top"}
+    assert not used, used
+
+
+def _excluded_degree_spellings():
+    """(module, class, function) of every `x.L_res if x.resonant else -1`."""
+    found = []
+    for name, tree in MODULES.items():
+        scopes = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)]
+        for cls, function in scopes:
+            for node in ast.walk(function):
+                if (isinstance(node, ast.IfExp)
+                        and getattr(node.body, "attr", None) == "L_res"
+                        and getattr(node.test, "attr", None) == "resonant"
+                        and ast.unparse(node.orelse) == "-1"):
+                    found.append((name, cls, function.name))
+    return found
+
+
+def test_the_excluded_degree_is_spelled_once():
+    assert _excluded_degree_spellings() == [("green", "HelmholtzParameter", "excluded")]
+
+
+def test_the_record_computes_its_own_roots():
+    # HelmholtzParameter(ctx, a) decides L and root; neither can be passed in
+    ctx = make_context(2)
+    p = HelmholtzParameter(ctx, 2)
+    assert (p.a, p.L, p.root, p.excluded) == (2.0, 1.0, Fraction(1), 1)
+    for given in ({"L": 1.0}, {"root": Fraction(1)}, {"L": 1.0, "root": Fraction(1)}):
+        with pytest.raises(TypeError):
+            HelmholtzParameter(ctx, 2.0, **given)

@@ -388,6 +388,10 @@ class TestInnerProduct:
         # ||2 C_1||^2 = 4 <C_1, C_1> = 4 * (1/2) * 2
         assert_allclose(norm_l2(f), 2.0, rtol=1e-14)
 
+    def test_norm_of_a_general_spectrum_is_its_coefficient_norm(self):
+        f = GeneralSpectrum(make_context(3), {(0, "a"): 3.0, (2, "b"): 4j, (2, "c"): -12.0})
+        assert norm_l2(f) == 13.0
+
 
 # ---------------------------------------------------------------------------
 # Poisson kernel

@@ -1,6 +1,7 @@
 """Wavelet families, admissibility, transform and inversion."""
 
 import warnings
+from dataclasses import replace
 from math import exp, gamma, lgamma, log, sqrt
 
 import numpy as np
@@ -300,6 +301,26 @@ class TestTransform:
         rhs = (2.0 * wavelet_transform(psi, f, grid).coeffs
                - 0.5 * wavelet_transform(psi, g, grid).coeffs)
         assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-16)
+
+
+    def test_complex_typed_real_inputs_give_real_transforms(self):
+        # a real signal or family held in a complex array comes back float64
+        ctx = make_context(3)
+        psi = poisson_wavelet(ctx, 2)
+        twin = WaveletFamily(ctx=ctx, hat=lambda rho, l: psi.hat(rho, l).astype(complex),
+                             tag="complex-typed")
+        f = ZonalSpectrum(ctx, np.random.default_rng(5).standard_normal(9))
+        grid = poisson_scale_grid(2, f.l_max)
+        W = wavelet_transform(psi, f, grid)
+        for family, signal in ((psi, ZonalSpectrum(ctx, f.coeffs.astype(complex))), (twin, f)):
+            got = wavelet_transform(family, signal, grid)
+            assert got.coeffs.dtype == np.float64
+            assert_allclose(got.coeffs, W.coeffs, rtol=1e-15, atol=0)
+        back = inverse_transform(psi, W, grid)
+        for family, transform in ((psi, replace(W, coeffs=W.coeffs.astype(complex))), (twin, W)):
+            got = inverse_transform(family, transform, grid)
+            assert got.coeffs.dtype == np.float64
+            assert_allclose(got.coeffs, back.coeffs, rtol=1e-15, atol=0)
 
 
 class TestInversion:
