@@ -15,10 +15,11 @@ solve and green take exactly one of --a and --L; wavelet forward and
 roundtrip need --in.  Config files are flat ``key = value`` text (same
 keys as the long options, with ``-`` replaced by ``_``) whose values
 become the command's defaults, so command-line flags override them; a
-malformed line is a usage error.  All output files are written
-atomically and begin with comment headers recording the parameters,
-tolerances, and version; numbers are printed with 12 significant
-digits, so identical configurations give byte-identical outputs.
+malformed line, and a required option that both lack, is a usage error.
+All output files are written atomically and begin with comment headers
+recording the parameters, tolerances, and version; numbers are printed
+with 12 significant digits, so identical configurations give
+byte-identical outputs.
 """
 
 import argparse
@@ -509,6 +510,13 @@ def build_parser():
     pv = sub.add_parser("verify", help="run the cross-backend verification suites")
     pv.add_argument("--fast", action="store_true", help="reduced row/point coverage")
     pv.set_defaults(func=cmd_verify)
+    for sp in sub.choices.values():
+        # --config may supply a required option: main checks it once the file is
+        # applied, and the usage line keeps showing it as required
+        sp.usage = sp.format_usage().removeprefix("usage: ").rstrip("\n")
+        sp.deferred = [a for a in sp._actions if a.required and a.option_strings]
+        for action in sp.deferred:
+            action.required = False
     p.commands = sub.choices
     return p
 
@@ -516,11 +524,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = parser.commands[args.command]
     try:
         if getattr(args, "config", None):
-            command = parser.commands[args.command]
             command.set_defaults(**_config_defaults(args.config, command, parser))
             args = parser.parse_args(argv)
+        missing = [a for a in command.deferred if getattr(args, a.dest) is None]
+        if missing:
+            command.error("the following arguments are required: "
+                          + ", ".join("/".join(a.option_strings) for a in missing))
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -260,16 +260,8 @@ def expr_eval(terms, t, v):
 # recurrence tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """Exact-rational coefficient family, indexed per its defining recurrence."""
-
-    family: str
-    entries: dict
-
-
 def radial_split_polynomials(lam):
-    """Splitting polynomials Q_j, j = 0..lam-3/2, univariate in T = 1-t^2.
+    """Splitting polynomials {j: Q_j}, j = 0..lam-3/2, univariate in T = 1-t^2.
 
     Defined by   1 = 2(lam-1) Q_0,
                  0 = 2(lam-2) Q_1 - [(2lam-3) + 2(lam-1) T] Q_0,
@@ -293,7 +285,7 @@ def radial_split_polynomials(lam):
         term = pmul(bracket, qs[j - 1])
         term = padd(term, pscale(pmul({1: F1}, qs[j - 2]), -(2 * lam - 2 * j + 1)))
         qs[j] = pscale(term, 1 / (2 * (lam - j - 1)))
-    return RecurrenceTable(family="radial-split", entries=qs)
+    return qs
 
 
 def zonal_kernel_radial_antiderivative(lam):
@@ -306,7 +298,7 @@ def zonal_kernel_radial_antiderivative(lam):
         - ln(1 - t v + sqrt(u)),        j = 1..lam-1/2.
     """
     lam = Fraction(lam)
-    qs = radial_split_polynomials(lam).entries
+    qs = radial_split_polynomials(lam)
     # Q_{j-1}(T) at T = 1-t^2, the substitution of _shifted_to_sphere
     tts = _powers(BP_TT, max((i for q in qs.values() for i in q), default=0))
     terms = [Term({(0, 0): 1 / lam}, uhalf=-int(2 * lam))]
@@ -328,7 +320,8 @@ def shifted_leading_coefficient(kappa, J):
 
 
 def shifted_polynomial_coefficients(kappa, J):
-    """a_iota^{kappa,J+1/2}, iota = 0..kappa-1 (empty table for kappa = 0).
+    """{"lead": a, "poly": [a_0, ..., a_{kappa-1}]}: the shifted_leading_coefficient
+    a and the a_iota^{kappa,J+1/2} (an empty list for kappa = 0).
 
     a_0 = -a,  a_1 = -(3J-2) a / 3,
     a_iota = (2(J-iota) a_{iota-1} - a binom(J, iota)) / (2 iota + 1),
@@ -343,8 +336,7 @@ def shifted_polynomial_coefficients(kappa, J):
     for iota in range(2, kappa):
         out.append((2 * (J - iota) * out[iota - 1] - a * comb(J, iota))
                    / (2 * iota + 1))
-    return RecurrenceTable(family=f"shifted({kappa},{J})",
-                           entries={"lead": a, "poly": out})
+    return {"lead": a, "poly": out}
 
 
 def shifted_power_antiderivative(k, J):
@@ -380,8 +372,8 @@ def shifted_power_antiderivative(k, J):
                               uhalf=-(2 * (J - iota) - 1), tpow=J - kappa))
         return terms
     table = shifted_polynomial_coefficients(kappa, J)
-    a = table.entries["lead"]
-    for iota, ai in enumerate(table.entries["poly"]):
+    a = table["lead"]
+    for iota, ai in enumerate(table["poly"]):
         terms.append(Term({(kappa - iota - 1, 2 * iota + 1): ai}, uhalf=-(2 * J - 1)))
     terms.append(Term({(kappa - J, 0): a}, "A"))
     return terms
@@ -424,7 +416,7 @@ def kernel_power_antiderivative(L, J):
 
 
 def log_coefficient_polynomials(k):
-    """pi_j^k, j = 0..k-1, univariate in t; out-of-range indices are zero.
+    """{j: pi_j^k}, j = 0..k-1, univariate in t; out-of-range indices are zero.
 
     pi_{k-1} = 1/(k(k+1)) and, downward for j = k-2..0,
 
@@ -442,7 +434,7 @@ def log_coefficient_polynomials(k):
         term = pscale(pmul({1: F1}, pi[j + 1]), Fraction(2 * j + 3, j + 1))
         term = padd(term, pscale(pi.get(j + 2, {}), Fraction(-(j + 2), j + 1)))
         pi[j] = term
-    return RecurrenceTable(family=f"log-coefficients({k})", entries=pi)
+    return pi
 
 
 def kernel_log_antiderivative(k):
@@ -455,7 +447,7 @@ def kernel_log_antiderivative(k):
         raise SphereDomainError(f"need k >= 0, got {k}")
     if k == 0:
         return [Term(dict(BP_V), "B"), Term(pscale(BP_V, -1)), Term(dict(BP_ONE), "A")]
-    pi = log_coefficient_polynomials(k).entries
+    pi = log_coefficient_polynomials(k)
     p_k = {}
     for j in range(k):
         p_k = padd(p_k, pmul({(0, j): F1}, uni_to_bi(pi.get(j, {}))))

@@ -17,9 +17,10 @@ double precision).  On [-1, 1] the polynomials obey the uniform bound
 |C_l^lambda(t)| <= (n + l - 2)^{n-2}.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gamma, isfinite, pi, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -62,19 +63,30 @@ def helmholtz_root(n, a):
 
 @dataclass(frozen=True)
 class SphereContext:
-    """Dimension n with the derived constants every module needs.
+    """S^n for an integral n >= 2 (an int, a NumPy int or a float such as 3.0,
+    stored as an int), with the constants n fixes, which cannot be passed.
 
     lam     -- Gegenbauer order lambda = (n-1)/2
     sigma_n -- surface measure of S^n
     """
 
     n: int
-    lam: float
-    sigma_n: float
+    lam: float = field(init=False)
+    sigma_n: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise SphereDomainError(f"sphere dimension must be >= 2, got {self.n}")
+        n = self.n
+        if not (isinstance(n, Integral)
+                or isinstance(n, (float, np.floating)) and float(n).is_integer()) or n < 2:
+            raise SphereDomainError(f"sphere dimension must be an integer >= 2, got {n!r}")
+        n = int(n)
+        try:
+            sigma_n = surface_measure(n)
+        except OverflowError:       # Gamma((n+1)/2) beyond the doubles, n > 342
+            raise SphereDomainError(f"sphere dimension {n} is too large") from None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lam", (n - 1) / 2.0)
+        object.__setattr__(self, "sigma_n", sigma_n)
 
 
 def surface_measure(n):
@@ -82,16 +94,7 @@ def surface_measure(n):
     return 2.0 * pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0)
 
 
-def make_context(n):
-    """Build the SphereContext for S^n (n >= 2 integer)."""
-    n = int(n)
-    if n < 2:
-        raise SphereDomainError(f"sphere dimension must be >= 2, got {n}")
-    try:
-        sigma_n = surface_measure(n)
-    except OverflowError:       # Gamma((n+1)/2) beyond the doubles, n > 342
-        raise SphereDomainError(f"sphere dimension {n} is too large") from None
-    return SphereContext(n=n, lam=(n - 1) / 2.0, sigma_n=sigma_n)
+make_context = SphereContext        # the context of S^n
 
 
 def _clamp_t(t):

@@ -138,7 +138,8 @@ def green_coefficient(param, l):
     """G-hat(l) = (lambda+l)/lambda / (a - l(n+l-1)); 0 at the excluded degree."""
     if l < 0:
         raise SphereDomainError(f"degree l must be >= 0, got {l}")
-    return float(green_coefficients(param, l)[l])
+    lam = param.ctx.lam
+    return 0.0 if l == param.excluded else float((lam + l) / lam / eigen_gap(param, l))
 
 
 def green_coefficients(param, l_max):
@@ -152,12 +153,13 @@ def green_coefficients(param, l_max):
     return out
 
 
-def condition_warnings(param, l_max):
-    """Degrees whose eigenvalue gap is dangerously small (but not the excluded one)."""
-    ls = np.arange(l_max + 1)
-    gap = np.abs(eigen_gap(param, ls))
-    near = (gap <= CONDITION_WARN_RTOL * (1.0 + abs(param.a))) & (ls != param.excluded)
-    return [(int(l), float(g)) for l, g in zip(ls[near], gap[near])]
+def condition_warnings(param, degrees):
+    """(l, |a - l(n+l-1)|) for each of degrees (repeats allowed) whose gap is
+    dangerously small, the excluded degree aside: once per degree, ascending."""
+    degrees = np.asarray(degrees)
+    gap = np.abs(eigen_gap(param, degrees))
+    near = (gap <= CONDITION_WARN_RTOL * (1.0 + abs(param.a))) & (degrees != param.excluded)
+    return sorted({int(l): float(g) for l, g in zip(degrees[near], gap[near])}.items())
 
 
 def _check_t_for_eval(t):
@@ -184,18 +186,6 @@ _ABEL_DIAG_GAP = 6e-5
 _SERIES_N_MAX = 17          # above it the Abel sums cancel badly (module docstring)
 
 
-def crude_tail_term(param, l):
-    """Bound on the degree-l term |G-hat(l) C_l(t)| of the series.
-
-    (lambda+l)/(lambda |a - l(n+l-1)|) * (n+l-2)^{n-2}, from the uniform
-    Gegenbauer bound.  Summed over l the bounds diverge for every n >= 2;
-    _abel_values damps them by r^l / (1 - r) to place its cut.
-    """
-    lam = param.ctx.lam
-    gap = abs(float(eigen_gap(param, l)))
-    return (lam + l) / (lam * gap) * gegenbauer_bound(param.ctx, l)
-
-
 def _abel_values(param, ts):
     """Abel sums sum_l G-hat(l) r^l C_l(t) at r = 1 - _ABEL_EPS, batched over ts.
 
@@ -206,9 +196,12 @@ def _abel_values(param, ts):
     stops at n = _SERIES_N_MAX before the cut search.
     """
     r = 1.0 - min(_ABEL_EPS)
-    # geometric cut: (lambda+l)/lambda (n+l-2)^{n-2} r^l / gap below _ABEL_RTOL
+    lam = param.ctx.lam
+    # geometric cut: the uniform Gegenbauer bound caps the degree-l term |G-hat(l) C_l(t)|
+    # by (lambda+l)/(lambda |gap|) (n+l-2)^{n-2}; r^l / (1 - r) damps it below _ABEL_RTOL
     l_cut = 64
-    while crude_tail_term(param, l_cut) * r ** l_cut / (1.0 - r) >= _ABEL_RTOL:
+    while ((lam + l_cut) / (lam * abs(float(eigen_gap(param, l_cut))))
+           * gegenbauer_bound(param.ctx, l_cut) * r ** l_cut / (1.0 - r) >= _ABEL_RTOL):
         l_cut = int(l_cut * 1.6) + 8
         if l_cut > _ABEL_L_CUT_MAX:
             raise ConvergenceError(

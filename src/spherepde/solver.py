@@ -50,17 +50,14 @@ class SolveReport:
     condition_warnings: list = field(default_factory=list)
 
 
-def _residual(param, degrees, uv, fv, at_res):
-    """(a - l(n+l-1)) u-hat - f-hat at the entries off the resonant degree."""
-    return (eigen_gap(param, degrees) * uv - fv)[~at_res]
-
-
 def _solve(req):
     """The one solve path behind solve_helmholtz and solve_resonant.
 
     Unpacks f once.  For a resonant a (a = 0 included) the degree-L_res
     content of f must vanish to within resonant_tol * ||f||; that degree of
-    u is then 0.  The residual comes from the same arrays.
+    u is then 0.  The eigenvalue gap is computed once, over f's own
+    degrees: u and the residual read it, and the condition warnings cover
+    those degrees only.
     """
     param, f = req.param, req.f
     if param.ctx != f.ctx:
@@ -86,11 +83,11 @@ def _solve(req):
                              "for its resonance to be resolved", degree=int(poles[0]))
     u = np.zeros(values.shape, dtype=np.result_type(values, float))
     np.divide(values, gap, out=u, where=~at_res)
-    residual = _residual(param, degrees, u, values, at_res)
+    residual = (gap * u - values)[~at_res]
     return SolveReport(
         u=rebuild(f, u),
         residual_norm=float(np.linalg.norm(residual)),
-        condition_warnings=condition_warnings(param, int(np.max(degrees, initial=0))),
+        condition_warnings=condition_warnings(param, degrees),
     )
 
 
@@ -139,7 +136,7 @@ def verify_solution(param, u, f):
         raise SphereDomainError("solution and right-hand side are different kinds of spectra")
     degrees, uv, fv = unpack(u, f)
     at_res = degrees == param.excluded
-    residual = _residual(param, degrees, uv, fv, at_res)
+    residual = (eigen_gap(param, degrees) * uv - fv)[~at_res]
     mass = float(np.linalg.norm(fv[at_res])) if param.resonant else None
     return ResidualReport(degrees=degrees[~at_res], residual=residual,
                           norm=float(np.linalg.norm(residual)), resonant_mass=mass)

@@ -234,10 +234,9 @@ def gauss_gegenbauer_rule(mu, m):
     return QuadratureRule(nodes=nodes, weights=weights, exactness=2 * m - 1, mu=mu)
 
 
-def default_rule(ctx, l_max, margin=8):
-    """Rule adequate for analysis up to degree l_max (exactness 2 l_max + margin)."""
-    m = l_max + 1 + (margin + 1) // 2
-    return gauss_gegenbauer_rule(ctx.lam, m)
+def default_rule(ctx, l_max):
+    """Rule adequate for analysis up to degree l_max (exactness 2 l_max + 9)."""
+    return gauss_gegenbauer_rule(ctx.lam, l_max + 5)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ The workhorse family are the Poisson wavelets of order d >= 1,
 which are their own reconstruction family.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, exp, frexp, gamma, ldexp, lgamma, log, log1p, pi, sqrt
 
 import numpy as np
@@ -61,26 +61,30 @@ class WaveletFamily:
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Log-uniform trapezoid discretisation of int drho/rho on [rho_min, rho_max]."""
+    """Log-uniform trapezoid discretisation of int drho/rho on [rho_min, rho_max];
+    nodes and weights (exact for constants) follow from the three numbers."""
 
     rho_min: float
     rho_max: float
     count: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: np.ndarray = field(init=False, compare=False)
+    weights: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if not (0.0 < self.rho_min < self.rho_max):
+            raise QuadratureError(
+                f"need 0 < rho_min < rho_max, got [{self.rho_min}, {self.rho_max}]")
+        if self.count < 2:
+            raise QuadratureError(f"need at least 2 scale nodes, got {self.count}")
+        x = np.linspace(log(self.rho_min), log(self.rho_max), self.count)
+        h = x[1] - x[0]
+        w = np.full(self.count, h)
+        w[0] = w[-1] = h / 2.0
+        object.__setattr__(self, "nodes", np.exp(x))
+        object.__setattr__(self, "weights", w)
 
 
-def make_scale_grid(rho_min, rho_max, count):
-    """Log-uniform trapezoid grid; weights integrate drho/rho exactly for constants."""
-    if not (0.0 < rho_min < rho_max):
-        raise QuadratureError(f"need 0 < rho_min < rho_max, got [{rho_min}, {rho_max}]")
-    if count < 2:
-        raise QuadratureError(f"need at least 2 scale nodes, got {count}")
-    x = np.linspace(log(rho_min), log(rho_max), count)
-    h = x[1] - x[0]
-    w = np.full(count, h)
-    w[0] = w[-1] = h / 2.0
-    return ScaleGrid(rho_min, rho_max, count, np.exp(x), w)
+make_scale_grid = ScaleGrid         # the grid of count nodes on [rho_min, rho_max]
 
 
 # the largest Poisson wavelet order whose norm 2^d / sqrt(Gamma(2d)) is a
@@ -318,10 +322,7 @@ def inverse_transform(omega, transform, grid):
     The degree-0 coefficient is forced to zero (the inversion formula holds
     for zero-mean signals).
     """
-    if grid is not transform.grid and (
-            grid.count != transform.grid.count
-            or grid.rho_min != transform.grid.rho_min
-            or grid.rho_max != transform.grid.rho_max):
+    if grid != transform.grid:
         raise QuadratureError("inverse_transform must use the grid of the forward transform")
     ctx = transform.ctx
     lam = ctx.lam

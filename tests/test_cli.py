@@ -82,6 +82,15 @@ class TestSolve:
                      "--in", str(f), "--out", str(tmp_path / "u.spec")])
         assert code == 3
 
+    def test_input_on_another_sphere_exit3(self, tmp_path, capsys):
+        f = tmp_path / "f.spec"
+        _write_spec(f, ["# zonal n=3 Lmax=1", "0\t0", "1\t1"])
+        out = tmp_path / "u.spec"
+        assert main(["solve", "--n", "2", "--a", "0.5", "--in", str(f), "--out", str(out)]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "error: input spectrum is for n=3, requested n=2\n"
+        assert not out.exists()
+
     def test_zero_mean_guard_exit3(self, tmp_path):
         f = tmp_path / "f.spec"
         _write_spec(f, ["# zonal n=2 Lmax=1", "0\t1", "1\t0"])
@@ -238,6 +247,14 @@ class TestGreen:
         assert main(["green", "--n", "2", *argv]) == code
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    def test_integral_tail_series_refusal_exit4(self, capsys):
+        assert main(["green", "--n", "120", "--a", "100000", "--t", "-0.999999",
+                     "--backend", "integral"]) == 4
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == (
+            "error: integral backend: the tail series on [0, 0.5] does not converge "
+            "in 64 degrees\n")
 
     def test_closed_rejects_t_outside_domain(self, capsys):
         for t in ("1", "1.5"):
@@ -448,6 +465,13 @@ class TestWavelet:
         dev = float(out.rsplit("max relative deviation:", 1)[1].strip())
         assert dev < 1e-6
 
+    def test_forward_of_a_general_spectrum_exit3(self, tmp_path, capsys):
+        f = tmp_path / "g.spec"
+        _write_spec(f, ["# general n=2", "1\tk\t1\t0"])
+        assert main(["wavelet", "forward", "--n", "2", "--in", str(f)]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "error: wavelet transforms need a zonal input spectrum\n"
+
     def test_negative_lmax_exit3(self, capsys):
         assert main(["wavelet", "admissibility", "--n", "2", "--lmax", "-1"]) == 3
         cap = capsys.readouterr()
@@ -545,6 +569,56 @@ class TestConfig:
         conf.write_text("resonant = true\n")
         assert main([*argv, "--config", str(conf)]) == 0
         assert load_spectrum(tmp_path / "u.spec").coeffs[2] == pytest.approx(-0.25)
+
+
+class TestConfigRequiredOptions:
+    """--n, and solve's --in and --out, may come from the config file alone."""
+
+    def test_config_only_solve_writes_the_flag_form_file(self, tmp_path, f_poisson, capsys):
+        flags, conf_out = tmp_path / "flags.spec", tmp_path / "conf.spec"
+        assert main(["solve", "--n", "2", "--a", "0.5", "--in", str(f_poisson),
+                     "--out", str(flags)]) == 0
+        conf = tmp_path / "job.cfg"
+        conf.write_text(f"n = 2\na = 0.5\nin = {f_poisson}\nout = {conf_out}\n")
+        assert main(["solve", "--config", str(conf)]) == 0
+        assert conf_out.read_text() == flags.read_text()
+        cap = capsys.readouterr()
+        assert cap.err == "" and cap.out.count("spectral residual:") == 2
+
+    def test_green_takes_n_from_the_file(self, tmp_path, capsys):
+        conf = tmp_path / "job.cfg"
+        conf.write_text("n = 3\na = 0\n")
+        assert main(["green", "--config", str(conf), "--t", "0.3"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["green", "--n", "3", "--a", "0", "--t", "0.3"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize("text,missing", [("a = 0.5\n", "--n, --in, --out"),
+                                              ("n = 2\nin = f.spec\n", "--out")])
+    def test_missing_from_flags_and_file_exit1(self, tmp_path, capsys, text, missing):
+        conf = tmp_path / "job.cfg"
+        conf.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(conf)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        # the usage line still shows them as required
+        assert err.startswith("usage: spherepde solve [-h] --n N ")
+        assert err.endswith(f"spherepde solve: error: the following arguments are required: "
+                            f"{missing}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--a", "0.5"])
+        assert exc.value.code == 1
+
+    def test_flags_override_the_file(self, tmp_path, f_poisson, capsys):
+        # the file names another sphere, a missing input and another output
+        out = tmp_path / "u.spec"
+        conf = tmp_path / "job.cfg"
+        conf.write_text(f"n = 5\na = 0.5\nin = {tmp_path / 'absent.spec'}\n"
+                        f"out = {tmp_path / 'other.spec'}\n")
+        assert main(["solve", "--config", str(conf), "--n", "2", "--in", str(f_poisson),
+                     "--out", str(out)]) == 0
+        assert load_spectrum(out).ctx.n == 2 and not (tmp_path / "other.spec").exists()
 
 
 class TestUnreadableFiles:

@@ -27,16 +27,16 @@ def numdiff(f, x, h=1e-6):
 class TestSplittingPolynomials:
     def test_lambda_three_halves(self):
         table = cf.radial_split_polynomials(Fraction(3, 2))
-        assert table.entries == {0: {0: Fraction(1)}}
+        assert table == {0: {0: Fraction(1)}}
 
     def test_lambda_five_halves(self):
         table = cf.radial_split_polynomials(Fraction(5, 2))
-        assert table.entries[0] == {0: Fraction(1, 3)}
+        assert table[0] == {0: Fraction(1, 3)}
         # Q_1 = (2 + 3T)/3
-        assert table.entries[1] == {0: Fraction(2, 3), 1: Fraction(1)}
+        assert table[1] == {0: Fraction(2, 3), 1: Fraction(1)}
 
     def test_lambda_half_empty(self):
-        assert cf.radial_split_polynomials(Fraction(1, 2)).entries == {}
+        assert cf.radial_split_polynomials(Fraction(1, 2)) == {}
 
     def test_rejects_non_half_integer(self):
         with pytest.raises(Exception):
@@ -45,7 +45,7 @@ class TestSplittingPolynomials:
     @pytest.mark.parametrize("lam", [Fraction(3, 2), Fraction(5, 2),
                                      Fraction(7, 2), Fraction(9, 2)])
     def test_independent_naive_path(self, lam):
-        assert cf.radial_split_polynomials(lam).entries == \
+        assert cf.radial_split_polynomials(lam) == \
             oracles.naive_split_polynomials(lam)
 
 
@@ -62,20 +62,20 @@ class TestShiftedCoefficients:
         if kappa < J:
             return
         table = cf.shifted_polynomial_coefficients(kappa, J)
-        assert table.entries["lead"] == oracles.naive_shifted_lead(kappa, J)
-        assert table.entries["poly"] == oracles.naive_shifted_poly(kappa, J)
+        assert table["lead"] == oracles.naive_shifted_lead(kappa, J)
+        assert table["poly"] == oracles.naive_shifted_poly(kappa, J)
 
 
 class TestLogCoefficients:
     def test_small_orders(self):
-        assert cf.log_coefficient_polynomials(1).entries[0] == {0: Fraction(1, 2)}
-        pi2 = cf.log_coefficient_polynomials(2).entries
+        assert cf.log_coefficient_polynomials(1)[0] == {0: Fraction(1, 2)}
+        pi2 = cf.log_coefficient_polynomials(2)
         assert pi2[1] == {0: Fraction(1, 6)}
         assert pi2[0] == {1: Fraction(1, 2)}        # 3 t pi_1 - 2 pi_2, pi_2 = 0
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_independent_naive_path(self, k):
-        assert cf.log_coefficient_polynomials(k).entries == oracles.naive_log_pi(k)
+        assert cf.log_coefficient_polynomials(k) == oracles.naive_log_pi(k)
 
 
 # ---------------------------------------------------------------------------

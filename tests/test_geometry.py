@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from spherepde import SphereDomainError, gegenbauer, gegenbauer_batch, make_context
+from spherepde import SphereContext, SphereDomainError, gegenbauer, gegenbauer_batch, make_context
 from spherepde.geometry import (
     eigenvalue,
     gegenbauer_at_one,
@@ -51,8 +51,33 @@ class TestContext:
             with pytest.raises(SphereDomainError, match="too large"):
                 make_context(n)
 
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), np.float64("inf"), None, "3",
+                                   True, Fraction(10**400)])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, n):
+        with pytest.raises(SphereDomainError, match="must be an integer >= 2"):
+            make_context(n)
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), 3.0, np.float64(3.0), np.float32(3.0)])
+    def test_integral_dimension_stored_as_an_int(self, n):
+        ctx = make_context(n)
+        assert ctx == make_context(3) and type(ctx.n) is int
+
+    @pytest.mark.parametrize("field", ["lam", "sigma_n"])
+    def test_derived_constants_cannot_be_passed(self, field):
+        # lam and sigma_n follow from n: a context cannot disagree with it
+        with pytest.raises(TypeError):
+            SphereContext(3, **{field: 1.0})
+
+    def test_make_context_is_the_record(self):
+        assert make_context is SphereContext
+        assert SphereContext(7).lam == 3.0
+
 
 class TestGegenbauer:
+    def test_negative_top_degree_refused(self):
+        with pytest.raises(SphereDomainError, match="degree l must be >= 0, got -1"):
+            gegenbauer_matrix(make_context(3), -1, np.array([0.2]))
+
     def test_degree_zero(self):
         assert gegenbauer(make_context(2), 0, 0.3) == 1.0
 

@@ -1,5 +1,6 @@
 """Helmholtz parameters and the three Green-function backends."""
 
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from math import floor, pi, sqrt
@@ -29,7 +30,7 @@ from spherepde.green import (
     eigen_gap,
     green_series_batch,
 )
-from spherepde.spectra import default_rule
+from spherepde.spectra import gauss_gegenbauer_rule
 from spherepde import green_tables
 
 import integral_values
@@ -197,8 +198,34 @@ class TestCoefficients:
         ctx = make_context(2)
         p = helmholtz_parameter(ctx, 2.0 + 1e-7)   # near the l=1 eigenvalue
         assert not p.resonant
-        warns = condition_warnings(p, 8)
+        warns = condition_warnings(p, np.arange(9))
         assert warns and warns[0][0] == 1
+
+    def test_condition_warnings_over_the_given_degrees(self):
+        ctx = make_context(2)
+        p = helmholtz_parameter(ctx, 2.0 + 1e-7)
+        assert condition_warnings(p, [0, 2, 5]) == []
+        assert [l for l, _g in condition_warnings(p, [5, 1, 3, 1])] == [1]
+        # the excluded degree is never flagged
+        assert condition_warnings(helmholtz_parameter(ctx, 2.0), [0, 1, 2]) == []
+        # a midway between the eigenvalues of l and l + 1, each within the
+        # relative window 1e-6 (1 + |a|): both flagged, once each, ascending
+        l = 10**6
+        p = helmholtz_parameter(ctx, float(l * (l + 1) + l + 1))
+        warns = condition_warnings(p, [l + 1, 3, l, l + 1])
+        assert [d for d, _g in warns] == [l, l + 1]
+        assert [g for _d, g in warns] == [l + 1.0, l + 1.0]
+
+    def test_coefficient_of_one_high_degree(self):
+        p = helmholtz_parameter(make_context(3), 0.5)
+        tracemalloc.start()
+        try:
+            g = green_coefficient(p, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5, peak
+        assert g == (1.0 + 1e8) / (0.5 - 1e8 * (1e8 + 2))
 
     def test_negative_degree_rejected(self):
         p = helmholtz_parameter(make_context(2), 1.0)
@@ -518,7 +545,7 @@ class TestClosed:
             ctx = make_context(n)
             p = helmholtz_parameter(ctx, a)
             if n not in rules:
-                rules[n] = default_rule(ctx, 32, margin=2 * 12000)
+                rules[n] = gauss_gegenbauer_rule(ctx.lam, 12033)
             rule = rules[n]
             spec = analyze(ctx, green_tables.lookup(n, a).eval, 32, rule=rule)
             want = green_coefficients(p, 32)

@@ -1,5 +1,6 @@
 """The closed-form registry as exact data, and the ClosedForm type it shares."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -63,6 +64,28 @@ def test_text_is_the_same_function(row):
         ref = row.eval(t)
         got = eval(row.text(), {"__builtins__": {}}, dict(names, t=t))
         assert abs(got - ref) <= tolerance(row, t, ref), t
+
+
+# the (n, L) keys of each table, written out: 1 the Poisson case, 2 positive
+# integer L, 3 positive half-integer L, 4 negative a
+TABLE_KEYS = {
+    1: {(n, F(0)) for n in range(2, 11)},
+    2: {(n, F(L)) for n in range(2, 9) for L in range(1, 5)},
+    3: {(n, F(k, 2)) for n in (3, 5, 7) for k in (1, 3, 5, 7)},
+    4: {(3, F(-1, 2)), (4, F(-1)), (6, F(-1)), (6, F(-2)), (8, F(-1)), (8, F(-2)), (8, F(-3))}
+       | {(5, F(-k, 2)) for k in range(1, 5)} | {(7, F(-k, 2)) for k in range(1, 7)},
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_KEYS))
+def test_table_keys_pinned(table):
+    assert {(r.n, r.L) for r in ROWS if r.table == table} == TABLE_KEYS[table]
+
+
+def test_rows_derive_their_table():
+    # _row takes no table label: it follows from (n, L) by the rule above
+    assert list(inspect.signature(green_tables._row).parameters) == ["n", "L", "terms"]
+    assert sum(map(len, TABLE_KEYS.values())) == len(ROWS) == 66
 
 
 def test_registry_rows_are_canonical():

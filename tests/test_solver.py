@@ -1,5 +1,7 @@
 """Spectral Helmholtz/Poisson solves, resonant handling, residual checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,7 +22,7 @@ from spherepde import (
     verify_solution,
 )
 from spherepde import green_tables
-from spherepde.spectra import default_rule
+from spherepde.spectra import gauss_gegenbauer_rule
 
 from oracles import zonal_convolution_quadrature
 
@@ -124,6 +126,36 @@ class TestSolve:
                 rep = solve_helmholtz(SolveRequest(param=p, f=f))
                 assert rep.residual_norm <= 1e-10 * np.linalg.norm(f.coeffs)
 
+
+    def test_one_high_degree_costs_no_memory_below_it(self):
+        # the gap and the warnings are computed over f's own degrees only;
+        # over every degree up to 1e7 they took ~320 MB
+        ctx = make_context(2)
+        f = GeneralSpectrum(ctx, {(10**7, "k"): 1.0})
+        req = SolveRequest(param=helmholtz_parameter(ctx, 0.5), f=f)
+        tracemalloc.start()
+        try:
+            rep = solve_helmholtz(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
+        assert rep.u.entries[(10**7, "k")] == 1.0 / (0.5 - 1e7 * (1e7 + 1))
+        assert rep.condition_warnings == []
+
+    def test_warnings_cover_the_degrees_f_holds(self):
+        # a = 2 + 1e-7 sits next to the degree-1 eigenvalue 2 on S^2
+        ctx = make_context(2)
+        p = helmholtz_parameter(ctx, 2.0 + 1e-7)
+        away = GeneralSpectrum(ctx, {(3, "k"): 1.0, (0, "k"): 1.0})
+        assert solve_helmholtz(SolveRequest(param=p, f=away)).condition_warnings == []
+        near = GeneralSpectrum(ctx, {(3, "k"): 1.0, (1, "x"): 1.0, (1, "y"): 2.0, (0, "k"): 1.0})
+        warns = solve_helmholtz(SolveRequest(param=p, f=near)).condition_warnings
+        assert [l for l, _gap in warns] == [1]          # once, though f holds it twice
+        assert warns[0][1] == pytest.approx(1e-7, rel=1e-6)
+        # a zonal f holds every degree up to its top one
+        zonal = solve_helmholtz(SolveRequest(param=p, f=_delta(ctx, 3))).condition_warnings
+        assert zonal == warns
 
 class TestResonant:
     def test_single_mode(self):
@@ -234,6 +266,15 @@ class TestVerify:
         assert sorted(abs(r) for r in res.residual) == pytest.approx([0.0, 0.0, 1.0, 1.0])
         assert res.norm == pytest.approx(np.sqrt(2.0))
 
+    def test_spheres_and_kinds_must_match(self):
+        ctx = make_context(2)
+        p = helmholtz_parameter(ctx, 0.5)
+        f = _delta(ctx, 2)
+        with pytest.raises(SphereDomainError, match="live on different spheres"):
+            verify_solution(p, _delta(make_context(3), 2), f)
+        with pytest.raises(SphereDomainError, match="different kinds of spectra"):
+            verify_solution(p, GeneralSpectrum(ctx, {(2, "k"): 1.0}), f)
+
     def test_two_path_consistency(self):
         # spectral solve vs synthesize -> pointwise convolution with the
         # closed-form Green function (quadrature) -> re-analyze
@@ -259,7 +300,7 @@ class TestVerify:
                     n, g_vec, lambda x: synthesize(f, x), float(alpha),
                     m_theta=3000, m_gamma=24)
 
-            rule = default_rule(ctx, 6, margin=16)
+            rule = gauss_gegenbauer_rule(ctx.lam, 15)
             got = analyze(ctx, np.vectorize(u_pointwise), 6, rule=rule)
             want = rep.u.padded(6)
             assert_allclose(got.coeffs, want, atol=2e-6, rtol=2e-6)

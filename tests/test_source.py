@@ -4,10 +4,15 @@ closedform.py has one antiderivative term type and one evaluator and
 derives without a memo, the Gegenbauer recurrence is written once, in
 geometry.py, each fact of G has one owner (a's root and the excluded
 degree the parameter record, t's range geometry._clamp_t, the antipode
-ClosedForm), and no module imports SciPy: green.py integrates,
-wavelets.py builds its scale grids and spectra.py its Gauss rules with
-NumPy and math alone, so neither importing the package nor building a
-rule and analysing with it loads SciPy."""
+ClosedForm), a record's fields that its inputs fix cannot be passed
+(init=False: SphereContext's lam and sigma_n, ScaleGrid's nodes and
+weights, HelmholtzParameter's L and root, ClosedForm's a), the solve
+computes the eigenvalue gap once, over f's own degrees, and neither the
+condition warnings nor a single Green coefficient builds an array over
+every degree up to the top one, and no module imports SciPy: green.py
+integrates, wavelets.py builds its scale grids and spectra.py its Gauss
+rules with NumPy and math alone, so neither importing the package nor
+building a rule and analysing with it loads SciPy."""
 
 import ast
 import subprocess
@@ -237,3 +242,54 @@ def test_the_record_computes_its_own_roots():
     for given in ({"L": 1.0}, {"root": Fraction(1)}, {"L": 1.0, "root": Fraction(1)}):
         with pytest.raises(TypeError):
             HelmholtzParameter(ctx, 2.0, **given)
+
+
+def _records_setting_fields():
+    """(module, class, field, declared with init=False, read as self.field) for
+    each declared field a dataclass's __post_init__ sets through
+    object.__setattr__ (private attributes it caches are not fields)."""
+    found = []
+    for name, tree in MODULES.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            declared = {item.target.id: item.value for item in cls.body
+                        if isinstance(item, ast.AnnAssign)}
+            post = [item for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"]
+            for node in (n for p in post for n in ast.walk(p)):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                        and getattr(node.args[1], "value", None) in declared):
+                    field = node.args[1].value
+                    value = declared.get(field)
+                    derived = (isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+                               and any(k.arg == "init" and ast.unparse(k.value) == "False"
+                                       for k in value.keywords))
+                    read = any(isinstance(n, ast.Attribute) and n.attr == field
+                               and ast.unparse(n.value) == "self" and isinstance(n.ctx, ast.Load)
+                               for n in ast.walk(post[0]))
+                    found.append((name, cls.name, field, derived, read))
+    return found
+
+
+def test_records_compute_what_their_inputs_fix():
+    # a field a record sets for itself either cannot be passed (init=False)
+    # or is one of its inputs normalised in place (n to an int, a to a float)
+    found = _records_setting_fields()
+    assert {(m, c, f) for m, c, f, derived, _read in found if derived} == {
+        ("closedform", "ClosedForm", "a"),
+        ("geometry", "SphereContext", "lam"), ("geometry", "SphereContext", "sigma_n"),
+        ("green", "HelmholtzParameter", "L"), ("green", "HelmholtzParameter", "root"),
+        ("wavelets", "ScaleGrid", "nodes"), ("wavelets", "ScaleGrid", "weights")}
+    assert all(derived or read for _m, _c, _f, derived, read in found), found
+
+
+def test_the_solve_computes_each_gap_once_over_f_own_degrees():
+    # one eigen_gap call in _solve, which u, the residual and the pole test
+    # read; the warnings and a single coefficient build no array over every
+    # degree up to the top one
+    calls = [node for node in ast.walk(_function(MODULES["solver"], "_solve"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "eigen_gap"]
+    assert len(calls) == 1
+    green = MODULES["green"]
+    for function in ("condition_warnings", "green_coefficient"):
+        used = set(_names(_function(green, function)))
+        assert not used & {"arange", "unique", "green_coefficients"}, (function, used)

@@ -171,7 +171,7 @@ class TestAnalyze:
         ctx = make_context(3)
         r = 0.5
         spec = analyze(ctx, lambda t: ctx.sigma_n * poisson_kernel(ctx, r, t), 12,
-                       rule=default_rule(ctx, 12, margin=60))
+                       rule=gauss_gegenbauer_rule(ctx.lam, 43))
         l = np.arange(13)
         assert_allclose(spec.coeffs, r ** l * (ctx.lam + l) / ctx.lam, rtol=1e-9)
 
@@ -180,6 +180,17 @@ class TestAnalyze:
         rule = gauss_gegenbauer_rule(ctx.lam, 8)
         with pytest.raises(QuadratureError):
             analyze(ctx, np.cos, 8, rule=rule)
+
+    def test_rule_for_another_sphere_refused(self):
+        ctx = make_context(3)
+        with pytest.raises(QuadratureError, match="does not match lambda=1.0"):
+            analyze(ctx, np.cos, 4, rule=default_rule(make_context(4), 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_refused(self, bad):
+        ctx = make_context(3)
+        with pytest.raises(SphereDomainError, match="finite on the quadrature nodes"):
+            analyze(ctx, lambda t: np.where(t > 0.5, bad, 1.0), 4)
 
     def test_rough_spectrum_roundtrip(self):
         # a slowly decaying spectrum at a large Lmax: the weights' accuracy
@@ -275,6 +286,12 @@ class TestConvolve:
         with pytest.raises(SphereDomainError):
             convolve(f, g)
 
+    def test_general_kernel_refused(self):
+        ctx = make_context(3)
+        f = ZonalSpectrum(ctx, [1.0, 2.0])
+        with pytest.raises(SphereDomainError, match="kernel must be zonal"):
+            convolve(f, GeneralSpectrum(ctx, {(1, "k"): 1.0}))
+
     def test_general_spectrum(self):
         ctx = make_context(3)
         f = GeneralSpectrum(ctx, {(1, "k1"): 1 + 2j, (2, "k7"): -0.5})
@@ -351,6 +368,17 @@ class TestConstruction:
     def test_zonal_rejects_malformed_coefficients(self, coeffs):
         with pytest.raises(SphereDomainError, match="1-D array of numbers"):
             ZonalSpectrum(make_context(3), coeffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_zonal_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(SphereDomainError, match="coefficients must be finite"):
+            ZonalSpectrum(make_context(3), [1.0, bad, 2.0])
+
+    def test_general_copy_is_a_new_map(self):
+        f = GeneralSpectrum(make_context(3), {(2, "a"): 1.0})
+        g = f.copy()
+        g.entries[(3, "b")] = 2.0
+        assert f.entries == {(2, "a"): 1.0} and g.ctx == f.ctx
 
     def test_zonal_rejects_empty_coefficients(self):
         with pytest.raises(SphereDomainError, match="degree-0"):

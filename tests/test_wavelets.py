@@ -11,6 +11,7 @@ from scipy import integrate
 
 from spherepde import (
     QuadratureError,
+    ScaleGrid,
     SphereDomainError,
     WaveletFamily,
     ZonalSpectrum,
@@ -104,6 +105,19 @@ class TestScaleGrid:
             make_scale_grid(1.0, 0.5, 10)
         with pytest.raises(QuadratureError):
             make_scale_grid(0.1, 1.0, 1)
+
+    @pytest.mark.parametrize("field", ["nodes", "weights"])
+    def test_nodes_and_weights_cannot_be_passed(self, field):
+        # they follow from the three numbers: a grid cannot disagree with them
+        with pytest.raises(TypeError):
+            ScaleGrid(1e-3, 10.0, 5, **{field: np.ones(5)})
+
+    def test_grids_from_the_same_numbers_are_equal(self):
+        assert make_scale_grid is ScaleGrid
+        g = make_scale_grid(1e-4, 50.0, 400)
+        assert g == ScaleGrid(1e-4, 50.0, 400) and hash(g) == hash(ScaleGrid(1e-4, 50.0, 400))
+        assert g != ScaleGrid(1e-4, 50.0, 401) and g != ScaleGrid(1e-4, 60.0, 400)
+        assert poisson_scale_grid(3, 64) == poisson_scale_grid(3, 64)
 
 
 # (n, d, L) over which poisson_scale_grid is gated
@@ -415,3 +429,20 @@ class TestInversion:
         W = wavelet_transform(psi, f, g1)
         with pytest.raises(QuadratureError):
             inverse_transform(psi, W, g2)
+
+    def test_an_equal_grid_is_the_forward_grid(self):
+        ctx = make_context(2)
+        psi = poisson_wavelet(ctx, 1)
+        f = ZonalSpectrum(ctx, [0.0, 1.0, -0.5])
+        W = wavelet_transform(psi, f, make_scale_grid(1e-3, 10.0, 50))
+        same = inverse_transform(psi, W, make_scale_grid(1e-3, 10.0, 50))
+        assert np.array_equal(same.coeffs, inverse_transform(psi, W, W.grid).coeffs)
+        for other in (make_scale_grid(2e-3, 10.0, 50), make_scale_grid(1e-3, 11.0, 50)):
+            with pytest.raises(QuadratureError, match="grid of the forward transform"):
+                inverse_transform(psi, W, other)
+
+    def test_signal_on_another_sphere_refused(self):
+        psi = poisson_wavelet(make_context(3), 1)
+        f = ZonalSpectrum(make_context(2), [0.0, 1.0])
+        with pytest.raises(SphereDomainError, match="family and signal live on different spheres"):
+            wavelet_transform(psi, f, make_scale_grid(1e-3, 10.0, 50))
