@@ -15,7 +15,10 @@ series    -- the coefficient series, adaptive for every n: Abel
              summation through the Poisson-kernel-weighted series at
              five radii r = 1 - eps, with Richardson extrapolation
              r -> 1 (plain partial sums converge too slowly or not at
-             all).
+             all).  The five Abel sums, over the same 1e4 to 6e4
+             degrees, come from one blocked Gegenbauer recurrence
+             (geometry.gegenbauer_sums) with their sums of absolute
+             terms, which give the tail estimate its roundoff floor.
 integral  -- one fixed quadrature of the radial integral representation.
              Swapping the order of the double integral
 
@@ -73,6 +76,7 @@ from .geometry import (
     eigenvalue,
     gegenbauer_bound,
     gegenbauer_matrix,
+    gegenbauer_sums,
     helmholtz_root,
 )
 from . import green_tables
@@ -184,38 +188,58 @@ _ABEL_L_CUT_MAX = 2_000_000
 # its tail estimate falls below the error from ~3.3e-5 n (n = 2..16).
 _ABEL_DIAG_GAP = 6e-5
 _SERIES_N_MAX = 17          # above it the Abel sums cancel badly (module docstring)
+# Tail floor in units of eps sum_k |rho_k| A_k (green_series_batch): against
+# exact Abel sums the roundoff reached 2.1 units at 1 - t >= 0.01 (66 registry
+# rows, n = 11..17 off it) and 20 at the band edge 1 - t = 6e-5 n, n = 17.
+_SERIES_ROUNDOFF = 32
+_EPS = np.finfo(float).eps
 
 
 def _abel_values(param, ts):
-    """Abel sums sum_l G-hat(l) r^l C_l(t) at r = 1 - _ABEL_EPS, batched over ts.
+    """Abel sums sum_l G-hat(l) r^l C_l(t) at r = 1 - _ABEL_EPS, batched over ts,
+    and the sums of the absolute terms, which scale their roundoff.
 
-    One cut, set by the largest radius, and one Gegenbauer matrix serve
-    every radius; only the powers r^l change between them.  The cut cap
-    only guards against a change to _ABEL_EPS: at r = 1 - 0.003125 the
-    cut stays below 250 000 degrees up to n = 54, and green_series_batch
-    stops at n = _SERIES_N_MAX before the cut search.
+    One cut, set by the largest radius, serves every radius:
+    geometry.gegenbauer_sums takes the five rows of weights G-hat(l) r^l
+    through one blocked recurrence, and no Gegenbauer matrix is built.
+    The cut is the first degree from 64 on where a bound on the rest of
+    the sum falls below _ABEL_RTOL, bracketed by steps of x1.6 and then
+    bisected.  The cap only guards against a change to _ABEL_EPS: at
+    r = 1 - 0.003125 the cut stays below 250 000 degrees up to n = 54, and
+    green_series_batch stops at n = _SERIES_N_MAX before the cut search.
     """
     r = 1.0 - min(_ABEL_EPS)
     lam = param.ctx.lam
-    # geometric cut: the uniform Gegenbauer bound caps the degree-l term |G-hat(l) C_l(t)|
-    # by (lambda+l)/(lambda |gap|) (n+l-2)^{n-2}; r^l / (1 - r) damps it below _ABEL_RTOL
-    l_cut = 64
-    while ((lam + l_cut) / (lam * abs(float(eigen_gap(param, l_cut))))
-           * gegenbauer_bound(param.ctx, l_cut) * r ** l_cut / (1.0 - r) >= _ABEL_RTOL):
-        l_cut = int(l_cut * 1.6) + 8
+
+    def above(l):
+        # the uniform Gegenbauer bound caps the degree-l term |G-hat(l) C_l(t)| by
+        # (lambda+l)/(lambda |gap|) (n+l-2)^{n-2}, and r^l / (1 - r) sums the
+        # geometric rest; the excluded degree (gap 0) never ends the sum
+        gap = abs(float(eigen_gap(param, l)))
+        return gap == 0.0 or ((lam + l) / (lam * gap) * gegenbauer_bound(param.ctx, l)
+                              * r ** l / (1.0 - r) >= _ABEL_RTOL)
+
+    lo, l_cut = 63, 64
+    while above(l_cut):
+        lo, l_cut = l_cut, int(l_cut * 1.6) + 8
         if l_cut > _ABEL_L_CUT_MAX:
             raise ConvergenceError(
                 f"Abel sum at r = {r} needs more than {_ABEL_L_CUT_MAX} degrees")
+    while l_cut - lo > 1:       # above(lo) holds and above(l_cut) does not
+        mid = (lo + l_cut) // 2
+        lo, l_cut = (mid, l_cut) if above(mid) else (lo, mid)
     coef = green_coefficients(param, l_cut)
-    C = gegenbauer_matrix(param.ctx, l_cut, ts)
     ls = np.arange(l_cut + 1)
-    return np.stack([(coef * (1.0 - eps) ** ls) @ C for eps in _ABEL_EPS])
+    weights = np.stack([coef * (1.0 - eps) ** ls for eps in _ABEL_EPS])
+    return gegenbauer_sums(param.ctx, weights, ts)
 
 
-def _richardson_batch(eps, vals):
-    """Extrapolate vals[i, :] at eps[i] -> eps = 0 (power series in eps)."""
-    V = np.vander(np.asarray(eps), len(eps), increasing=True)
-    return np.linalg.solve(V, np.asarray(vals))[0]
+def _richardson_weights(eps):
+    """rho with rho @ vals the value at eps = 0 of the polynomial through
+    (eps_i, vals_i): the Lagrange weights prod_{j != i} eps_j / (eps_j - eps_i),
+    within an ulp for _ABEL_EPS (a Vandermonde solve was ~1800 ulp off)."""
+    e = np.asarray(eps, dtype=float)
+    return np.array([np.prod(np.delete(e, i) / (np.delete(e, i) - e[i])) for i in range(e.size)])
 
 
 def green_series_batch(param, ts):
@@ -223,8 +247,16 @@ def green_series_batch(param, ts):
 
     Abel summation through the Poisson-kernel-weighted series at the
     radii 1 - _ABEL_EPS, with Richardson extrapolation r -> 1, for every
-    n <= _SERIES_N_MAX.  Returns (values, tail_estimates); a tail is the
-    change from dropping the innermost radius from the extrapolation.
+    n <= _SERIES_N_MAX.  Returns (values, tail_estimates).  A tail is the
+    change from dropping the innermost radius from the extrapolation, or,
+    if larger, the innermost eps times the change from dropping the next
+    one too (the first change passes through zero where the extrapolation
+    error does not, e.g. at n = 3, a = 24, t = 0.75: 5e-11 against an
+    error of 1.8e-10); plus a roundoff floor
+    _SERIES_ROUNDOFF eps sum_k |rho_k| A_k, with rho the extrapolation's
+    weights and A_k the Abel sum at radius k taken over absolute terms:
+    near t = -1 those terms cancel to a value up to ~1e8 times smaller at
+    n = 10.
     Larger n and points with 1 - t < n * _ABEL_DIAG_GAP raise
     ConvergenceError: there the sums cancel or the radii no longer resolve
     the singularity, and the tail understates the error.
@@ -239,10 +271,12 @@ def green_series_batch(param, ts):
         raise ConvergenceError(
             f"the series backend needs 1 - t >= {gap:.1e} at n = {param.ctx.n}, "
             f"got t = {float(ts.max())}; use the integral backend")
-    vals = _abel_values(param, ts)
-    full = _richardson_batch(_ABEL_EPS, vals)
-    short = _richardson_batch(_ABEL_EPS[:-1], vals[:-1])
-    return full, np.abs(full - short)
+    vals, sizes = _abel_values(param, ts)
+    m = len(_ABEL_EPS)
+    rho = [_richardson_weights(_ABEL_EPS[:k]) for k in (m, m - 1, m - 2)]
+    full, short, shorter = (r @ vals[:r.size] for r in rho)
+    change = np.maximum(np.abs(full - short), min(_ABEL_EPS) * np.abs(short - shorter))
+    return full, change + _SERIES_ROUNDOFF * _EPS * (np.abs(rho[0]) @ sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +288,6 @@ _TAIL_DEGREES = 64      # tail terms past M on [0, r_s], where they fall ~2x per
 _HALVINGS = 40          # panels halving toward r = 1, where r = t peaks near the diagonal
 _RULE = np.polynomial.legendre.leggauss(24)        # value, per panel
 _CHECK_RULE = np.polynomial.legendre.leggauss(12)  # error estimate, per panel
-_EPS = np.finfo(float).eps
 # The weight r^{-L-1} reaches 2^{L+1} at the panels' start r_s <= 1/2, beyond the
 # doubles once L > 1023: a deeper M = floor(L) is refused before any allocation
 # (no point converges from M ~ 400 on).

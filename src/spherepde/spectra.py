@@ -40,7 +40,7 @@ under which <C_l, C_l> = lambda/(lambda+l) * C_l(1).
 import cmath
 from dataclasses import dataclass, field
 from itertools import compress
-from math import gamma, inf, sqrt, pi
+from math import gamma, inf, isfinite, sqrt, pi
 from numbers import Integral, Number, Real
 
 import numpy as np
@@ -289,8 +289,9 @@ class GeneralSpectrum:
     def __post_init__(self):
         for (l, _k), v in self.entries.items():
             # the type tests spare the common int l and float or complex v the ABC
-            # checks; for a NaN or infinite l, l % 1 is NaN
-            if not (type(l) is int or isinstance(l, Real) and l % 1 == 0) or l < 0:
+            # checks; a NaN or infinite l fails isfinite before l % 1, which
+            # warns for NumPy floats
+            if not (type(l) is int or isinstance(l, Real) and isfinite(l) and l % 1 == 0) or l < 0:
                 raise SphereDomainError(f"degrees must be non-negative integers, got {l!r}")
             if not (type(v) in (complex, float) or isinstance(v, Number)) or not cmath.isfinite(v):
                 raise SphereDomainError(f"spectrum coefficients must be finite numbers, got {v!r}")

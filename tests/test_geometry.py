@@ -14,9 +14,19 @@ from spherepde.geometry import (
     gegenbauer_bound,
     gegenbauer_matrix,
     gegenbauer_rows,
+    gegenbauer_sums,
 )
 
-from oracles import gegenbauer_fraction, legendre, surface_measure_mp
+from oracles import (
+    fixed_dot,
+    gegenbauer_fixed,
+    gegenbauer_fraction,
+    gegenbauer_mp,
+    legendre,
+    surface_measure_mp,
+)
+
+EPS = np.finfo(float).eps
 
 
 class TestContext:
@@ -157,6 +167,72 @@ class TestBatch:
         assert np.array_equal(gegenbauer_matrix(ctx, 60, ts), np.array(want))
         rows = list(gegenbauer_rows(ctx, 60, ts))
         assert len(rows) == 61 and all(np.array_equal(r, w) for r, w in zip(rows, want))
+
+
+SUM_DIMS = (2, 3, 5, 8, 12, 17, 40)
+SUM_POINTS = np.array([1.0, -1.0, -0.999, -0.95, 0.0, 0.999])
+SUM_DEGREES = (1, 2, 3, 100, 20_000)
+
+
+def _sum_weights(count):
+    """Three rows of weights over count degrees: random signs and sizes,
+    a slow 1/(1+l) decay and an alternating geometric decay."""
+    l = np.arange(count)
+    return np.stack([np.random.default_rng(count).standard_normal(count),
+                     1.0 / (1.0 + l), (-0.999) ** l])
+
+
+class TestSums:
+    """gegenbauer_sums against a 256-bit recurrence, in units of eps (|W| @ |C|).
+
+    The blocked recurrence's error reached 15 of these units at |t| <= 0.95,
+    125 at t = -0.999 (N = 100) and 0.34 N at t = +-1 (N = 20 000; the
+    forward recurrence reached 6.8 N there, at n = 8); the bounds below are
+    64 units at |t| <= 0.95 and 2N units everywhere.
+    """
+
+    @pytest.mark.parametrize("n", SUM_DIMS)
+    def test_oracle_matches_mpmath(self, n):
+        for t in SUM_POINTS:
+            fixed = gegenbauer_fixed(n, t, 300)
+            ref = gegenbauer_mp(n, t, 300)
+            for v, r in zip(fixed, ref):
+                assert abs(Fraction(v, 1 << 256) - r) <= 1e-30 * max(1, abs(r))
+
+    @pytest.mark.parametrize("n", SUM_DIMS)
+    def test_against_the_high_precision_recurrence(self, n):
+        ctx = make_context(n)
+        fixed = [gegenbauer_fixed(n, t, max(SUM_DEGREES)) for t in SUM_POINTS]
+        for count in SUM_DEGREES:
+            W = _sum_weights(count)
+            total, absolute = gegenbauer_sums(ctx, W, SUM_POINTS)
+            assert total.shape == absolute.shape == (3, SUM_POINTS.size)
+            for j, t in enumerate(SUM_POINTS):
+                C = np.array([v / (1 << 256) for v in fixed[j][:count]])    # rounded once
+                size = np.abs(W) @ np.abs(C)
+                ref = np.array([fixed_dot(w, fixed[j][:count]) for w in W])
+                units = 64 if abs(t) <= 0.95 else 2 * count
+                assert np.all(np.abs(total[:, j] - ref) <= units * EPS * size), (n, t, count)
+                assert np.all(np.abs(absolute[:, j] - size) <= 2 * count * EPS * size), (n, t, count)
+
+    def test_one_row_of_weights_and_a_float_t(self):
+        ctx = make_context(4)
+        W = _sum_weights(50)
+        total, absolute = gegenbauer_sums(ctx, W[0], 0.3)
+        full, full_abs = gegenbauer_sums(ctx, W, np.array([0.3]))
+        assert total.shape == absolute.shape == (1,)
+        assert total[0] == full[0, 0] and absolute[0] == full_abs[0, 0]
+        C = gegenbauer_matrix(ctx, 49, np.array([0.3]))
+        assert_allclose(total, W[0] @ C, rtol=1e-13)
+
+    def test_needs_a_degree_and_clamps_t(self):
+        ctx = make_context(3)
+        with pytest.raises(SphereDomainError, match="at least degree 0"):
+            gegenbauer_sums(ctx, np.zeros((2, 0)), np.array([0.3]))
+        with pytest.raises(SphereDomainError):
+            gegenbauer_sums(ctx, np.ones(5), np.array([1.5]))
+        assert np.array_equal(gegenbauer_sums(ctx, np.ones(5), 1.0 + 5e-13)[0],
+                              gegenbauer_sums(ctx, np.ones(5), 1.0)[0])
 
 
 class TestProperties:

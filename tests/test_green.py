@@ -284,6 +284,51 @@ class TestSeries:
         with pytest.raises(ConvergenceError, match="2000000 degrees"):
             green_series_batch(p, np.array([0.3]))
 
+    def test_every_tail_bounds_its_error_on_the_registry(self):
+        # the green_table points on every row: each tail is at least the
+        # value's distance from the row, including (3, 24) at t = 0.75 and
+        # (5, 5) at t = 0.55, where the change from dropping the innermost
+        # radius passes through zero, and n >= 8 at t = -0.95, where the
+        # Abel sums cancel and only the roundoff floor covers the error
+        ts = np.concatenate([np.linspace(-0.95, 0.95, 20), [0.99, 0.999]])
+        short = []
+        for row in green_tables.rows_for():
+            p = helmholtz_parameter(make_context(row.n), float(row.a))
+            vals, tails = green_series_batch(p, ts)
+            for t, v, tail in zip(ts, vals, tails):
+                err = abs(v - row.eval(float(t)))
+                if not err <= tail:
+                    short.append((row.n, row.L, float(t), err, tail))
+        assert not short, short
+
+    def test_abel_cut_is_the_first_degree_under_the_bound(self, monkeypatch):
+        # the sum stops at the first degree from 64 on whose bound on the rest,
+        # (lambda+l)/(lambda |gap|) (n+l-2)^{n-2} r^l / (1-r), is below _ABEL_RTOL
+        seen = []
+        sums = green.gegenbauer_sums
+        monkeypatch.setattr(green, "gegenbauer_sums",
+                            lambda ctx, w, t: seen.append(w.shape[-1] - 1) or sums(ctx, w, t))
+        r = 1.0 - min(green._ABEL_EPS)
+        for n, a in ((2, 0.0), (5, 6.0), (8, -20.0), (10, 1e4)):
+            p = helmholtz_parameter(make_context(n), a)
+            green_series_batch(p, np.array([0.3]))
+            lam = p.ctx.lam
+
+            def bound(l):
+                return ((lam + l) / (lam * abs(float(eigen_gap(p, l))))
+                        * float(n + l - 2) ** (n - 2) * r ** l / (1.0 - r))
+
+            cut = seen[-1]
+            assert bound(cut) < green._ABEL_RTOL <= bound(cut - 1), (n, a, cut)
+
+    def test_abel_cut_search_steps_over_the_excluded_degree(self):
+        # a = 64 * 65 on S^2 excludes degree 64, the search's first probe,
+        # where the bound's gap is 0 (a ZeroDivisionError before)
+        p = helmholtz_parameter(make_context(2), 64.0 * 65.0)
+        assert p.excluded == 64
+        vals, tails = green_series_batch(p, np.array([-0.5, 0.3]))
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(tails))
+
     def test_adaptive_rejects_unresolved_diagonal(self):
         # n = 2: the diagonal itself and a point the radii cannot resolve
         p = helmholtz_parameter(make_context(2), 0.0)

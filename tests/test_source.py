@@ -9,10 +9,12 @@ ClosedForm), a record's fields that its inputs fix cannot be passed
 weights, HelmholtzParameter's L and root, ClosedForm's a), the solve
 computes the eigenvalue gap once, over f's own degrees, and neither the
 condition warnings nor a single Green coefficient builds an array over
-every degree up to the top one, and no module imports SciPy: green.py
-integrates, wavelets.py builds its scale grids and spectra.py its Gauss
-rules with NumPy and math alone, so neither importing the package nor
-building a rule and analysing with it loads SciPy."""
+every degree up to the top one, the series backend's Abel sums go
+through geometry.gegenbauer_sums and never build the Gegenbauer matrix,
+and no module imports SciPy: green.py integrates, wavelets.py builds its
+scale grids and spectra.py its Gauss rules with NumPy and math alone, so
+neither importing the package nor building a rule and analysing with it
+loads SciPy."""
 
 import ast
 import subprocess
@@ -280,6 +282,12 @@ def test_records_compute_what_their_inputs_fix():
         ("green", "HelmholtzParameter", "L"), ("green", "HelmholtzParameter", "root"),
         ("wavelets", "ScaleGrid", "nodes"), ("wavelets", "ScaleGrid", "weights")}
     assert all(derived or read for _m, _c, _f, derived, read in found), found
+
+
+def test_abel_sums_use_the_blocked_recurrence():
+    # the series backend's Abel sums never build the Gegenbauer matrix
+    called = _calls(MODULES["green"], "_abel_values")
+    assert "gegenbauer_sums" in called and "gegenbauer_matrix" not in called, called
 
 
 def test_the_solve_computes_each_gap_once_over_f_own_degrees():

@@ -1,5 +1,6 @@
 """Spectra, quadrature, convolution, and the Poisson kernel."""
 
+import warnings
 from math import gamma
 
 import numpy as np
@@ -388,6 +389,15 @@ class TestConstruction:
     def test_general_rejects_malformed_degrees(self, degree):
         with pytest.raises(SphereDomainError, match="non-negative integers"):
             GeneralSpectrum(make_context(3), {(degree, "a"): 1.0})
+
+    @pytest.mark.parametrize("degree", [np.float64("inf"), np.float64("-inf"), np.float64("nan")])
+    def test_general_rejects_numpy_non_finite_degrees_without_a_warning(self, degree):
+        # under the CI's -W error::RuntimeWarning, NumPy's scalar remainder of
+        # inf would raise its own warning before the domain error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SphereDomainError, match="non-negative integers"):
+                GeneralSpectrum(make_context(3), {(degree, "a"): 1.0})
 
     @pytest.mark.parametrize("value", ["x", None])
     def test_general_rejects_non_numeric_coefficients(self, value):
