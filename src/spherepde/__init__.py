@@ -9,13 +9,7 @@ from .errors import (
     SpectrumParseError,
     SphereDomainError,
 )
-from .geometry import (
-    SphereContext,
-    gegenbauer,
-    gegenbauer_batch,
-    gegenbauer_matrix,
-    make_context,
-)
+from .geometry import SphereContext, make_context
 from .spectra import (
     GeneralSpectrum,
     QuadratureRule,

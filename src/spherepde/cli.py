@@ -8,8 +8,9 @@ green          evaluate/tabulate Green functions (eval/table) or emit the
 wavelet        forward transform / round trip / admissibility report
 verify         run the cross-backend verification suites
 
-Exit codes: 0 success, 1 usage or parse error, 2 resonance guard,
-3 solvability or domain error, 4 numeric non-convergence.
+Exit codes: 0 success, 1 usage or parse error (a size no array could
+hold, or one that memory cannot), 2 resonance guard, 3 solvability or
+domain error, 4 numeric non-convergence.
 
 solve and green take exactly one of --a and --L; wavelet forward and
 roundtrip need --in.  Config files are flat ``key = value`` text (same
@@ -52,6 +53,7 @@ from .green import (
     parameter_from_root,
 )
 from .spectra import (
+    _SIZE_MAX,
     ZonalSpectrum,
     format_spectrum,
     inner,
@@ -93,6 +95,7 @@ _EXIT_CODES = {
     _UsageError: EXIT_USAGE,
     OSError: EXIT_USAGE,
     UnicodeDecodeError: EXIT_USAGE,
+    MemoryError: EXIT_USAGE,
     SpectrumParseError: EXIT_USAGE,
     SolvabilityError: EXIT_SOLVABILITY,
     SphereDomainError: EXIT_SOLVABILITY,
@@ -158,9 +161,18 @@ def _emit_table(out, kv, columns, rows):
     _emit(out, "\n".join(lines) + "\n")
 
 
-def positive_int(text):
-    """An int >= 1, as an argparse type: anything else is a usage error."""
+def bounded_int(text):
+    """An int below spectra._SIZE_MAX, as an argparse type: a larger one
+    could size no array, and is a usage error."""
     val = int(text)
+    if val >= _SIZE_MAX:
+        raise argparse.ArgumentTypeError(f"must be below {_SIZE_MAX}, got {val}")
+    return val
+
+
+def positive_int(text):
+    """A bounded_int >= 1, as an argparse type: anything else is a usage error."""
+    val = bounded_int(text)
     if val < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {val}")
     return val
@@ -504,7 +516,7 @@ def build_parser():
     pw.add_argument("--in", default=None,
                     help="input zonal spectrum file (forward, roundtrip)")
     pw.add_argument("--out", default=None, help="output CSV (stdout when omitted)")
-    pw.add_argument("--lmax", type=int, default=32)
+    pw.add_argument("--lmax", type=bounded_int, default=32)
     pw.set_defaults(func=cmd_wavelet)
 
     pv = sub.add_parser("verify", help="run the cross-backend verification suites")

@@ -249,7 +249,14 @@ def _evaluate(terms, x, y, core, den, logarg):
 
 
 def expr_eval(terms, t, v):
-    """Floating-point value of an expression in sphere variables at (t, v)."""
+    """Floating-point value of an expression in sphere variables at (t, v), |t| < 1.
+
+    |t| < 1 is the one condition: u = (v - t)^2 + 1 - t^2 > 0 follows, and
+    both log arguments are positive, since sqrt(u) > |v - t| and
+    sqrt(u) >= |1 - tv|.
+    """
+    if not abs(t) < 1.0:
+        raise SphereDomainError(f"sphere-variable expressions need |t| < 1, got t = {t}")
     u = 1.0 - 2.0 * t * v + v * v
     logarg = {"A": lambda: v - t + sqrt(u), "B": lambda: 1.0 - t * v + sqrt(u),
               "V": lambda: v}
@@ -381,6 +388,8 @@ def shifted_power_antiderivative(k, J):
 
 def eval_shifted(terms, T, V):
     """Floating-point value of an expression in shifted variables at (T, V), T != 0."""
+    if T == 0:
+        raise SphereDomainError("the shifted antiderivative requires T != 0")
     core = T + V * V
     return _evaluate(terms, T, V, core, T, {"A": lambda: V + sqrt(core)})
 
@@ -816,35 +825,3 @@ def _finalise(collector, n, L):
     if any(atom == "lg" and (a or b) for atom, a, b, _coeffs in form.terms):
         raise AssertionError(f"log coefficient is not polynomial for n={n}, L={L}")
     return form
-
-
-# ---------------------------------------------------------------------------
-# spec-facing evaluation wrappers
-# ---------------------------------------------------------------------------
-
-def shifted_power_integral(k, J, t_shift, v):
-    """Value + raw expression of int V^k/(T+V^2)^{J+1/2} dV at (T, V)."""
-    if t_shift == 0:
-        raise SphereDomainError("the shifted antiderivative requires T != 0")
-    terms = shifted_power_antiderivative(k, J)
-    return eval_shifted(terms, t_shift, v), terms
-
-
-def kernel_power_integral(L, J, t, v):
-    """Value + expression of int v^L/u^{J+1/2} dv at (t, v); |t| < 1 required."""
-    if abs(t) >= 1.0:
-        raise SphereDomainError("kernel power antiderivative needs |t| < 1")
-    if 1.0 - 2.0 * t * v + v * v <= 0.0:
-        raise SphereDomainError("u(t, v) must be positive")
-    terms = kernel_power_antiderivative(L, J)
-    return expr_eval(terms, t, v), terms
-
-
-def kernel_log_integral(k, t, v):
-    """Value + expression of int v^k ln(1-tv+sqrt(u)) dv at (t, v)."""
-    u = 1.0 - 2.0 * t * v + v * v
-    if u <= 0.0 or 1.0 - t * v + sqrt(u) <= 0.0 or v - t + sqrt(u) <= 0.0:
-        raise SphereDomainError("log arguments must be positive")
-    terms = kernel_log_antiderivative(k)
-    return expr_eval(terms, t, v), terms
-

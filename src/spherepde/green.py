@@ -75,7 +75,7 @@ from .geometry import (
     _clamp_t,
     eigenvalue,
     gegenbauer_bound,
-    gegenbauer_matrix,
+    gegenbauer_rows,
     gegenbauer_sums,
     helmholtz_root,
 )
@@ -351,7 +351,7 @@ def green_eval_integral(param, t):
             f"{_DEPTH_MAX}, where the weight r^(-L-1) leaves the doubles")
     k = ctx.n + 2.0 * L - 1.0     # w(r) = -r^{-L-1} (r^k - 1)/k
     ls = np.arange(M + _TAIL_DEGREES + 1)
-    C = gegenbauer_matrix(ctx, M + _TAIL_DEGREES, ts)
+    C = np.array(list(gegenbauer_rows(ctx, M + _TAIL_DEGREES, ts)))
     c = ((lam + ls) / lam)[:, None] * C
 
     # [0, r_s]: int_0^{r_s} r^l w(r) dr in closed form, p = l - L, Re p > 0

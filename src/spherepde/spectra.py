@@ -473,6 +473,12 @@ def poisson_kernel_spectrum(ctx, r, l_max):
 # general: header "# general n=<n>",        lines "l <TAB> k <TAB> re <TAB> im"
 # Additional leading "#" comment lines are permitted and ignored.
 
+# Degrees stay below the count of complex doubles one array can hold: a
+# larger Lmax or degree is a malformed file, where a smaller one that
+# memory cannot hold fails with MemoryError.
+_SIZE_MAX = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
+
 def format_spectrum(spec, extra_comments=(), fmt="%.17g"):
     """Serialise a spectrum to the text format; returns a string.
 
@@ -526,9 +532,10 @@ def save_spectrum(spec, path, extra_comments=(), fmt="%.17g"):
 def parse_spectrum(text):
     """Parse the text format; returns ZonalSpectrum or GeneralSpectrum.
 
-    A malformed header or row, a non-finite value, a negative degree, a
-    zonal degree above Lmax and a repeated degree (zonal) or (degree,
-    token) pair (general) raise SpectrumParseError naming the line.
+    A malformed header or row, a non-finite value, a negative degree or
+    one no array could hold (_SIZE_MAX), a zonal degree above Lmax and a
+    repeated degree (zonal) or (degree, token) pair (general) raise
+    SpectrumParseError naming the line.
     """
     kind = None
     n = ctx = None
@@ -548,7 +555,7 @@ def parse_spectrum(text):
                             n = int(tok[2:])
                         elif tok.startswith("Lmax="):
                             l_max = int(tok[5:])
-                    if l_max is not None and l_max < 0:
+                    if l_max is not None and not 0 <= l_max < _SIZE_MAX:
                         raise ValueError
                     ctx = None if n is None else make_context(n)
                 except ValueError:      # make_context's SphereDomainError included
@@ -580,6 +587,8 @@ def parse_spectrum(text):
             raise _line_error(lineno, line, "non-finite value")
         if l < 0:
             raise _line_error(lineno, line, f"negative degree {l}")
+        if l >= _SIZE_MAX:
+            raise _line_error(lineno, line, f"degree {l} not below {_SIZE_MAX}")
         if capped and l > l_max:
             raise _line_error(lineno, line, f"degree {l} above Lmax={l_max}")
         if key in values:

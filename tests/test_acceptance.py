@@ -228,19 +228,22 @@ def test_criterion_7_antiderivatives():
     for _ in range(50):
         k, J = int(rng.integers(0, 7)), int(rng.integers(0, 4))
         T, V = float(rng.uniform(0.15, 2.0)), float(rng.uniform(-1.3, 1.3))
-        got = numdiff(lambda x: cf.shifted_power_integral(k, J, T, x)[0], V)
+        expr = cf.shifted_power_antiderivative(k, J)
+        got = numdiff(lambda x: cf.eval_shifted(expr, T, x), V)
         want = V ** k / (T + V * V) ** (J + 0.5)
         worst_d = max(worst_d, abs(got - want) / (1.0 + abs(want)))
     for _ in range(50):
         L, J = int(rng.integers(0, 8)), int(rng.integers(0, 4))
         t, V = float(rng.uniform(-0.9, 0.9)), float(rng.uniform(0.05, 1.3))
-        got = numdiff(lambda x: cf.kernel_power_integral(L, J, t, x)[0], V)
+        expr = cf.kernel_power_antiderivative(L, J)
+        got = numdiff(lambda x: cf.expr_eval(expr, t, x), V)
         want = V ** L / (1 - 2 * t * V + V * V) ** (J + 0.5)
         worst_d = max(worst_d, abs(got - want) / (1.0 + abs(want)))
     for _ in range(50):
         k = int(rng.integers(0, 9))
         t, V = float(rng.uniform(-0.9, 0.9)), float(rng.uniform(0.05, 1.3))
-        got = numdiff(lambda x: cf.kernel_log_integral(k, t, x)[0], V)
+        expr = cf.kernel_log_antiderivative(k)
+        got = numdiff(lambda x: cf.expr_eval(expr, t, x), V)
         want = V ** k * np.log(1 - t * V + np.sqrt(1 - 2 * t * V + V * V))
         worst_d = max(worst_d, abs(got - want) / (1.0 + abs(want)))
     for _ in range(50):
@@ -258,8 +261,8 @@ def test_criterion_7_antiderivatives():
         a, b = sorted(rng.uniform(0.05, 1.2, size=2))
         quad = oracles.adaptive_quad(
             lambda R: R ** L / (1 - 2 * t * R + R * R) ** (J + 0.5), a, b)
-        got = (cf.kernel_power_integral(L, J, t, b)[0]
-               - cf.kernel_power_integral(L, J, t, a)[0])
+        expr = cf.kernel_power_antiderivative(L, J)
+        got = cf.expr_eval(expr, t, b) - cf.expr_eval(expr, t, a)
         worst_q = max(worst_q, abs(got - quad))
     for _ in range(50):
         k = int(rng.integers(0, 7))
@@ -268,8 +271,8 @@ def test_criterion_7_antiderivatives():
         quad = oracles.adaptive_quad(
             lambda R: R ** k * np.log(1 - t * R + np.sqrt(1 - 2 * t * R + R * R)),
             a, b)
-        got = (cf.kernel_log_integral(k, t, b)[0]
-               - cf.kernel_log_integral(k, t, a)[0])
+        expr = cf.kernel_log_antiderivative(k)
+        got = cf.expr_eval(expr, t, b) - cf.expr_eval(expr, t, a)
         worst_q = max(worst_q, abs(got - quad))
     # recurrence tables reproduced by the independent naive path
     tables_ok = True

@@ -1,11 +1,29 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherepde.cli import _config_defaults, build_parser, main
-from spherepde import ZonalSpectrum, cli, closedform, make_context
+from spherepde import (
+    ConvergenceError,
+    GreenFunction,
+    NoClosedFormError,
+    QuadratureError,
+    ResonanceError,
+    SolvabilityError,
+    SolveRequest,
+    SphereDomainError,
+    ZonalSpectrum,
+    cli,
+    closedform,
+    helmholtz_parameter,
+    make_context,
+    parameter_from_root,
+)
 from spherepde.spectra import load_spectrum, save_spectrum
 
 
@@ -647,6 +665,128 @@ class TestUnreadableFiles:
     def test_directory_as_config_exit1(self, tmp_path, f_poisson, capsys):
         assert self._solve(tmp_path, f_poisson, "--config", str(tmp_path)) == 1
         assert "error:" in capsys.readouterr().err
+
+
+_BIG = "100000000000000000000"      # 1e20: past any array size, and past intp
+
+
+class TestSizes:
+    """A size no array could hold is a usage error where it is parsed; one
+    that memory cannot hold exits 1 too.  Nothing here allocates."""
+
+    @pytest.mark.parametrize("argv", [
+        ["green", "--n", "2", "--a", "0.5", "--grid", _BIG, "--backend", "closed"],
+        ["green", "--n", "2", "--a", "0.5", "--grid", "2000000000000000000"],
+        ["wavelet", "admissibility", "--n", "2", "--lmax", _BIG],
+        ["wavelet", "admissibility", "--n", "2", "--lmax", "2000000000000000000"]])
+    def test_size_past_any_array_exit1(self, capsys, argv):
+        # 2e18 is below intp's maximum but above the count of doubles an
+        # array can hold, where NumPy raises ValueError ("array is too big")
+        # rather than MemoryError
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        cap = capsys.readouterr()
+        assert cap.out == "" and "must be below 576460752303423487" in cap.err
+
+    @pytest.mark.parametrize("lines,what", [
+        ([f"# zonal n=2 Lmax={_BIG}", "0\t1"], "line 1: malformed header"),
+        (["# zonal n=2", "0\t1", f"{_BIG}\t1"], f"line 3: degree {_BIG} not below"),
+        (["# general n=2", f"{_BIG}\tk\t1\t0"], f"line 2: degree {_BIG} not below")],
+        ids=["zonal header", "zonal degree", "general degree"])
+    def test_spectrum_size_past_any_array_exit1(self, tmp_path, capsys, lines, what):
+        f = tmp_path / "f.spec"
+        _write_spec(f, lines)
+        out = tmp_path / "u.spec"
+        assert main(["solve", "--n", "2", "--a", "0.5", "--in", str(f), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert what in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_size_memory_cannot_hold_exit1(self, monkeypatch, capsys):
+        # a stage stands in for an allocation that fails: a real one could be
+        # granted by an overcommitting host, and the process killed later
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(cli, "check_admissibility", no_memory)
+        assert main(["wavelet", "admissibility", "--n", "2", "--lmax", "1000000000000000"]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "error: Unable to allocate 7.11 PiB for an array\n"
+
+
+# every float flag of green, green derive and solve; a negative value goes
+# as --flag=value, since argparse reads a bare -inf as an option
+_FLOATS = ["nan", "inf", "-inf", "0", "-0", "-1", "1e300", "-1e300", "5e-324"]
+_FLOAT_FLAGS = {
+    "green --a": ["green", "--n", "2", "--t", "0.3", "--a={}"],
+    "green --L": ["green", "--n", "2", "--t", "0.3", "--L={}"],
+    "green --t": ["green", "--n", "2", "--a", "0.5", "--t={}"],
+    "derive --a": ["green", "derive", "--n", "2", "--a={}"],
+    "derive --L": ["green", "derive", "--n", "2", "--L={}"],
+    "solve --a": ["solve", "--n", "2", "--a={}"],
+    "solve --L": ["solve", "--n", "2", "--L={}"],
+    "solve --tol": ["solve", "--n", "2", "--a", "0.5", "--tol={}"],
+    "resonant solve --tol": ["solve", "--n", "2", "--a", "2", "--resonant", "--tol={}"],
+}
+_LIBRARY_ERRORS = (ConvergenceError, NoClosedFormError, QuadratureError, ResonanceError,
+                   SolvabilityError, SphereDomainError)
+
+
+def _non_finite_numbers(text):
+    """Tokens of text that read as floats and are not finite."""
+    out = []
+    for token in re.split(r"[\s,=:]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            out.append(token)
+    return out
+
+
+class TestFloatInputs:
+    @pytest.mark.parametrize("value", _FLOATS)
+    @pytest.mark.parametrize("flag", _FLOAT_FLAGS)
+    def test_every_float_flag_keeps_the_exit_code_contract(self, tmp_path, f_poisson, capsys,
+                                                           flag, value):
+        argv = [arg.format(value) for arg in _FLOAT_FLAGS[flag]]
+        out = tmp_path / "u.spec"
+        if argv[0] == "solve":
+            argv += ["--in", str(f_poisson), "--out", str(out)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        cap = capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4) and "Traceback" not in cap.err
+        if code == 0:
+            written = cap.out + (out.read_text() if out.exists() else "")
+            assert not _non_finite_numbers(written), written
+
+    @pytest.mark.parametrize("value", [float(v) for v in _FLOATS])
+    def test_every_float_library_input_refuses_or_is_finite(self, f_poisson, value):
+        ctx = make_context(2)
+        for build in (helmholtz_parameter, parameter_from_root):
+            try:
+                p = build(ctx, value)
+            except _LIBRARY_ERRORS:
+                continue
+            assert math.isfinite(p.a) and (p.L is None or math.isfinite(p.L)), (build, p)
+        p = helmholtz_parameter(ctx, 0.0)
+        for backend in ("auto", "closed", "series", "integral"):
+            try:
+                g = GreenFunction(p, backend)(value)
+            except _LIBRARY_ERRORS:
+                continue
+            assert math.isfinite(g), (backend, g)
+        try:
+            SolveRequest(p, load_spectrum(f_poisson), resonant_tol=value)
+            accepted = True
+        except _LIBRARY_ERRORS:
+            accepted = False
+        assert accepted == (0.0 <= value < math.inf)
 
 
 # keys: the options of every subcommand, plus arbitrary text

@@ -84,28 +84,29 @@ class TestLogCoefficients:
 
 class TestShiftedFamily:
     def test_odd_k_value(self):
-        val, _ = cf.shifted_power_integral(1, 1, 1.0, 1.0)
+        val = cf.eval_shifted(cf.shifted_power_antiderivative(1, 1), 1.0, 1.0)
         assert val == pytest.approx(-1.0 / np.sqrt(2.0))
 
     def test_even_small_kappa_value(self):
-        val, _ = cf.shifted_power_integral(0, 1, 1.0, 1.0)
+        expr = cf.shifted_power_antiderivative(0, 1)
+        val = cf.eval_shifted(expr, 1.0, 1.0)
         assert val == pytest.approx(1.0 / np.sqrt(2.0))
         # definite integral cross-check: int_0^1 (1+V^2)^{-3/2} dV = 1/sqrt(2)
         quad = oracles.adaptive_quad(lambda V: (1 + V * V) ** -1.5, 0.0, 1.0)
-        lo, _ = cf.shifted_power_integral(0, 1, 1.0, 0.0)
+        lo = cf.eval_shifted(expr, 1.0, 0.0)
         assert val - lo == pytest.approx(quad, abs=1e-12)
 
     def test_log_case_against_quadrature(self):
         # int_0^1 V^2/(T+V^2)^{3/2}: the kappa >= J branch with its log term
+        expr = cf.shifted_power_antiderivative(2, 1)
         for T in (0.5, 1.0, 2.0):
             quad = oracles.adaptive_quad(lambda V: V * V / (T + V * V) ** 1.5, 0, 1)
-            hi, _ = cf.shifted_power_integral(2, 1, T, 1.0)
-            lo, _ = cf.shifted_power_integral(2, 1, T, 0.0)
+            hi, lo = cf.eval_shifted(expr, T, 1.0), cf.eval_shifted(expr, T, 0.0)
             assert hi - lo == pytest.approx(quad, abs=1e-12)
 
     def test_rejects_zero_shift(self):
         with pytest.raises(Exception):
-            cf.shifted_power_integral(1, 1, 0.0, 0.5)
+            cf.eval_shifted(cf.shifted_power_antiderivative(1, 1), 0.0, 0.5)
 
     def test_derivative_property(self):
         for _ in range(50):
@@ -113,22 +114,23 @@ class TestShiftedFamily:
             J = int(RNG.integers(0, 4))
             T = float(RNG.uniform(0.1, 2.0))
             V = float(RNG.uniform(-1.4, 1.4))
-            f = lambda VV: cf.shifted_power_integral(k, J, T, VV)[0]
+            expr = cf.shifted_power_antiderivative(k, J)
+            f = lambda VV: cf.eval_shifted(expr, T, VV)
             want = V ** k / (T + V * V) ** (J + 0.5)
             assert numdiff(f, V) == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 class TestKernelPowerFamily:
     def test_plain_log_case(self):
-        val, _ = cf.kernel_power_integral(0, 0, 0.0, 1.0)
+        val = cf.expr_eval(cf.kernel_power_antiderivative(0, 0), 0.0, 1.0)
         assert val == pytest.approx(np.log(1.0 + np.sqrt(2.0)))
 
     def test_definite_against_quadrature(self):
         t = 0.3
         quad = oracles.adaptive_quad(
             lambda R: R / (1 - 2 * t * R + R * R) ** 1.5, 0.0, 0.5)
-        hi, _ = cf.kernel_power_integral(1, 1, t, 0.5)
-        lo, _ = cf.kernel_power_integral(1, 1, t, 0.0)
+        expr = cf.kernel_power_antiderivative(1, 1)
+        hi, lo = cf.expr_eval(expr, t, 0.5), cf.expr_eval(expr, t, 0.0)
         assert hi - lo == pytest.approx(quad, abs=1e-10)
 
     def test_binomial_decomposition_consistency(self):
@@ -138,7 +140,7 @@ class TestKernelPowerFamily:
             J = int(RNG.integers(0, 4))
             t = float(RNG.uniform(-0.9, 0.9))
             V = float(RNG.uniform(0.05, 1.4))
-            direct, _ = cf.kernel_power_integral(L, J, t, V)
+            direct = cf.expr_eval(cf.kernel_power_antiderivative(L, J), t, V)
             total = 0.0
             for k in range(L + 1):
                 c = float(math.comb(L, k)) * t ** (L - k)
@@ -152,21 +154,22 @@ class TestKernelPowerFamily:
             J = int(RNG.integers(0, 4))
             t = float(RNG.uniform(-0.9, 0.9))
             V = float(RNG.uniform(0.05, 1.4))
-            f = lambda VV: cf.kernel_power_integral(L, J, t, VV)[0]
+            expr = cf.kernel_power_antiderivative(L, J)
+            f = lambda VV: cf.expr_eval(expr, t, VV)
             want = V ** L / (1 - 2 * t * V + V * V) ** (J + 0.5)
             assert numdiff(f, V) == pytest.approx(want, rel=1e-6, abs=1e-9)
 
     def test_rejects_diagonal(self):
         with pytest.raises(Exception):
-            cf.kernel_power_integral(1, 1, 1.0, 0.5)
+            cf.expr_eval(cf.kernel_power_antiderivative(1, 1), 1.0, 0.5)
 
 
 class TestKernelLogFamily:
     def test_k1_definite(self):
         quad = oracles.adaptive_quad(
             lambda R: R * np.log(1 + np.sqrt(1 + R * R)), 0.0, 1.0)
-        hi, _ = cf.kernel_log_integral(1, 0.0, 1.0)
-        lo, _ = cf.kernel_log_integral(1, 0.0, 0.0)
+        expr = cf.kernel_log_antiderivative(1)
+        hi, lo = cf.expr_eval(expr, 0.0, 1.0), cf.expr_eval(expr, 0.0, 0.0)
         assert hi - lo == pytest.approx(quad, abs=1e-10)
 
     def test_k2_random_definite(self):
@@ -176,8 +179,8 @@ class TestKernelLogFamily:
             quad = oracles.adaptive_quad(
                 lambda R: R * R * np.log(1 - t * R
                                          + np.sqrt(1 - 2 * t * R + R * R)), 0.0, b)
-            hi, _ = cf.kernel_log_integral(2, t, b)
-            lo, _ = cf.kernel_log_integral(2, t, 0.0)
+            expr = cf.kernel_log_antiderivative(2)
+            hi, lo = cf.expr_eval(expr, t, b), cf.expr_eval(expr, t, 0.0)
             assert hi - lo == pytest.approx(quad, abs=1e-9)
 
     def test_derivative_property(self):
@@ -185,7 +188,8 @@ class TestKernelLogFamily:
             k = int(RNG.integers(0, 9))
             t = float(RNG.uniform(-0.9, 0.9))
             V = float(RNG.uniform(0.05, 1.4))
-            f = lambda VV: cf.kernel_log_integral(k, t, VV)[0]
+            expr = cf.kernel_log_antiderivative(k)
+            f = lambda VV: cf.expr_eval(expr, t, VV)
             u = 1 - 2 * t * V + V * V
             want = V ** k * np.log(1 - t * V + np.sqrt(u))
             assert numdiff(f, V) == pytest.approx(want, rel=1e-6, abs=1e-9)

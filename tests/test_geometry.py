@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from spherepde import SphereContext, SphereDomainError, gegenbauer, gegenbauer_batch, make_context
+from spherepde import SphereContext, SphereDomainError, make_context
 from spherepde.geometry import (
     eigenvalue,
     gegenbauer_at_one,
     gegenbauer_bound,
-    gegenbauer_matrix,
     gegenbauer_rows,
     gegenbauer_sums,
 )
@@ -27,6 +26,16 @@ from oracles import (
 )
 
 EPS = np.finfo(float).eps
+
+
+def _matrix(ctx, l_max, t):
+    """C[l, j] = C_l^lambda(t_j): the streamed rows, stacked."""
+    return np.array(list(gegenbauer_rows(ctx, l_max, t)))
+
+
+def _value(ctx, l, t):
+    """C_l^lambda(t) for one degree at one point."""
+    return float(_matrix(ctx, l, t)[l, 0])
 
 
 class TestContext:
@@ -86,58 +95,58 @@ class TestContext:
 class TestGegenbauer:
     def test_negative_top_degree_refused(self):
         with pytest.raises(SphereDomainError, match="degree l must be >= 0, got -1"):
-            gegenbauer_matrix(make_context(3), -1, np.array([0.2]))
+            _matrix(make_context(3), -1, np.array([0.2]))
 
     def test_degree_zero(self):
-        assert gegenbauer(make_context(2), 0, 0.3) == 1.0
+        assert _value(make_context(2), 0, 0.3) == 1.0
 
     def test_legendre_value(self):
         # C_2^{1/2}(1/2) = (3 t^2 - 1)/2 = -1/8; exact-rational oracle
         assert gegenbauer_fraction(Fraction(1, 2), 2, Fraction(1, 2)) == Fraction(-1, 8)
-        assert_allclose(gegenbauer(make_context(2), 2, 0.5), -0.125, rtol=1e-14)
+        assert_allclose(_value(make_context(2), 2, 0.5), -0.125, rtol=1e-14)
 
     def test_high_degree_against_rational_oracle(self):
         # lam = 3/2 (n = 4), l = 5, t = 9/10
         exact = float(gegenbauer_fraction(Fraction(3, 2), 5, Fraction(9, 10)))
-        assert_allclose(gegenbauer(make_context(4), 5, 0.9), exact, rtol=1e-12)
+        assert_allclose(_value(make_context(4), 5, 0.9), exact, rtol=1e-12)
 
     @pytest.mark.parametrize("n,l", [(2, 37), (3, 50), (5, 24), (8, 61)])
     def test_random_degrees_against_rational_oracle(self, n, l):
         t = Fraction(-13, 32)
         exact = float(gegenbauer_fraction(Fraction(n - 1, 2), l, t))
-        assert_allclose(gegenbauer(make_context(n), l, float(t)), exact, rtol=1e-11)
+        assert_allclose(_value(make_context(n), l, float(t)), exact, rtol=1e-11)
 
     def test_domain_errors(self):
         ctx = make_context(3)
         with pytest.raises(SphereDomainError):
-            gegenbauer(ctx, -1, 0.0)
+            _value(ctx, -1, 0.0)
         with pytest.raises(SphereDomainError):
-            gegenbauer(ctx, 3, 1.5)
+            _value(ctx, 3, 1.5)
 
     def test_roundoff_clamp(self):
         ctx = make_context(3)
-        assert gegenbauer(ctx, 4, 1.0 + 5e-13) == gegenbauer(ctx, 4, 1.0)
+        assert _value(ctx, 4, 1.0 + 5e-13) == _value(ctx, 4, 1.0)
 
 
 class TestBatch:
     def test_matches_singles_bitwise(self):
         ctx = make_context(5)
-        batch = gegenbauer_batch(ctx, 40, 0.73)
+        batch = _matrix(ctx, 40, 0.73)[:, 0]
         for l in range(41):
-            assert batch[l] == gegenbauer(ctx, l, 0.73)
+            assert batch[l] == _value(ctx, l, 0.73)
 
     def test_example_values(self):
         ctx = make_context(2)
-        assert_allclose(gegenbauer_batch(ctx, 2, 0.5), [1.0, 0.5, -0.125], rtol=1e-14)
+        assert_allclose(_matrix(ctx, 2, 0.5)[:, 0], [1.0, 0.5, -0.125], rtol=1e-14)
 
     def test_l_max_zero(self):
-        assert gegenbauer_batch(make_context(7), 0, -0.2).tolist() == [1.0]
+        assert _matrix(make_context(7), 0, -0.2)[:, 0].tolist() == [1.0]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_at_one_binomial_identity(self, n):
         # C_l(1) = binom(l + 2 lam - 1, l)
         ctx = make_context(n)
-        batch = gegenbauer_batch(ctx, 10, 1.0)
+        batch = _matrix(ctx, 10, 1.0)[:, 0]
         lam = Fraction(n - 1, 2)
         for l in range(11):
             expected = Fraction(1)
@@ -149,9 +158,9 @@ class TestBatch:
     def test_matrix_matches_batch(self):
         ctx = make_context(4)
         ts = np.array([-0.9, 0.1, 0.77])
-        mat = gegenbauer_matrix(ctx, 25, ts)
+        mat = _matrix(ctx, 25, ts)
         for j, t in enumerate(ts):
-            assert np.array_equal(mat[:, j], gegenbauer_batch(ctx, 25, t))
+            assert np.array_equal(mat[:, j], _matrix(ctx, 25, t)[:, 0])
 
     def test_rows_match_the_plain_recurrence_bitwise(self):
         # the recurrence written over the rows of a matrix, as it stood
@@ -164,7 +173,7 @@ class TestBatch:
         for l in range(2, 61):
             want.append((2.0 * (l + lam - 1.0) * ts * want[-1]
                          - (l + 2.0 * lam - 2.0) * want[-2]) / l)
-        assert np.array_equal(gegenbauer_matrix(ctx, 60, ts), np.array(want))
+        assert np.array_equal(_matrix(ctx, 60, ts), np.array(want))
         rows = list(gegenbauer_rows(ctx, 60, ts))
         assert len(rows) == 61 and all(np.array_equal(r, w) for r, w in zip(rows, want))
 
@@ -222,7 +231,7 @@ class TestSums:
         full, full_abs = gegenbauer_sums(ctx, W, np.array([0.3]))
         assert total.shape == absolute.shape == (1,)
         assert total[0] == full[0, 0] and absolute[0] == full_abs[0, 0]
-        C = gegenbauer_matrix(ctx, 49, np.array([0.3]))
+        C = _matrix(ctx, 49, np.array([0.3]))
         assert_allclose(total, W[0] @ C, rtol=1e-13)
 
     def test_needs_a_degree_and_clamps_t(self):
@@ -242,7 +251,7 @@ class TestProperties:
         ts = rng.uniform(-1.0, 1.0, size=1000)
         for n in range(2, 11):
             ctx = make_context(n)
-            mat = np.abs(gegenbauer_matrix(ctx, 200, ts))
+            mat = np.abs(_matrix(ctx, 200, ts))
             bounds = np.array([gegenbauer_bound(ctx, l) for l in range(201)])
             assert np.all(mat <= bounds[:, None] + 1e-9)
 
@@ -251,15 +260,15 @@ class TestProperties:
         ts = rng.uniform(0.0, 1.0, size=50)
         for n in (2, 3, 5, 8):
             ctx = make_context(n)
-            plus = gegenbauer_matrix(ctx, 30, ts)
-            minus = gegenbauer_matrix(ctx, 30, -ts)
+            plus = _matrix(ctx, 30, ts)
+            minus = _matrix(ctx, 30, -ts)
             signs = (-1.0) ** np.arange(31)
             assert_allclose(minus, signs[:, None] * plus, rtol=1e-12, atol=1e-12)
 
     def test_legendre_oracle(self):
         ctx = make_context(2)
         ts = np.linspace(-1, 1, 41)
-        mat = gegenbauer_matrix(ctx, 60, ts)
+        mat = _matrix(ctx, 60, ts)
         for l in (0, 1, 2, 7, 25, 60):
             assert_allclose(mat[l], legendre(l, ts), rtol=1e-12, atol=1e-12)
 
@@ -268,7 +277,7 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     def test_bound_property(self, n, l, t):
         ctx = make_context(n)
-        assert abs(gegenbauer(ctx, l, t)) <= gegenbauer_bound(ctx, l) + 1e-9
+        assert abs(_value(ctx, l, t)) <= gegenbauer_bound(ctx, l) + 1e-9
 
 
 def test_eigenvalue_examples():

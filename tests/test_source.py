@@ -11,12 +11,14 @@ computes the eigenvalue gap once, over f's own degrees, and neither the
 condition warnings nor a single Green coefficient builds an array over
 every degree up to the top one, the series backend's Abel sums go
 through geometry.gegenbauer_sums and never build the Gegenbauer matrix,
-and no module imports SciPy: green.py integrates, wavelets.py builds its
+every public function and class has a user outside the tests, and no
+module imports SciPy: green.py integrates, wavelets.py builds its
 scale grids and spectra.py its Gauss rules with NumPy and math alone, so
 neither importing the package nor building a rule and analysing with it
 loads SciPy."""
 
 import ast
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,7 +28,8 @@ import pytest
 
 from spherepde import HelmholtzParameter, make_context
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spherepde"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spherepde"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
            for path in sorted(SRC.glob("*.py"))}
 
@@ -117,11 +120,12 @@ def test_closedform_has_one_term_type_and_one_evaluator():
 
 def test_analysis_streams_the_one_gegenbauer_recurrence():
     # analyze and synthesize take C_l row by row from geometry and never
-    # build the (L+1) x m matrix; the only loop over a range in spectra.py
+    # build the (L+1) x m matrix (stacking the rows would list them); the
+    # only loop over a range in spectra.py
     # is the orthonormal recurrence of the quadrature rule
     tree = MODULES["spectra"]
     for function in ("analyze", "synthesize"):
-        assert "gegenbauer_matrix" not in _calls(tree, function)
+        assert "list" not in _calls(tree, function)
         assert "gegenbauer_rows" in _calls(tree, function)
     ranged = sorted({function.name for function in tree.body
                      if isinstance(function, ast.FunctionDef)
@@ -287,7 +291,7 @@ def test_records_compute_what_their_inputs_fix():
 def test_abel_sums_use_the_blocked_recurrence():
     # the series backend's Abel sums never build the Gegenbauer matrix
     called = _calls(MODULES["green"], "_abel_values")
-    assert "gegenbauer_sums" in called and "gegenbauer_matrix" not in called, called
+    assert "gegenbauer_sums" in called and "gegenbauer_rows" not in called, called
 
 
 def test_the_solve_computes_each_gap_once_over_f_own_degrees():
@@ -301,3 +305,27 @@ def test_the_solve_computes_each_gap_once_over_f_own_degrees():
     for function in ("condition_warnings", "green_coefficient"):
         used = set(_names(_function(green, function)))
         assert not used & {"arange", "unique", "green_coefficients"}, (function, used)
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # a public module-level function or class is used in src, exported by
+    # __init__ (an import alias), or named in the README or a demo; one
+    # that only the tests call is test code in the library
+    used = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    docs = [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))]
+    named = {word for path in docs
+             for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    unused = sorted(f"{module}.{node.name}" for module, tree in MODULES.items()
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used | named)
+    assert not unused, unused
