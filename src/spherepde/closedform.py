@@ -9,14 +9,14 @@ algebra: bivariate rational terms over powers of
 
 half-integer powers of u (sqrt(u) factors), powers of 1 - t^2, and the
 logarithms ln(v - t + sqrt(u)), ln(1 - t v + sqrt(u)), ln v.  This module
-implements that algebra with exact Fraction coefficients, the recurrence
+implements that algebra in exact rational arithmetic, the recurrence
 tables behind four antiderivative families, and the assembler that turns
 the kernel_power family into the closed form of the Green function for
 even n and integer L (a = L(n+L-1)).  Floating point enters only at
 evaluation time.
 
 Every antiderivative term is one Term(poly, kind, uhalf, tpow): a
-bivariate polynomial with Fraction coefficients times either a power of a
+bivariate polynomial with rational coefficients times either a power of a
 core (kind "rat") or a logarithm (the other kinds), over a power of a
 denominator.  What core, denominator and logarithms are depends on the
 variables the term is written in:
@@ -56,6 +56,11 @@ forms, C = 0):
       tests).  k = 0 degenerates to
       v ln(1 - t v + sqrt(u)) - v + ln(v - t + sqrt(u)).
 
+The families return their polynomials as dicts of Fraction coefficients.
+Inside, every polynomial is one exact pair of integer numerators over a
+common denominator (see "exact polynomials" below), and the Fractions
+are made once, when a family or a ClosedForm hands its result out.
+
 Assembly.  With J = n/2, lambda = J - 1/2, and S(r) = Sigma_n p_r(t) minus
 its partial sum through degree M = max(L, -1), the Green function is the
 double radial integral
@@ -92,126 +97,188 @@ derived form and a registry row compare with ==.
 
 Cost.  A derivation builds its two kernel_power antiderivatives once, and
 D1 and D2 share them.  The substitution T = 1-t^2, V = v-t reads power
-tables of 1-t^2 and v-t, built once per pass in integer arithmetic,
-instead of raising powers for every monomial.  Collector.add_definite
-sums the polynomials of like terms (same kind, uhalf and tpow) before it
-takes them to the endpoints.  All of it is exact, so the derived forms do
-not change; nothing is memoised, so a repeated derivation costs the same.
+tables of 1-t^2 and v-t, built once per pass, instead of raising powers
+for every monomial.  Collector.add_definite sums the polynomials of like
+terms (same kind, uhalf and tpow) before it takes them to the endpoints,
+expands each power of u at infinity from one Gegenbauer table per
+exponent, and each bucket sums its pieces once, when it is read.  All the
+arithmetic is on integers, with one gcd per result, so no Fraction is made
+per coefficient operation.  The 30 forms n = 2..12 even, L = 0..4 take
+0.06 s together, (16, 3) 0.007 s (best of 15, shared 2-vCPU host; 0.18 s
+and 0.027 s with Fraction coefficients).  All of it is exact, so the
+derived forms do not change; nothing is memoised, so a repeated
+derivation costs the same.
 """
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, inf, lcm, log, pi, prod, sqrt
+from math import comb, factorial, gcd, inf, lcm, log, pi, prod, sqrt
 
 import numpy as np
 
 from .errors import NoClosedFormError, SphereDomainError
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
-# exact polynomials: univariate {i: Fraction}, bivariate {(i, j): Fraction}
+# exact polynomials: integer numerators over one denominator
 # ---------------------------------------------------------------------------
+# A polynomial is a pair (num, den).  num maps each exponent -- an int for
+# a univariate polynomial, an (i, j) pair for a bivariate one -- to a
+# nonzero integer numerator, and den > 0 is their common denominator, with
+# gcd(den, *num.values()) == 1, so each polynomial has exactly one pair.
+# Every operation reduces its result with one gcd.  Pairs are never
+# mutated, so results may share them.  Scalars are ints or Fractions, read
+# through .numerator and .denominator.
 
-def _clean(p):
-    return {k: c for k, c in p.items() if c != 0}
-
-
-def padd(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out[k] + c if k in out else c
-    return _clean(out)
-
-
-def pscale(a, s):
-    s = Fraction(s)
-    return _clean({k: c * s for k, c in a.items()})
+_ZERO = ({}, 1)
 
 
-def pmul(a, b):
+def _reduced(num, den):
+    """The pair num / den in lowest terms, zero numerators dropped (den > 0)."""
+    if 0 in num.values():
+        num = {k: c for k, c in num.items() if c}
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {k: c // g for k, c in num.items()}, den // g
+
+
+def _monomial(key, c):
+    """The pair of c x^key for a rational c."""
+    return _reduced({key: c.numerator}, c.denominator)
+
+
+def _sum(polys):
+    """Sum of pairs, over the lcm of their denominators."""
+    polys = [p for p in polys if p[0]]
+    if len(polys) < 2:
+        return polys[0] if polys else _ZERO
+    den = lcm(*(d for _num, d in polys))
     out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            if isinstance(ka, tuple):
-                k = (ka[0] + kb[0], ka[1] + kb[1])
-            else:
-                k = ka + kb
-            out[k] = out[k] + ca * cb if k in out else ca * cb
-    return _clean(out)
+    for num, d in polys:
+        f = den // d
+        for k, c in num.items():
+            out[k] = out[k] + c * f if k in out else c * f
+    return _reduced(out, den)
 
 
-def ppow(a, m):
-    if m < 0:
-        raise ValueError("negative polynomial power")
-    out = {(0, 0) if a and isinstance(next(iter(a)), tuple) else 0: F1}
-    for _ in range(m):
-        out = pmul(out, a)
-    return out
-
-
-def bi_eval(p, t, v):
-    return sum(float(c) * t ** i * v ** j for (i, j), c in p.items())
-
-
-def uni_to_bi(p):
-    return {(i, 0): c for i, c in p.items()}
-
-
-def bi_sub_v0(p, v0):
-    """Bivariate -> univariate in t at v = v0, v0 = 0 or 1."""
-    if v0 not in (0, 1):
-        raise ValueError(f"bi_sub_v0 takes v0 = 0 or 1, got {v0}")
+def _mul(p, q):
+    """Product of two univariate or two bivariate pairs."""
+    (a, da), (b, db) = p, q
     out = {}
-    for (i, j), c in p.items():
-        if v0 or not j:
-            out[i] = out[i] + c if i in out else c
-    return _clean(out)
+    if a and isinstance(next(iter(a)), tuple):
+        for (i, j), c in a.items():
+            for (e, f), d in b.items():
+                k = (i + e, j + f)
+                out[k] = out[k] + c * d if k in out else c * d
+    else:
+        for i, c in a.items():
+            for e, d in b.items():
+                out[i + e] = out[i + e] + c * d if i + e in out else c * d
+    return _reduced(out, da * db)
+
+
+def _scale(p, s):
+    """p times a rational s."""
+    num, den = p
+    m = s.numerator
+    return _reduced({k: c * m for k, c in num.items()}, den * s.denominator)
+
+
+def _times(p, key):
+    """p times the monomial x^key, key an exponent of p's kind."""
+    num, den = p
+    if isinstance(key, tuple):
+        i, j = key
+        return {(a + i, b + j): c for (a, b), c in num.items()}, den
+    return {a + key: c for a, c in num.items()}, den
 
 
 def _powers(p, m):
-    """p^0, ..., p^m of a bivariate p, each by one product."""
-    out = [{(0, 0): 1}]
+    """p^0, ..., p^m of a pair, each by one product."""
+    unit = (0, 0) if isinstance(next(iter(p[0]), 0), tuple) else 0
+    out = [({unit: 1}, 1)]
     for _ in range(m):
-        out.append(pmul(out[-1], p))
+        out.append(_mul(out[-1], p))
     return out
 
 
 def _substitute(p, xs, ys):
     """Bivariate p with x and y put in for its variables, given their power
-    tables xs[i] = x^i and ys[j] = y^j."""
+    tables xs[i] = x^i and ys[j] = y^j (pairs)."""
+    num, den = p
+    scales = {key: xs[key[0]][1] * ys[key[1]][1] for key in num}
+    common = lcm(*scales.values())
     out = {}
-    for (i, j), c in p.items():
-        for (a, b), x in xs[i].items():
-            for (e, f), y in ys[j].items():
+    for (i, j), c in num.items():
+        c *= common // scales[i, j]
+        for (a, b), x in xs[i][0].items():
+            cx = c * x
+            for (e, f), y in ys[j][0].items():
                 k = (a + e, b + f)
-                out[k] = out[k] + c * (x * y) if k in out else c * (x * y)
-    return _clean(out)
+                out[k] = out[k] + cx * y if k in out else cx * y
+    return _reduced(out, den * common)
+
+
+def _at_v(p, v0):
+    """Bivariate pair -> univariate in t at v = v0, v0 = 0 or 1."""
+    if v0 not in (0, 1):
+        raise ValueError(f"_at_v takes v0 = 0 or 1, got {v0}")
+    num, den = p
+    out = {}
+    for (i, j), c in num.items():
+        if v0 or not j:
+            out[i] = out[i] + c if i in out else c
+    return _reduced(out, den)
+
+
+def _to_bi(p):
+    """Univariate pair in t -> bivariate in (t, v)."""
+    num, den = p
+    return {(i, 0): c for i, c in num.items()}, den
+
+
+def _fractions(p):
+    """A pair as the dict {exponent: Fraction} the public families return."""
+    num, den = p
+    return {k: Fraction(c, den) for k, c in num.items()}
+
+
+def _fraction_terms(terms):
+    return [_with_poly(term, _fractions(term.poly)) for term in terms]
+
+
+def bi_eval(p, t, v):
+    """Floating-point value at (t, v) of a bivariate {(i, j): rational} dict."""
+    return sum(float(c) * t ** i * v ** j for (i, j), c in p.items())
 
 
 # building blocks in sphere variables (t, v)
-BP_T = {(1, 0): F1}                       # t
-BP_V = {(0, 1): F1}                       # v
-BP_ONE = {(0, 0): F1}
-# integer coefficients, so that their power tables stay integer arithmetic
-BP_R = {(0, 1): 1, (1, 0): -1}            # v - t
-BP_TT = {(0, 0): 1, (2, 0): -1}           # 1 - t^2
-P_1MT = {0: F1, 1: -F1}                   # 1 - t   (univariate)
-P_1PT = {0: F1, 1: F1}                    # 1 + t
+_T = ({(1, 0): 1}, 1)                     # t
+_V = ({(0, 1): 1}, 1)                     # v
+_ONE = ({(0, 0): 1}, 1)
+_R = ({(0, 1): 1, (1, 0): -1}, 1)         # v - t
+_TT = ({(0, 0): 1, (2, 0): -1}, 1)        # 1 - t^2
 
 
-def gegenbauer_poly(lam, l_max):
-    """Exact C_l^lam(t) for l = 0..l_max as univariate polynomials, lam rational."""
-    lam = Fraction(lam)
-    out = [{0: F1}]
+def _gegenbauer_polys(p, q, l_max):
+    """Exact C_l^lam(t), lam = p/q, for l = 0..l_max as univariate pairs:
+
+        l q C_l = 2 (q(l-1) + p) t C_{l-1} - (q(l-2) + 2p) C_{l-2}.
+    """
+    out = [({0: 1}, 1)]
     if l_max >= 1:
-        out.append(_clean({1: 2 * lam}))
+        out.append(_reduced({1: 2 * p}, q))
     for l in range(2, l_max + 1):
-        a = pscale(pmul({1: F1}, out[l - 1]), 2 * (l + lam - 1))
-        b = pscale(out[l - 2], Fraction(l) + 2 * lam - 2)
-        out.append(pscale(padd(a, pscale(b, -1)), Fraction(1, l)))
+        (n1, d1), (n2, d2) = out[l - 1], out[l - 2]
+        den = lcm(d1, d2)
+        f1 = 2 * (q * (l - 1) + p) * (den // d1)
+        f2 = (q * (l - 2) + 2 * p) * (den // d2)
+        num = {i + 1: c * f1 for i, c in n1.items()}
+        for i, c in n2.items():
+            num[i] = num[i] - c * f2 if i in num else -c * f2
+        out.append(_reduced(num, den * q * l))
     return out
 
 
@@ -221,16 +288,21 @@ def gegenbauer_poly(lam, l_max):
 
 @dataclass(frozen=True)
 class Term:
-    """poly * core^{uhalf/2} (kind "rat") or poly * ln(arg of kind), over den^{tpow}."""
+    """poly * core^{uhalf/2} (kind "rat") or poly * ln(arg of kind), over den^{tpow}.
 
-    poly: dict
+    The public families hold poly as a dict {(i, j): Fraction}; the
+    assembler holds it as an exact pair.
+    """
+
+    poly: dict | tuple
     kind: str = "rat"
     uhalf: int = 0
     tpow: int = 0
 
 
-def expr_scale(terms, s):
-    return [replace(term, poly=pscale(term.poly, s)) for term in terms]
+def _with_poly(term, poly):
+    """term with poly in place of its polynomial (dataclasses.replace, faster)."""
+    return Term(poly, term.kind, term.uhalf, term.tpow)
 
 
 def _evaluate(terms, x, y, core, den, logarg):
@@ -267,6 +339,26 @@ def expr_eval(terms, t, v):
 # recurrence tables
 # ---------------------------------------------------------------------------
 
+def _radial_split(lam):
+    """radial_split_polynomials as pairs; m = 2 lam is odd, so every
+    bracket coefficient is an integer."""
+    lam = Fraction(lam)
+    if lam.denominator != 2 or lam <= 0:
+        raise SphereDomainError(f"lam must be a positive half-integer (odd/2), got {lam}")
+    m = lam.numerator
+    top = (m - 3) // 2
+    qs = {}
+    if top >= 0:
+        qs[0] = ({0: 1}, m - 2)
+    if top >= 1:
+        qs[1] = _scale(_mul(({0: m - 3, 1: m - 2}, 1), qs[0]), Fraction(1, m - 4))
+    for j in range(2, top + 1):
+        bracket = ({0: m - 2 * j - 1, 1: m - 2 * j}, 1)
+        term = _sum((_mul(bracket, qs[j - 1]), _scale(_times(qs[j - 2], 1), -(m - 2 * j + 1))))
+        qs[j] = _scale(term, Fraction(1, m - 2 * j - 2))
+    return qs
+
+
 def radial_split_polynomials(lam):
     """Splitting polynomials {j: Q_j}, j = 0..lam-3/2, univariate in T = 1-t^2.
 
@@ -277,22 +369,7 @@ def radial_split_polynomials(lam):
 
     lam = 1/2 has an empty table (all index ranges are empty).
     """
-    lam = Fraction(lam)
-    if lam.denominator != 2 or lam <= 0:
-        raise SphereDomainError(f"lam must be a positive half-integer (odd/2), got {lam}")
-    top = int(lam - Fraction(3, 2))
-    qs = {}
-    if top >= 0:
-        qs[0] = {0: 1 / (2 * (lam - 1))}
-    if top >= 1:
-        bracket = {0: 2 * lam - 3, 1: 2 * (lam - 1)}
-        qs[1] = pscale(pmul(bracket, qs[0]), 1 / (2 * (lam - 2)))
-    for j in range(2, top + 1):
-        bracket = {0: 2 * lam - 2 * j - 1, 1: 2 * (lam - j)}
-        term = pmul(bracket, qs[j - 1])
-        term = padd(term, pscale(pmul({1: F1}, qs[j - 2]), -(2 * lam - 2 * j + 1)))
-        qs[j] = pscale(term, 1 / (2 * (lam - j - 1)))
-    return qs
+    return {j: _fractions(q) for j, q in _radial_split(lam).items()}
 
 
 def zonal_kernel_radial_antiderivative(lam):
@@ -305,17 +382,17 @@ def zonal_kernel_radial_antiderivative(lam):
         - ln(1 - t v + sqrt(u)),        j = 1..lam-1/2.
     """
     lam = Fraction(lam)
-    qs = radial_split_polynomials(lam)
+    qs = _radial_split(lam)
     # Q_{j-1}(T) at T = 1-t^2, the substitution of _shifted_to_sphere
-    tts = _powers(BP_TT, max((i for q in qs.values() for i in q), default=0))
-    terms = [Term({(0, 0): 1 / lam}, uhalf=-int(2 * lam))]
+    tts = _powers(_TT, max((i for q, _den in qs.values() for i in q), default=0))
+    terms = [Term(_monomial((0, 0), 1 / lam), uhalf=-int(2 * lam))]
     for j in range(1, int(lam + Fraction(1, 2))):
-        terms.append(Term({(0, 0): Fraction(1, 2) / (lam - j)}, uhalf=-int(2 * (lam - j))))
-        qpoly_t = _substitute(uni_to_bi(qs[j - 1]), tts, _powers(BP_R, 0))
-        num = pmul(pmul(BP_T, qpoly_t), BP_R)
-        terms.append(Term(num, uhalf=-int(2 * (lam - j)), tpow=j))
-    terms.append(Term(pscale(BP_ONE, -1), "B"))
-    return terms
+        terms.append(Term(_monomial((0, 0), Fraction(1, 2) / (lam - j)),
+                          uhalf=-int(2 * (lam - j))))
+        qpoly_t = _substitute(_to_bi(qs[j - 1]), tts, _powers(_R, 0))
+        terms.append(Term(_mul(_mul(_T, qpoly_t), _R), uhalf=-int(2 * (lam - j)), tpow=j))
+    terms.append(Term(_scale(_ONE, -1), "B"))
+    return _fraction_terms(terms)
 
 
 def shifted_leading_coefficient(kappa, J):
@@ -346,6 +423,34 @@ def shifted_polynomial_coefficients(kappa, J):
     return {"lead": a, "poly": out}
 
 
+def _shifted_power_terms(k, J):
+    """shifted_power_antiderivative with pairs; the coefficients are set up
+    as Fractions and each is one monomial's pair."""
+    if k < 0 or J < 0:
+        raise SphereDomainError(f"need k, J >= 0, got k={k}, J={J}")
+    terms = []
+    if k % 2 == 1:
+        kappa = (k - 1) // 2
+        for iota in range(kappa + 1):
+            c = comb(kappa, iota) * Fraction((-1) ** (kappa - iota + 1), 2 * (J - iota) - 1)
+            terms.append(Term(_monomial((kappa - iota, 0), c), uhalf=-(2 * (J - iota) - 1)))
+        return terms
+    kappa = k // 2
+    if kappa < J:
+        for iota in range(J - kappa):
+            c = comb(J - kappa - 1, iota) * Fraction((-1) ** (J - kappa - iota - 1),
+                                                     2 * (J - iota) - 1)
+            terms.append(Term(_monomial((0, 2 * (J - iota) - 1), c),
+                              uhalf=-(2 * (J - iota) - 1), tpow=J - kappa))
+        return terms
+    table = shifted_polynomial_coefficients(kappa, J)
+    a = table["lead"]
+    for iota, ai in enumerate(table["poly"]):
+        terms.append(Term(_monomial((kappa - iota - 1, 2 * iota + 1), ai), uhalf=-(2 * J - 1)))
+    terms.append(Term(_monomial((kappa - J, 0), a), "A"))
+    return terms
+
+
 def shifted_power_antiderivative(k, J):
     """int V^k / (T + V^2)^{J+1/2} dV as Terms in the shifted variables (T, V).
 
@@ -361,29 +466,7 @@ def shifted_power_antiderivative(k, J):
         V core^{-(J-1/2)} sum_iota a_iota T^{kappa-iota-1} V^{2 iota}
         + a T^{kappa-J} ln(V + sqrt(core)).
     """
-    if k < 0 or J < 0:
-        raise SphereDomainError(f"need k, J >= 0, got k={k}, J={J}")
-    terms = []
-    if k % 2 == 1:
-        kappa = (k - 1) // 2
-        for iota in range(kappa + 1):
-            c = comb(kappa, iota) * Fraction((-1) ** (kappa - iota + 1), 2 * (J - iota) - 1)
-            terms.append(Term({(kappa - iota, 0): c}, uhalf=-(2 * (J - iota) - 1)))
-        return terms
-    kappa = k // 2
-    if kappa < J:
-        for iota in range(J - kappa):
-            c = comb(J - kappa - 1, iota) * Fraction((-1) ** (J - kappa - iota - 1),
-                                                     2 * (J - iota) - 1)
-            terms.append(Term({(0, 2 * (J - iota) - 1): c},
-                              uhalf=-(2 * (J - iota) - 1), tpow=J - kappa))
-        return terms
-    table = shifted_polynomial_coefficients(kappa, J)
-    a = table["lead"]
-    for iota, ai in enumerate(table["poly"]):
-        terms.append(Term({(kappa - iota - 1, 2 * iota + 1): ai}, uhalf=-(2 * J - 1)))
-    terms.append(Term({(kappa - J, 0): a}, "A"))
-    return terms
+    return _fraction_terms(_shifted_power_terms(k, J))
 
 
 def eval_shifted(terms, T, V):
@@ -401,9 +484,22 @@ def _shifted_to_sphere(terms):
     v - t + sqrt(u) (kind "A") and T the denominator 1-t^2.  The power
     tables of 1-t^2 and v-t are built once, to the largest exponents met.
     """
-    xs = _powers(BP_TT, max((i for term in terms for i, _j in term.poly), default=0))
-    ys = _powers(BP_R, max((j for term in terms for _i, j in term.poly), default=0))
-    return [replace(term, poly=_substitute(term.poly, xs, ys)) for term in terms]
+    xs = _powers(_TT, max((i for term in terms for i, _j in term.poly[0]), default=0))
+    ys = _powers(_R, max((j for term in terms for _i, j in term.poly[0]), default=0))
+    return [_with_poly(term, _substitute(term.poly, xs, ys)) for term in terms]
+
+
+def _kernel_power_terms(L, J):
+    """kernel_power_antiderivative with pairs."""
+    if L < 0 or J < 0:
+        raise SphereDomainError(f"need L, J >= 0, got L={L}, J={J}")
+    # binom(L,k) scales the one-monomial shifted polynomials; t^{L-k}
+    # shifts the powers of t after the substitution
+    shifted = [(L - k, _with_poly(term, _scale(term.poly, comb(L, k))))
+               for k in range(L + 1) for term in _shifted_power_terms(k, J)]
+    sphere = _shifted_to_sphere([term for _shift, term in shifted])
+    return [_with_poly(term, _times(term.poly, (shift, 0)))
+            for (shift, _shifted), term in zip(shifted, sphere)]
 
 
 def kernel_power_antiderivative(L, J):
@@ -413,15 +509,18 @@ def kernel_power_antiderivative(L, J):
     is sum_k binom(L,k) t^{L-k} shifted_power_antiderivative(k, J) mapped
     into sphere variables, all k in one _shifted_to_sphere pass.
     """
-    if L < 0 or J < 0:
-        raise SphereDomainError(f"need L, J >= 0, got L={L}, J={J}")
-    # binom(L,k) scales the one-monomial shifted polynomials; t^{L-k}
-    # shifts the powers of t after the substitution
-    shifted = [(L - k, replace(term, poly=pscale(term.poly, comb(L, k))))
-               for k in range(L + 1) for term in shifted_power_antiderivative(k, J)]
-    sphere = _shifted_to_sphere([term for _shift, term in shifted])
-    return [replace(term, poly={(i + shift, j): c for (i, j), c in term.poly.items()})
-            for (shift, _shifted), term in zip(shifted, sphere)]
+    return _fraction_terms(_kernel_power_terms(L, J))
+
+
+def _log_coefficients(k):
+    """log_coefficient_polynomials as pairs."""
+    if k < 1:
+        raise SphereDomainError(f"need k >= 1, got {k}")
+    pi = {k - 1: ({0: 1}, k * (k + 1))}
+    for j in range(k - 2, -1, -1):
+        pi[j] = _sum((_scale(_times(pi[j + 1], 1), Fraction(2 * j + 3, j + 1)),
+                      _scale(pi.get(j + 2, _ZERO), Fraction(-(j + 2), j + 1))))
+    return pi
 
 
 def log_coefficient_polynomials(k):
@@ -436,14 +535,7 @@ def log_coefficient_polynomials(k):
     specialisations pi_{k-2} = (2k-1) t pi_{k-1}/(k-1) and
     pi_0 = 3 t pi_1 - 2 pi_2 follow.
     """
-    if k < 1:
-        raise SphereDomainError(f"need k >= 1, got {k}")
-    pi = {k - 1: {0: Fraction(1, k * (k + 1))}}
-    for j in range(k - 2, -1, -1):
-        term = pscale(pmul({1: F1}, pi[j + 1]), Fraction(2 * j + 3, j + 1))
-        term = padd(term, pscale(pi.get(j + 2, {}), Fraction(-(j + 2), j + 1)))
-        pi[j] = term
-    return pi
+    return {j: _fractions(p) for j, p in _log_coefficients(k).items()}
 
 
 def kernel_log_antiderivative(k):
@@ -455,16 +547,14 @@ def kernel_log_antiderivative(k):
     if k < 0:
         raise SphereDomainError(f"need k >= 0, got {k}")
     if k == 0:
-        return [Term(dict(BP_V), "B"), Term(pscale(BP_V, -1)), Term(dict(BP_ONE), "A")]
-    pi = log_coefficient_polynomials(k)
-    p_k = {}
-    for j in range(k):
-        p_k = padd(p_k, pmul({(0, j): F1}, uni_to_bi(pi.get(j, {}))))
-    q_k = padd(pmul({1: F1}, pi.get(0, {})), pscale(pi.get(1, {}), -1))
-    return [Term(p_k, uhalf=1),
-            Term(uni_to_bi(q_k), "A"),
-            Term({(0, k + 1): Fraction(1, k + 1)}, "B"),
-            Term({(0, k + 1): Fraction(-1, (k + 1) ** 2)})]
+        return _fraction_terms([Term(_V, "B"), Term(_scale(_V, -1)), Term(_ONE, "A")])
+    pi = _log_coefficients(k)
+    p_k = _sum([_times(_to_bi(pi[j]), (0, j)) for j in range(k)])
+    q_k = _sum((_times(pi[0], 1), _scale(pi.get(1, _ZERO), -1)))
+    return _fraction_terms([Term(p_k, uhalf=1),
+                            Term(_to_bi(q_k), "A"),
+                            Term(_monomial((0, k + 1), Fraction(1, k + 1)), "B"),
+                            Term(_monomial((0, k + 1), Fraction(-1, (k + 1) ** 2)))])
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +574,13 @@ class ClosedForm:
 
     terms is a tuple of (atom, a, b, coefficients): atom one of ATOMS, a and
     b integer exponents in half units, and p_k given by its Fraction
-    coefficients in ascending powers of t.  Construction makes the terms
-    canonical -- like terms merged over a common denominator, common (1-t)
-    and (1+t) factors cancelled, zero terms dropped, sorted -- so == holds
-    exactly when two forms are the same function.  n, L, a and table only
+    coefficients in ascending powers of t.  The coefficients may be passed
+    as a sequence or a dict {power: rational}, or as the exact pair the
+    assembler works in.  Construction makes the terms canonical -- like
+    terms merged over a common denominator, common (1-t) and (1+t) factors
+    cancelled, zero terms dropped, sorted -- on integer numerators, so ==
+    holds exactly when two forms are the same function; building the 66
+    registry rows takes ~2.5 ms (shared 2-vCPU host).  n, L, a and table only
     label the form (table: the registry table, None for a derived form) and
     take no part in comparisons.
     """
@@ -561,51 +654,74 @@ def _half_power(x, e):
     return out
 
 
-def _cancel_factor(num, e, root):
-    """Cancel whole factors (1 - t/root), root = +-1, from num / (1 - t/root)^{e/2}."""
-    while e >= 2 and _vanishes_at(num, root):
+def _cancel_factor(poly, e, root):
+    """Cancel whole factors (1 - t/root), root = +-1, from poly / (1 - t/root)^{e/2}.
+
+    The quotient of a pair in lowest terms is in lowest terms: a prime
+    dividing den and every quotient numerator would divide every numerator.
+    """
+    num, den = poly
+    while e >= 2 and sum(c if root == 1 or i % 2 == 0 else -c for i, c in num.items()) == 0:
         # synthetic division by (t - root) = -root (1 - t/root)
-        rem = F0
+        rem = 0
         quot = {}
         for i in range(max(num), 0, -1):
-            rem = rem * root + num.get(i, F0)
-            quot[i - 1] = -root * rem
-        num = _clean(quot)
+            rem = rem * root + num.get(i, 0)
+            if rem:
+                quot[i - 1] = -root * rem
+        num = quot
         e -= 2
-    return num, e
+    return (num, den), e
 
 
-def _vanishes_at(num, root):
-    """num(root) == 0 for root = +-1, in integer arithmetic."""
-    den = lcm(*(c.denominator for c in num.values()))
-    return sum(c.numerator * (den // c.denominator) * root ** i for i, c in num.items()) == 0
+def _binomial_power(sign, m):
+    """(1 + sign t)^m as a pair."""
+    return {i: comb(m, i) * sign ** i for i in range(m + 1)}, 1
 
 
-def _canonical_terms(terms):
+def _canonical(terms):
+    """Terms (atom, a, b, pair) merged per atom and parity of (a, b) over a
+    common denominator, common (1-t) and (1+t) factors cancelled, zero terms
+    dropped, sorted: the canonical terms of ClosedForm, as pairs."""
     groups = {}
-    for atom, a, b, coeffs in terms:
+    for atom, a, b, poly in terms:
         if atom not in ATOMS:
             raise ValueError(f"unknown closed-form atom {atom!r}")
-        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-        poly = _clean({i: c if isinstance(c, Fraction) else Fraction(c) for i, c in items})
-        if poly:
+        if poly[0]:
             groups.setdefault((atom, a % 2, b % 2), []).append((a, b, poly))
     out = []
     for (atom, a_par, b_par), members in groups.items():
         # common denominator of the group; negative exponents lift to >= 0
         A = max([a_par] + [m[0] for m in members])
         B = max([b_par] + [m[1] for m in members])
-        num = {}
-        for a, b, poly in members:
-            if a != A or b != B:
-                poly = pmul(poly, pmul(ppow(P_1MT, (A - a) // 2), ppow(P_1PT, (B - b) // 2)))
-            num = padd(num, poly) if num else poly
-        if not num:
+        num = _sum([poly if (a, b) == (A, B) else
+                    _mul(poly, _mul(_binomial_power(-1, (A - a) // 2),
+                                    _binomial_power(1, (B - b) // 2)))
+                    for a, b, poly in members])
+        if not num[0]:
             continue
         num, A = _cancel_factor(num, A, 1)
         num, B = _cancel_factor(num, B, -1)
-        out.append((atom, A, B, tuple(num.get(i, F0) for i in range(max(num) + 1))))
-    return tuple(sorted(out, key=lambda term: (ATOMS.index(term[0]), term[1], term[2])))
+        out.append((atom, A, B, num))
+    return sorted(out, key=lambda term: (ATOMS.index(term[0]), term[1], term[2]))
+
+
+def _exact(coeffs):
+    """A term's coefficients as a pair: given as one, or as a dict
+    {power: rational} or a sequence of rationals in ascending powers."""
+    if isinstance(coeffs, tuple) and len(coeffs) == 2 and isinstance(coeffs[0], dict):
+        return _reduced(*coeffs)
+    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    items = [(i, c if isinstance(c, Fraction) else Fraction(c)) for i, c in items]
+    den = lcm(*(c.denominator for _i, c in items))
+    return _reduced({i: c.numerator * (den // c.denominator) for i, c in items}, den)
+
+
+def _canonical_terms(terms):
+    """The canonical terms of a ClosedForm, coefficients as Fraction tuples."""
+    canonical = _canonical([(atom, a, b, _exact(coeffs)) for atom, a, b, coeffs in terms])
+    return tuple((atom, a, b, tuple(Fraction(num.get(i, 0), den) for i in range(max(num) + 1)))
+                 for atom, a, b, (num, den) in canonical)
 
 
 def _format_term(term, latex):
@@ -651,31 +767,31 @@ def _power(base, e, latex):
 # endpoint collection
 # ---------------------------------------------------------------------------
 # The collector evaluates antiderivatives at v = 0, v = 1 and v -> infinity
-# and adds each piece poly(t) / ((1-t)^{a/2} (1+t)^{b/2}) to the polynomial
+# and adds each piece poly(t) / ((1-t)^{a/2} (1+t)^{b/2}) to the pieces
 # kept under (a, b) in a bucket named after its factor:
 #   "1"     rational;
 #   "sqrt"  rational with an odd power of sqrt(1-t), the common sqrt(2) dropped;
 #   "L1MT"  ln(1-t);   "L2"  ln 2;   "LS"  ln(1-t+sqrt(2(1-t)));
 #   "lnw"   ln w and ("w", m) w^m, m >= 1, as w -> infinity.
-# ClosedForm of a bucket's terms merges them over a common denominator
-# exactly, so a combination that must cancel is one whose ClosedForm has no
-# terms.
+# Reading a bucket sums its pieces under each (a, b).  The canonical merge
+# of a bucket's terms puts them over a common denominator exactly, so a
+# combination that must cancel is one whose merge leaves no terms.
 
 class Collector:
     def __init__(self):
         self.buckets = {}
 
     def add(self, bucket, a, b, poly):
-        if poly:
-            slot = self.buckets.setdefault(bucket, {})
-            slot[a, b] = padd(slot.get((a, b), {}), poly)
+        if poly[0]:
+            self.buckets.setdefault(bucket, {}).setdefault((a, b), []).append(poly)
 
     def terms(self, bucket, atom="1"):
-        return [(atom, a, b, poly) for (a, b), poly in self.buckets.get(bucket, {}).items()]
+        return [(atom, a, b, _sum(polys))
+                for (a, b), polys in self.buckets.get(bucket, {}).items()]
 
     def merged(self, *buckets):
-        """The buckets' terms together, as one canonical ClosedForm."""
-        return ClosedForm([term for name in buckets for term in self.terms(name)])
+        """The buckets' terms together, canonical: empty when they cancel."""
+        return _canonical([term for name in buckets for term in self.terms(name)])
 
     def add_definite(self, terms, lo, hi, scale):
         """Fold scale * (F(hi) - F(lo)), F the sum of terms, lo and hi in {0, 1, inf}.
@@ -685,15 +801,13 @@ class Collector:
         """
         like = {}
         for term in terms:
-            poly = like.setdefault((term.kind, term.uhalf, term.tpow), {})
-            for k, c in term.poly.items():
-                poly[k] = poly[k] + c if k in poly else c
-        like = {key: _clean(poly) for key, poly in like.items()}
-        terms = [Term(poly, *key) for key, poly in like.items() if poly]
+            like.setdefault((term.kind, term.uhalf, term.tpow), []).append(term.poly)
+        terms = [Term(poly, *key) for key, polys in like.items() if (poly := _sum(polys))[0]]
+        series = _expansions(terms) if inf in (lo, hi) else None
         for v0, s in ((hi, scale), (lo, -scale)):
             for term in terms:
                 if v0 == inf:
-                    self._add_at_infinity(term, s)
+                    self._add_at_infinity(term, s, series)
                 else:
                     self._add_at(term, v0, s)
 
@@ -701,8 +815,9 @@ class Collector:
         tp, h = 2 * term.tpow, term.uhalf
         if term.kind == "rat" and v0 == 1:
             # u -> 2(1-t): u^{h/2} = 2^{h//2} sqrt(2)^{h%2} (1-t)^{h/2}
-            s = s * Fraction(2) ** (h // 2)
-        poly = pscale(bi_sub_v0(term.poly, v0), s)
+            e = h // 2
+            s = s * 2 ** e if e >= 0 else s / 2 ** -e
+        poly = _scale(_at_v(term.poly, v0), s)
         if term.kind == "rat" and v0 == 0:
             # u -> 1
             self.add("1", tp, tp, poly)
@@ -711,25 +826,31 @@ class Collector:
         elif term.kind == "A":
             # v - t + sqrt(u) -> 1 - t at v = 0, 1 - t + sqrt(2(1-t)) at v = 1
             self.add("L1MT" if v0 == 0 else "LS", tp, tp, poly)
-        elif poly and (term.kind != "V" or v0 == 0):
+        elif poly[0] and (term.kind != "V" or v0 == 0):
             raise SphereDomainError(f"log kind {term.kind} has no collected value at v = {v0}")
         # kind "V" at v = 1: ln 1 = 0
 
-    def _add_at_infinity(self, term, s):
+    def _add_at_infinity(self, term, s, series):
         tp, h = 2 * term.tpow, term.uhalf
         if term.kind == "rat":
-            # poly(t,v) u^{h/2}, u^{h/2} = v^h sum_k C_k^{-h/2}(t) v^{-k}
-            top = max((j for (_i, j) in term.poly), default=0) + h
-            series = gegenbauer_poly(Fraction(-h, 2), max(top, 0))
-            for (i, j), c in term.poly.items():
+            # poly(t,v) u^{h/2}, u^{h/2} = v^h sum_k C_k^{-h/2}(t) v^{-k}:
+            # t^i v^j C_k lands at w^{j+h-k}
+            geg, gden = series[h]
+            num, den = term.poly
+            acc = {}
+            for (i, j), c in num.items():
+                c *= s.numerator
                 for k in range(j + h + 1):
-                    m = j + h - k
-                    self.add(("w", m) if m else "1", tp, tp,
-                             pscale(pmul({i: F1}, series[k]), c * s))
+                    slot = acc.setdefault(j + h - k, {})
+                    for e, g in geg[k].items():
+                        slot[i + e] = slot[i + e] + c * g if i + e in slot else c * g
+            for m, slot in acc.items():
+                self.add(("w", m) if m else "1", tp, tp,
+                         _reduced(slot, den * s.denominator * gden))
             return
-        if any(j != 0 for (_i, j) in term.poly):
+        if any(j != 0 for (_i, j) in term.poly[0]):
             raise SphereDomainError("asymptotics need v-free log coefficients")
-        coef = pscale(bi_sub_v0(term.poly, 0), s)
+        coef = _scale(_at_v(term.poly, 0), s)
         # A: ln(v - t + sqrt(u)) = ln v + ln 2 + O(1/v);  V: ln v
         if term.kind not in ("A", "V"):
             raise SphereDomainError(f"log kind {term.kind} has no v->inf limit here")
@@ -738,14 +859,40 @@ class Collector:
             self.add("L2", tp, tp, coef)
 
 
+def _expansions(terms):
+    """{h: (C, den)} for each uhalf h of the "rat" terms: u^{h/2} =
+    v^h sum_k C_k^{-h/2}(t) v^{-k}, the C_k (k up to the largest j + h met)
+    as numerator dicts over one common denominator."""
+    tops = {}
+    for term in terms:
+        if term.kind == "rat":
+            top = max((j for _i, j in term.poly[0]), default=0) + term.uhalf
+            tops[term.uhalf] = max(tops.get(term.uhalf, 0), top)
+    out = {}
+    for h, top in tops.items():
+        polys = _gegenbauer_polys(-h, 2, top)
+        den = lcm(*(d for _num, d in polys))
+        out[h] = [{e: c * (den // d) for e, c in num.items()} for num, d in polys], den
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the assembler
 # ---------------------------------------------------------------------------
 
 # Largest n + L derived: the cost grows with the kernel power antiderivatives
-# of degree n + L.  At n + L = 40 a derivation took 0.3-1.5 s on a 2-vCPU
-# host ((2, 38), (8, 32), (40, 0), (78, -38)); (2, 64) took 5 s.
+# of degree n + L.  At n + L = 40 a derivation took 0.06-0.2 s on a 2-vCPU
+# host ((2, 38), (8, 32), (40, 0), (78, -38)); (2, 64) took 0.5 s.
 _DERIVE_MAX_NL = 40
+
+
+def _integer_value(x):
+    """x as an int when it is a real number of integer value, else None."""
+    if isinstance(x, numbers.Rational):
+        return int(x) if x.denominator == 1 else None
+    if isinstance(x, numbers.Real) and float(x).is_integer():
+        return int(x)
+    return None
 
 
 def derive_green_closed_form(n, L):
@@ -755,38 +902,41 @@ def derive_green_closed_form(n, L):
     the correction sum, with D2 from kernel_power antiderivatives on [0, 1]
     and D1 through r = 1/w on [1, infinity), its value at infinity the exact
     finite part.  Every cancellation the even-n form needs is asserted.
+    n and L may be given as floats of integer value.
 
     Raises NoClosedFormError outside the supported range (odd n or
     non-integer L: those forms carry inverse-trig terms outside this
-    algebra), and before building anything for n + L above _DERIVE_MAX_NL.
+    algebra; a non-finite or non-real n or L), and before building anything
+    for n + L above _DERIVE_MAX_NL.
     """
-    if n % 2 != 0 or n < 2:
+    n_int, L_int = _integer_value(n), _integer_value(L)
+    if n_int is None or n_int % 2 != 0 or n_int < 2:
         raise NoClosedFormError(
             f"closed-form assembly covers even n >= 2 only, got n={n}")
-    if int(L) != L:
-        raise NoClosedFormError(f"closed-form assembly needs integer L, got {L}")
-    L = int(L)
+    if L_int is None:
+        raise NoClosedFormError(f"closed-form assembly needs a finite integer L, got {L}")
+    n, L = n_int, L_int
     if 2 * L <= -(n - 1):
         raise NoClosedFormError(f"L={L} lies below the root range for n={n}")
     if n + L > _DERIVE_MAX_NL:
         raise NoClosedFormError(
             f"closed-form assembly is bounded to n + L <= {_DERIVE_MAX_NL}, got n={n}, L={L}")
     J = n // 2
-    lam = Fraction(2 * J - 1, 2)
-    geg = gegenbauer_poly(lam, max(L, 0))
-    # c_l(t) = (lam+l)/lam C_l(t), subtracted from S(r) for l <= L
-    c = [pscale(geg[l], (lam + l) / lam) for l in range(L + 1)]
+    geg = _gegenbauer_polys(2 * J - 1, 2, max(L, 0))
+    # c_l(t) = (lam+l)/lam C_l^lam(t), lam = J - 1/2, subtracted from S(r) for l <= L
+    c = [_scale(geg[l], Fraction(2 * J - 1 + 2 * l, 2 * J - 1)) for l in range(L + 1)]
     scale = Fraction(-1, n + 2 * L - 1)
     collector = Collector()
     # D2 and D1 integrate the same kernel power difference, D1 negated
-    diff = kernel_power_antiderivative(n + L - 2, J)
-    diff += expr_scale(kernel_power_antiderivative(n + L, J), -1)
+    diff = _kernel_power_terms(n + L - 2, J)
+    diff += [_with_poly(term, _scale(term.poly, -1))
+             for term in _kernel_power_terms(n + L, J)]
 
     # D2 = int_0^1 r^{n+L-2} S(r) dr; G gains -scale * D2
     d2 = list(diff)
     for l in range(L + 1):
         e = n + L - 1 + l
-        d2.append(Term(pmul(uni_to_bi(pscale(c[l], Fraction(-1, e))), {(0, e): F1})))
+        d2.append(Term(_times(_to_bi(_scale(c[l], Fraction(-1, e))), (0, e))))
     collector.add_definite(d2, 0, 1, -scale)
 
     # D1 = int_0^1 r^{-L-1} S(r) dr; with r = 1/w,
@@ -794,15 +944,15 @@ def derive_green_closed_form(n, L):
     # G gains scale * D1
     d1 = list(diff)
     for l in range(L):
-        d1.append(Term(pmul(uni_to_bi(pscale(c[l], Fraction(1, L - l))), {(0, L - l): F1})))
+        d1.append(Term(_times(_to_bi(_scale(c[l], Fraction(1, L - l))), (0, L - l))))
     if L >= 0:
-        d1.append(Term(uni_to_bi(c[L]), "V"))
+        d1.append(Term(_to_bi(c[L]), "V"))
     collector.add_definite(d1, 1, inf, -scale)
 
     # correction sum: sum_{l < L} c_l(t) / (a - l(n+l-1))
-    a = Fraction(L * (n + L - 1))
+    a = L * (n + L - 1)
     for l in range(L):
-        collector.add("1", 0, 0, pscale(c[l], 1 / (a - l * (n + l - 1))))
+        collector.add("1", 0, 0, _scale(c[l], Fraction(1, a - l * (n + l - 1))))
 
     return _finalise(collector, n, L)
 
@@ -819,7 +969,7 @@ def _finalise(collector, n, L):
     checks += [("ln w coefficient", ("lnw",)), ("surd log", ("LS",)),
                ("ln 2 against ln(1-t)", ("L1MT", "L2")), ("sqrt atoms", ("sqrt",))]
     for what, buckets in checks:
-        if collector.merged(*buckets).terms:
+        if collector.merged(*buckets):
             raise AssertionError(f"{what} did not cancel for n={n}, L={L}")
     form = ClosedForm(collector.terms("L1MT", "lg") + collector.terms("1"), n=n, L=L)
     if any(atom == "lg" and (a or b) for atom, a, b, _coeffs in form.terms):

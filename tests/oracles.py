@@ -276,6 +276,9 @@ def weight_moment_mp(mu, m, dps=50):
 # ---------------------------------------------------------------------------
 # Straight transliterations of the defining displays, with no shared code
 # or optimisation; used to check the library tables reproduce identically.
+# The fraction_* helpers are polynomial arithmetic on {exponent: Fraction}
+# dicts, one Fraction operation per coefficient, the reference for the
+# library's integer-numerator polynomials.
 
 def naive_split_polynomials(lam):
     """Q_j as {exponent: Fraction} maps, solved one display line at a time."""
@@ -301,6 +304,46 @@ def naive_split_polynomials(lam):
             acc[e + 1] = acc.get(e + 1, Fraction(0)) - (2 * lam - 2 * j + 1) * c
         qs[j] = {e: c / (2 * (lam - j - 1)) for e, c in acc.items() if c != 0}
     return qs
+
+
+def fraction_add(a, b):
+    """Sum of two {exponent: Fraction} polynomials, zero coefficients dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def fraction_scale(a, s):
+    s = Fraction(s)
+    return {k: c * s for k, c in a.items() if c * s != 0}
+
+
+def fraction_mul(a, b):
+    """Product; exponents are ints or (i, j) pairs, added componentwise."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = (ka[0] + kb[0], ka[1] + kb[1]) if isinstance(ka, tuple) else ka + kb
+            out[k] = out[k] + ca * cb if k in out else ca * cb
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def fraction_pow(a, m, unit):
+    """a^m by repeated products; unit is the exponent of the constant 1."""
+    out = {unit: Fraction(1)}
+    for _ in range(m):
+        out = fraction_mul(out, a)
+    return out
+
+
+def fraction_substitute(p, x, y):
+    """Bivariate p(x, y) for bivariate x and y, every power raised afresh."""
+    out = {}
+    for (i, j), c in p.items():
+        term = fraction_mul(fraction_pow(x, i, (0, 0)), fraction_pow(y, j, (0, 0)))
+        out = fraction_add(out, fraction_scale(term, c))
+    return out
 
 
 def naive_double_factorial(m):

@@ -336,7 +336,7 @@ class TestGreen:
 
     def test_derive_past_the_bound_exits_3(self, monkeypatch, capsys):
         # (2, 200) used to run past a 15 s timeout
-        monkeypatch.setattr(closedform, "kernel_power_antiderivative", _refuse)
+        monkeypatch.setattr(closedform, "_kernel_power_terms", _refuse)
         assert main(["green", "derive", "--n", "2", "--L", "200"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "n + L <= 40" in err
@@ -787,6 +787,18 @@ class TestFloatInputs:
         except _LIBRARY_ERRORS:
             accepted = False
         assert accepted == (0.0 <= value < math.inf)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, None, 1 + 0j],
+                             ids=["nan", "inf", "-inf", "None", "complex"])
+    def test_derivation_refuses_a_non_finite_or_non_real_L(self, L):
+        with pytest.raises(NoClosedFormError, match="finite integer L"):
+            closedform.derive_green_closed_form(2, L)
+
+    @pytest.mark.parametrize("n,L", [(2.0, 1), (4.0, -1.0), (np.float64(6.0), 2)])
+    def test_derivation_takes_an_integer_valued_float_n(self, n, L):
+        form = closedform.derive_green_closed_form(n, L)
+        assert form == closedform.derive_green_closed_form(int(n), int(L))
+        assert (type(form.n), form.n, form.L) == (int, int(n), int(L))
 
 
 # keys: the options of every subcommand, plus arbitrary text

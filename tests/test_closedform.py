@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from spherepde import NoClosedFormError, make_context
 from spherepde import closedform as cf
 from spherepde import green_tables
@@ -18,6 +19,93 @@ RNG = np.random.default_rng(2024)
 
 def numdiff(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# exact polynomials: integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 36))
+
+
+def _polys(bivariate, nonzero=False):
+    """{exponent: Fraction} polynomials, univariate or bivariate, no zero coefficient."""
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 4)) if bivariate else st.integers(0, 7)
+    return st.dictionaries(keys, _RATIONALS.filter(bool), min_size=int(nonzero), max_size=6)
+
+
+_POLY_PAIRS = st.booleans().flatmap(lambda bi: st.tuples(_polys(bi), _polys(bi), _polys(bi)))
+
+
+def _invariants(pair):
+    """pair is an exact polynomial: integer numerators, none 0, over a
+    positive denominator, in lowest terms."""
+    num, den = pair
+    assert type(den) is int and den > 0, pair
+    assert all(type(c) is int and c != 0 for c in num.values()), pair
+    assert math.gcd(den, *num.values()) == 1, pair
+
+
+def _check(pair, want):
+    """pair keeps the invariants and converts to want exactly."""
+    _invariants(pair)
+    got = cf._fractions(pair)
+    assert got == want and all(type(c) is Fraction for c in got.values()), (got, want)
+
+
+class TestExactPolynomials:
+    """The integer-numerator arithmetic against {exponent: Fraction} dicts."""
+
+    @given(_POLY_PAIRS)
+    def test_sum_and_product(self, polys):
+        p, q, r = polys
+        P, Q, R = (cf._exact(x) for x in polys)
+        for x, X in zip(polys, (P, Q, R)):
+            _check(X, x)
+        _check(cf._sum([P, Q]), oracles.fraction_add(p, q))
+        _check(cf._sum([P, Q, R]), oracles.fraction_add(oracles.fraction_add(p, q), r))
+        _check(cf._sum([P, cf._scale(P, -1)]), {})
+        _check(cf._mul(P, Q), oracles.fraction_mul(p, q))
+        _check(cf._mul(cf._mul(P, Q), R), oracles.fraction_mul(oracles.fraction_mul(p, q), r))
+
+    @given(st.booleans().flatmap(_polys), st.one_of(_RATIONALS, st.integers(-9, 9)))
+    def test_scale(self, p, s):
+        _check(cf._scale(cf._exact(p), s), oracles.fraction_scale(p, s))
+
+    @settings(deadline=None)
+    @given(st.booleans().flatmap(lambda bi: _polys(bi, nonzero=True)), st.integers(0, 5))
+    def test_powers(self, p, m):
+        unit = (0, 0) if isinstance(next(iter(p)), tuple) else 0
+        table = cf._powers(cf._exact(p), m)
+        assert len(table) == m + 1
+        for i, power in enumerate(table):
+            _check(power, oracles.fraction_pow(p, i, unit))
+
+    @settings(deadline=None)
+    @given(_polys(True), _polys(True, nonzero=True), _polys(True, nonzero=True))
+    def test_substitution_through_power_tables(self, p, x, y):
+        P = cf._exact(p)
+        xs = cf._powers(cf._exact(x), max((i for i, _j in p), default=0))
+        ys = cf._powers(cf._exact(y), max((j for _i, j in p), default=0))
+        _check(cf._substitute(P, xs, ys), oracles.fraction_substitute(p, x, y))
+
+    @given(_polys(True), st.sampled_from([0, 1]))
+    def test_value_at_v(self, p, v0):
+        want = {}
+        for (i, j), c in p.items():
+            if v0 or not j:
+                want = oracles.fraction_add(want, {i: c})
+        _check(cf._at_v(cf._exact(p), v0), want)
+
+    @given(st.integers(-9, 9), st.integers(1, 4), st.integers(0, 12), _RATIONALS)
+    def test_gegenbauer_polynomials(self, p, q, l_max, t):
+        lam = Fraction(p, q)
+        table = cf._gegenbauer_polys(p, q, l_max)
+        assert len(table) == l_max + 1
+        for l, poly in enumerate(table):
+            _invariants(poly)
+            value = sum(c * t ** i for i, c in cf._fractions(poly).items())
+            assert value == oracles.gegenbauer_fraction(lam, l, t), (lam, l)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +385,7 @@ class TestAssembler:
             raise AssertionError("built a kernel power antiderivative")
 
         assert all(n + L <= cf._DERIVE_MAX_NL for n, L in derived_forms.FORMS)
-        monkeypatch.setattr(cf, "kernel_power_antiderivative", refuse)
+        monkeypatch.setattr(cf, "_kernel_power_terms", refuse)
         for n, L in ((2, 200), (2, 39), (40, 1), (80, -39)):
             with pytest.raises(NoClosedFormError, match="n \\+ L <= 40"):
                 cf.derive_green_closed_form(n, L)

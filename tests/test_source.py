@@ -1,7 +1,8 @@
 """Source checks: module imports stay at module level and form no cycle,
 only spectra.py knows how a spectrum lays out its coefficients,
 closedform.py has one antiderivative term type and one evaluator and
-derives without a memo, the Gegenbauer recurrence is written once, in
+derives without a memo, on integer numerators (no Fraction on the
+derivation path but in its scalar set-up), the Gegenbauer recurrence is written once, in
 geometry.py, each fact of G has one owner (a's root and the excluded
 degree the parameter record, t's range geometry._clamp_t, the antipode
 ClosedForm), a record's fields that its inputs fix cannot be passed
@@ -136,17 +137,58 @@ def test_analysis_streams_the_one_gegenbauer_recurrence():
     assert ranged == ["gauss_gegenbauer_rule"], ranged
 
 
+def _reached(tree, root, boundary):
+    """{name: definition} of the module-level functions and methods
+    (Class.name) that root reaches through calls: f(...) a function or a
+    class (its __init__ and __post_init__), x.m(...) a method m of one of
+    the module's classes.  Classes in boundary are not entered."""
+    defs, methods = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef) and node.name not in boundary:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defs[f"{node.name}.{item.name}"] = item
+                    methods.setdefault(item.name, set()).add(f"{node.name}.{item.name}")
+    reached, todo = {}, [root]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = defs[name]
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callee = node.func.id
+                todo += [key for key in (callee, f"{callee}.__init__", f"{callee}.__post_init__")
+                         if key in defs]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                todo += sorted(methods.get(node.func.attr, ()))
+    return reached
+
+
 def test_derivation_substitutes_through_power_tables_without_a_memo():
     # _substitute reads shared power tables instead of raising powers per
     # monomial; a derivation builds each kernel power antiderivative once;
     # and a memo would make a repeated derivation measure only cache hits
     tree = MODULES["closedform"]
-    assert "ppow" not in _calls(tree, "_substitute")
+    assert not {"_powers", "_mul"} & _calls(tree, "_substitute")
     built = [node.lineno for node in ast.walk(_function(tree, "derive_green_closed_form"))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None)
-             == "kernel_power_antiderivative"]
+             == "_kernel_power_terms"]
     assert len(built) == 2, built
     assert not {"cache", "lru_cache", "functools"} & set(_names(tree))
+    # one exact arithmetic: integer numerators over one denominator.  On the
+    # derivation path up to its ClosedForm only the scalar set-up names
+    # Fraction: the assembler's constants and the shifted family's coefficients
+    assert not {"padd", "pscale", "pmul", "ppow"} & set(_names(tree))
+    reached = _reached(tree, "derive_green_closed_form", boundary={"ClosedForm"})
+    assert {"_reduced", "_sum", "_mul", "_scale", "_substitute", "_gegenbauer_polys",
+            "_canonical", "_cancel_factor", "Collector.add_definite",
+            "Collector._add_at_infinity", "_finalise"} <= reached.keys()
+    naming = sorted(name for name, node in reached.items() if "Fraction" in set(_names(node)))
+    assert naming == ["_shifted_power_terms", "derive_green_closed_form",
+                      "shifted_leading_coefficient"], naming
 
 
 def _absolute_imports(tree):
