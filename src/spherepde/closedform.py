@@ -118,6 +118,7 @@ from math import comb, factorial, gcd, inf, lcm, log, pi, prod, sqrt
 import numpy as np
 
 from .errors import NoClosedFormError, SphereDomainError
+from .geometry import _check_t_for_eval
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +608,15 @@ class ClosedForm:
     def eval(self, t):
         """G at t: a float for a scalar t, an array of the same shape for an array.
 
-        At t = -1 a form with a (1+t) denominator (the odd-n rows), whose
-        terms are 0/0 there, raises NoClosedFormError.
+        t follows the rule every evaluator of G shares
+        (geometry._check_t_for_eval): roundoff excursions past +-1 are
+        clamped, and t >= 1 - 1e-12, |t| > 1 + 1e-12 and NaN, anywhere in
+        an array, raise SphereDomainError.  At t = -1 a form with a (1+t)
+        denominator (the odd-n rows), whose terms are 0/0 there, raises
+        NoClosedFormError.
         """
-        scalar = isinstance(t, (float, int)) or np.ndim(t) == 0
-        t = float(t) if scalar else np.asarray(t, dtype=float)
+        t = _check_t_for_eval(t)
+        scalar = isinstance(t, float)
         if self._antipode_pole and (t == -1.0 if scalar else np.any(t == -1.0)):
             label = f" for n={self.n}, a={float(self.a)}" if self.a is not None else ""
             raise NoClosedFormError(

@@ -43,6 +43,8 @@ from .errors import SphereDomainError
 # Tolerated roundoff excursion of t outside [-1, 1] (arccos/cos round trips).
 _T_SLACK = 1e-12
 
+_DIAG_TOL = 1e-12   # t >= 1 - _DIAG_TOL counts as the diagonal
+
 # a sits on the root L of a = L(n+L-1) within this relative gap (helmholtz_root).
 RESONANCE_RTOL = 1e-9
 
@@ -75,6 +77,23 @@ def helmholtz_root(n, a):
     return L, None
 
 
+def _whole_number(value, floor, name):
+    """value as an int when it is a whole number >= floor: an int, a NumPy int
+    or an integer-valued float.  Anything else (a bool, NaN, inf, a string,
+    None, 2.5) raises SphereDomainError naming the argument.
+
+    The one rule for sphere dimensions, degrees, orders and scale node counts.
+    """
+    # the type test spares the common int the ABC check
+    if not (type(value) is int
+            or isinstance(value, Integral) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise SphereDomainError(f"{name} must be an integer >= {floor}, got {value!r}")
+    if value < floor:
+        raise SphereDomainError(f"{name} must be >= {floor}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SphereContext:
     """S^n for an integral n >= 2 (an int, a NumPy int or a float such as 3.0,
@@ -89,11 +108,7 @@ class SphereContext:
     sigma_n: float = field(init=False)
 
     def __post_init__(self):
-        n = self.n
-        if not (isinstance(n, Integral)
-                or isinstance(n, (float, np.floating)) and float(n).is_integer()) or n < 2:
-            raise SphereDomainError(f"sphere dimension must be an integer >= 2, got {n!r}")
-        n = int(n)
+        n = _whole_number(self.n, 2, "sphere dimension")
         try:
             sigma_n = surface_measure(n)
         except OverflowError:       # Gamma((n+1)/2) beyond the doubles, n > 342
@@ -130,14 +145,24 @@ def _clamp_t(t):
     return np.clip(t, -1.0, 1.0)
 
 
+def _check_t_for_eval(t):
+    """_clamp_t(t) (a float for a float or 0-d t), refusing the diagonal t = 1."""
+    t = _clamp_t(t)
+    top = t if isinstance(t, float) else float(t.max(initial=-1.0))
+    if top >= 1.0 - _DIAG_TOL:
+        raise SphereDomainError(
+            "Green functions are singular on the diagonal t = 1; "
+            f"got t = {top}")
+    return t
+
+
 def gegenbauer_rows(ctx, l_max, t):
     """Yield C_0^lambda(t), ..., C_{l_max}^lambda(t), each an array over t.
 
     The one recurrence pass: a caller that needs one degree at a time
     (analysis) streams the rows, and one that needs them all stacks them.
     """
-    if l_max < 0:
-        raise SphereDomainError(f"degree l must be >= 0, got {l_max}")
+    l_max = _whole_number(l_max, 0, "degree l")
     t = np.atleast_1d(_clamp_t(t))
     lam = ctx.lam
     prev = np.ones_like(t)
@@ -223,6 +248,7 @@ def gegenbauer_at_one(ctx, l_max):
     Computed by the stable product form
     C_l(1) = C_{l-1}(1) * (l + 2 lambda - 1) / l.
     """
+    l_max = _whole_number(l_max, 0, "degree l")
     two_lam = 2.0 * ctx.lam
     out = np.empty(l_max + 1)
     out[0] = 1.0

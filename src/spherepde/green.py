@@ -54,7 +54,10 @@ shape.  green_series_batch (values and tail estimates) and
 green_eval_integral are the backends' own entries.
 
 All Green functions are singular on the diagonal t = 1 (logarithmically
-for n = 2); every backend rejects evaluation there.  The series also
+for n = 2).  Every evaluator of G -- ClosedForm.eval, green_series_batch
+and green_eval_integral -- checks t by the one rule
+geometry._check_t_for_eval: roundoff past +-1 clamped, NaN, |t| > 1 and
+the band t >= 1 - 1e-12 refused.  The series also
 rejects 1 - t < 6e-5 n, which its radii do not resolve, and every
 n >= 18: there its innermost-radius Abel sum adds terms of size
 ~l^{n-2} r^l that cancel, and the extrapolated value goes wrong at every
@@ -72,7 +75,8 @@ import numpy as np
 from .errors import ConvergenceError, NoClosedFormError, SphereDomainError
 from .geometry import (
     SphereContext,
-    _clamp_t,
+    _check_t_for_eval,
+    _whole_number,
     eigenvalue,
     gegenbauer_bound,
     gegenbauer_rows,
@@ -84,8 +88,6 @@ from . import green_tables
 # A coefficient whose eigenvalue gap is below this relative level (but
 # not at the excluded degree) is flagged as ill-conditioned.
 CONDITION_WARN_RTOL = 1e-6
-
-_DIAG_TOL = 1e-12   # t >= 1 - _DIAG_TOL counts as the diagonal
 
 
 @dataclass(frozen=True)
@@ -140,14 +142,14 @@ def eigen_gap(param, l):
 
 def green_coefficient(param, l):
     """G-hat(l) = (lambda+l)/lambda / (a - l(n+l-1)); 0 at the excluded degree."""
-    if l < 0:
-        raise SphereDomainError(f"degree l must be >= 0, got {l}")
+    l = _whole_number(l, 0, "degree l")
     lam = param.ctx.lam
     return 0.0 if l == param.excluded else float((lam + l) / lam / eigen_gap(param, l))
 
 
 def green_coefficients(param, l_max):
     """Green coefficients for l = 0..l_max, the excluded degree zeroed."""
+    l_max = _whole_number(l_max, 0, "degree l")
     ls = np.arange(l_max + 1)
     gap = eigen_gap(param, ls)
     ok = ls != param.excluded
@@ -164,17 +166,6 @@ def condition_warnings(param, degrees):
     gap = np.abs(eigen_gap(param, degrees))
     near = (gap <= CONDITION_WARN_RTOL * (1.0 + abs(param.a))) & (degrees != param.excluded)
     return sorted({int(l): float(g) for l, g in zip(degrees[near], gap[near])}.items())
-
-
-def _check_t_for_eval(t):
-    """_clamp_t(t) (a float for a float or 0-d t), refusing the diagonal t = 1."""
-    t = _clamp_t(t)
-    top = t if isinstance(t, float) else float(t.max(initial=-1.0))
-    if top >= 1.0 - _DIAG_TOL:
-        raise SphereDomainError(
-            "Green functions are singular on the diagonal t = 1; "
-            f"got t = {top}")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +372,8 @@ def green_eval_integral(param, t):
                  + r ** ls[:M + 1] @ np.abs(c[:M + 1])) * np.abs(weight)
         value = w @ f[:w.size]
         err = np.abs(value - w_check @ f[w.size:]) + 8.0 * _EPS * (w @ scale[:w.size] + size)
-        total = green_coefficients(param, M) @ C[:M + 1] - terms.sum(axis=0) - value
+        correction = green_coefficients(param, M) @ C[:M + 1] if M >= 0 else 0.0
+        total = correction - terms.sum(axis=0) - value
     bad = ~np.isfinite(total) | ~(err <= _QUAD_RTOL * (1.0 + np.abs(total)))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -413,7 +405,9 @@ class GreenFunction:
 
     A float or 0-d t gives a float.  An array gives an array of its shape:
     one row.eval for 'closed', one green_series_batch for 'series', one
-    green_eval_integral for 'integral', each checking t once.  Callers
+    green_eval_integral for 'integral'.  Each checks t once, by
+    geometry._check_t_for_eval, and the facade not at all, so a registry
+    row gives the same value or refusal called directly or here.  Callers
     that need the series tail estimate call green_series_batch directly.
     A row with a (1+t) denominator (the odd-n rows) raises
     NoClosedFormError at t = -1 (ClosedForm.eval), where its terms are 0/0.
@@ -439,7 +433,6 @@ class GreenFunction:
     def __call__(self, t):
         kind = self._kind
         if kind == "closed":
-            t = _check_t_for_eval(t)
             if self._row is None:
                 raise NoClosedFormError(
                     f"no closed form tabulated for n={self.param.ctx.n}, a={self.param.a}; "

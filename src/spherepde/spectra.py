@@ -49,6 +49,7 @@ from .errors import QuadratureError, SphereDomainError, SpectrumParseError
 from .geometry import (
     SphereContext,
     _clamp_t,
+    _whole_number,
     eigenvalue,
     gegenbauer_at_one,
     gegenbauer_rows,
@@ -356,6 +357,7 @@ def analyze(ctx, samples, l_max, rule=None):
     exact norm int C_l^2 (1-t^2)^{lambda-1/2} dt, which that exactness
     makes the rule reproduce.
     """
+    l_max = _whole_number(l_max, 0, "l_max")
     if rule is None:
         rule = default_rule(ctx, l_max)
     if rule.mu != ctx.lam:
@@ -418,8 +420,9 @@ def laplace_beltrami(f):
 
 def degree_norms(ctx, l_max):
     """<C_l, C_l> under the 1/Sigma_n-normalised product: lambda/(lambda+l) C_l(1)."""
-    l = np.arange(l_max + 1)
-    return ctx.lam / (ctx.lam + l) * gegenbauer_at_one(ctx, l_max)
+    at_one = gegenbauer_at_one(ctx, l_max)
+    l = np.arange(at_one.size)
+    return ctx.lam / (ctx.lam + l) * at_one
 
 
 def inner(f, g):
@@ -461,6 +464,7 @@ def poisson_kernel_spectrum(ctx, r, l_max):
     """Spectrum of the Poisson kernel: p_r-hat(l) = r^l (lambda+l)/lambda / Sigma_n."""
     if not 0.0 <= r < 1.0:
         raise SphereDomainError(f"Poisson kernel needs 0 <= r < 1, got r={r}")
+    l_max = _whole_number(l_max, 0, "l_max")
     l = np.arange(l_max + 1)
     lam = ctx.lam
     return ZonalSpectrum(ctx, r ** l * (lam + l) / lam / ctx.sigma_n)

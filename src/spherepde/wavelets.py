@@ -30,13 +30,13 @@ which are their own reconstruction family.
 """
 
 from dataclasses import dataclass, field
-from math import ceil, exp, frexp, gamma, ldexp, lgamma, log, log1p, pi, sqrt
+from math import ceil, exp, frexp, gamma, inf, ldexp, lgamma, log, log1p, pi, sqrt
 
 import numpy as np
 
 from .errors import QuadratureError, SphereDomainError
-from .geometry import SphereContext
-from .spectra import ZonalSpectrum, norm_l2
+from .geometry import SphereContext, _whole_number
+from .spectra import _SIZE_MAX, ZonalSpectrum, norm_l2
 
 # Endpoint integrand level (relative to the admissibility target) above
 # which a scale grid is considered too narrow; poisson_scale_grid also
@@ -62,7 +62,11 @@ class WaveletFamily:
 @dataclass(frozen=True)
 class ScaleGrid:
     """Log-uniform trapezoid discretisation of int drho/rho on [rho_min, rho_max];
-    nodes and weights (exact for constants) follow from the three numbers."""
+    nodes and weights (exact for constants) follow from the three numbers.
+
+    QuadratureError unless 0 < rho_min < rho_max < inf and count is a whole
+    number (stored as an int) from 2 to below spectra._SIZE_MAX.
+    """
 
     rho_min: float
     rho_max: float
@@ -71,11 +75,16 @@ class ScaleGrid:
     weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.rho_min < self.rho_max):
+        if not (0.0 < self.rho_min < self.rho_max < inf):
             raise QuadratureError(
-                f"need 0 < rho_min < rho_max, got [{self.rho_min}, {self.rho_max}]")
-        if self.count < 2:
-            raise QuadratureError(f"need at least 2 scale nodes, got {self.count}")
+                f"need 0 < rho_min < rho_max < inf, got [{self.rho_min}, {self.rho_max}]")
+        try:
+            count = _whole_number(self.count, 2, "scale node count")
+        except SphereDomainError as exc:
+            raise QuadratureError(str(exc)) from None
+        if count >= _SIZE_MAX:
+            raise QuadratureError(f"no array holds {count} scale nodes")
+        object.__setattr__(self, "count", count)
         x = np.linspace(log(self.rho_min), log(self.rho_max), self.count)
         h = x[1] - x[0]
         w = np.full(self.count, h)
@@ -94,20 +103,12 @@ POISSON_MAX_ORDER = 85
 
 def _poisson_order(d):
     """d as an int, or SphereDomainError unless 1 <= d <= POISSON_MAX_ORDER."""
-    if d < 1 or int(d) != d:
-        raise SphereDomainError(f"Poisson wavelet order must be an integer >= 1, got {d}")
-    d = int(d)
+    d = _whole_number(d, 1, "Poisson wavelet order")
     if d > POISSON_MAX_ORDER:
         raise SphereDomainError(
             f"Poisson wavelet order must be <= {POISSON_MAX_ORDER}, got {d}: the norm "
             "2^d/sqrt(Gamma(2d)) is not a finite double beyond it")
     return d
-
-
-def _check_l_max(l_max):
-    """SphereDomainError unless l_max >= 0 (degrees run 0..l_max)."""
-    if l_max < 0:
-        raise SphereDomainError(f"l_max must be >= 0, got {l_max}")
 
 
 def poisson_wavelet(ctx, d):
@@ -180,7 +181,7 @@ def poisson_scale_grid(d, l_max):
       (Trefethen & Weideman, SIAM Review 56 (2014)); h keeps that at
       _TAIL_TOL / 2.
     """
-    _check_l_max(l_max)
+    l_max = _whole_number(l_max, 0, "l_max")
     m = 2 * _poisson_order(d)
     log_gamma_m = lgamma(m)
 
@@ -225,7 +226,7 @@ def check_admissibility(psi, omega, l_max, grid):
     """
     if psi.ctx != omega.ctx:
         raise SphereDomainError("wavelet families live on different spheres")
-    _check_l_max(l_max)
+    l_max = _whole_number(l_max, 0, "l_max")
     lam = psi.ctx.lam
     ls = np.arange(l_max + 1)
     target = ((lam + ls) / lam) ** 2
@@ -257,7 +258,7 @@ def reconstruction_wavelet(psi, l_max, grid):
     nonzero for 1 <= l <= l_max; Omega-hat is 0 at l = 0 and undefined
     above l_max; alpha_l is integrated on the scale grid.
     """
-    _check_l_max(l_max)
+    l_max = _whole_number(l_max, 0, "l_max")
     lam = psi.ctx.lam
     ls = np.arange(l_max + 1)
     vals = np.abs(psi.hat(grid.nodes[:, None], ls)) ** 2

@@ -7,7 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from spherepde import SphereContext, SphereDomainError, make_context
+from spherepde import (
+    SphereContext,
+    SphereDomainError,
+    analyze,
+    check_admissibility,
+    green_coefficient,
+    green_coefficients,
+    helmholtz_parameter,
+    make_context,
+    poisson_kernel_spectrum,
+    poisson_scale_grid,
+    poisson_wavelet,
+    reconstruction_wavelet,
+)
+from spherepde.spectra import degree_norms
 from spherepde.geometry import (
     eigenvalue,
     gegenbauer_at_one,
@@ -284,3 +298,51 @@ def test_eigenvalue_examples():
     assert eigenvalue(make_context(2), 2) == -6.0
     assert eigenvalue(make_context(5), 3) == -21.0
     assert eigenvalue(make_context(4), 0) == 0.0
+
+
+# every entry that takes a degree, a top degree or a Poisson order, as a
+# function of that argument alone; each returns arrays (or a grid) to compare
+_CTX = make_context(3)
+_PARAM = helmholtz_parameter(_CTX, 0.5)
+_PSI = poisson_wavelet(_CTX, 1)
+_GRID = poisson_scale_grid(1, 8)
+_NODES = _GRID.nodes[:, None]
+_WHOLE_NUMBER_ENTRIES = {
+    "check_admissibility": lambda v: (check_admissibility(_PSI, _PSI, v, _GRID).l,
+                                      check_admissibility(_PSI, _PSI, v, _GRID).integral),
+    "poisson_scale_grid": lambda v: poisson_scale_grid(1, v),
+    "poisson_kernel_spectrum": lambda v: (poisson_kernel_spectrum(_CTX, 0.5, v).coeffs,),
+    "poisson_wavelet": lambda v: (poisson_wavelet(_CTX, v).tag,
+                                  poisson_wavelet(_CTX, v).hat(_NODES, np.arange(5))),
+    "green_coefficient": lambda v: (green_coefficient(_PARAM, v),),
+    "green_coefficients": lambda v: (green_coefficients(_PARAM, v),),
+    "reconstruction_wavelet": lambda v: (
+        reconstruction_wavelet(_PSI, v, _GRID).hat(_NODES, np.arange(4)),),
+    "gegenbauer_rows": lambda v: (_matrix(_CTX, v, np.array([0.3, -0.7])),),
+    "gegenbauer_at_one": lambda v: (gegenbauer_at_one(_CTX, v),),
+    "degree_norms": lambda v: (degree_norms(_CTX, v),),
+    "analyze": lambda v: (analyze(_CTX, lambda t: 1.0 + t * t, v).coeffs,),
+}
+
+
+class TestWholeNumberArguments:
+    """Degrees, top degrees and Poisson orders share SphereContext's rule for n."""
+
+    @pytest.mark.parametrize("value", [-1, 2.5, float("nan"), float("inf"), "3", None],
+                             ids=repr)
+    @pytest.mark.parametrize("entry", sorted(_WHOLE_NUMBER_ENTRIES))
+    def test_refuses_anything_but_a_whole_number(self, entry, value):
+        with pytest.raises(SphereDomainError):
+            _WHOLE_NUMBER_ENTRIES[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(_WHOLE_NUMBER_ENTRIES))
+    def test_int_numpy_int_and_integral_float_agree(self, entry):
+        want = _WHOLE_NUMBER_ENTRIES[entry](3)
+        for value in (np.int64(3), 3.0):
+            got = _WHOLE_NUMBER_ENTRIES[entry](value)
+            if entry == "poisson_scale_grid":
+                assert got == want and type(got.count) is int
+                continue
+            for g, w in zip(got, want, strict=True):
+                assert type(g) is type(w) and np.array_equal(g, w), (value, g, w)
+                assert np.asarray(g).dtype == np.asarray(w).dtype, (value, g, w)

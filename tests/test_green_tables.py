@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherepde import green_tables
-from spherepde.closedform import ClosedForm
+from spherepde import NoClosedFormError, SphereDomainError, green_tables
+from spherepde.closedform import ClosedForm, derive_green_closed_form
 
 from registry_values import POINTS, VALUES
 
@@ -55,6 +55,34 @@ def test_array_eval_equals_scalar_eval(row):
     assert isinstance(row.eval(0.25), float)
     assert np.array_equal(got, [row.eval(float(t)) for t in ts])
     assert np.array_equal(row.eval(ts.reshape(7, 43)), got.reshape(7, 43))
+
+
+# derived forms beside the rows: n = 2, negative L, and a larger n
+DERIVED = [derive_green_closed_form(n, L) for n, L in ((2, 3), (4, -1), (8, 2), (16, 3))]
+_OUTSIDE = (1.0, 1.0 - 1e-13, 1.0 - 1e-12, 1.0 + 5e-13, 1.5, -1.5, -1.0 - 2e-12,
+            math.nan, math.inf)
+
+
+@pytest.mark.parametrize("form", ROWS + DERIVED,
+                         ids=ROW_IDS + [f"derived-n{f.n}-L{f.L}" for f in DERIVED])
+def test_direct_eval_follows_the_green_t_rule(form):
+    # the diagonal band t >= 1 - 1e-12, |t| > 1 + 1e-12 and NaN are refused as
+    # a scalar and anywhere in an array, as GreenFunction refuses them
+    for t in _OUTSIDE:
+        with pytest.raises(SphereDomainError):
+            form.eval(t)
+        with pytest.raises(SphereDomainError):
+            form.eval(np.array([[0.2, -0.5], [t, 0.0]]))
+    assert math.isfinite(form.eval(1.0 - 1e-11))
+    # roundoff past -1 is clamped to the antipode, where a (1+t) form has no value
+    below = -1.0 - 5e-13
+    if any(b for _atom, _a, b, _c in form.terms):
+        for t in (below, np.array([0.3, below])):
+            with pytest.raises(NoClosedFormError):
+                form.eval(t)
+    else:
+        assert form.eval(below) == form.eval(-1.0)
+        assert np.array_equal(form.eval(np.array([0.3, below])), form.eval(np.array([0.3, -1.0])))
 
 
 @pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)

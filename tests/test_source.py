@@ -4,8 +4,9 @@ closedform.py has one antiderivative term type and one evaluator and
 derives without a memo, on integer numerators (no Fraction on the
 derivation path but in its scalar set-up), the Gegenbauer recurrence is written once, in
 geometry.py, each fact of G has one owner (a's root and the excluded
-degree the parameter record, t's range geometry._clamp_t, the antipode
-ClosedForm), a record's fields that its inputs fix cannot be passed
+degree the parameter record, t's range geometry._clamp_t and G's t rule,
+which every evaluator of G calls, geometry._check_t_for_eval, the
+antipode ClosedForm), a record's fields that its inputs fix cannot be passed
 (init=False: SphereContext's lam and sigma_n, ScaleGrid's nodes and
 weights, HelmholtzParameter's L and root, ClosedForm's a), the solve
 computes the eigenvalue gap once, over f's own degrees, and neither the
@@ -96,13 +97,20 @@ def test_spectrum_layout_stays_in_spectra():
 
 
 def _function(tree, name):
-    (body,) = [node for node in tree.body
+    """The module-level function name, or the method "Class.method"."""
+    scope = tree.body
+    if "." in name:
+        cls, name = name.split(".")
+        (klass,) = [node for node in scope if isinstance(node, ast.ClassDef) and node.name == cls]
+        scope = klass.body
+    (body,) = [node for node in scope
                if isinstance(node, ast.FunctionDef) and node.name == name]
     return body
 
 
 def _calls(tree, function):
-    """Names of the functions a module-level function calls by plain name."""
+    """Names of the functions a module-level function (or "Class.method")
+    calls by plain name."""
     return {node.func.id for node in ast.walk(_function(tree, function))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
@@ -246,10 +254,22 @@ def test_import_and_analysis_load_no_scipy():
 
 
 def test_geometry_alone_decides_roots_and_t_range():
-    # helmholtz_root reads RESONANCE_RTOL and _clamp_t reads _T_SLACK
-    for constant in ("RESONANCE_RTOL", "_T_SLACK"):
+    # helmholtz_root reads RESONANCE_RTOL, _clamp_t reads _T_SLACK and
+    # _check_t_for_eval, G's t rule, reads _DIAG_TOL
+    for constant in ("RESONANCE_RTOL", "_T_SLACK", "_DIAG_TOL"):
         owners = sorted(name for name, tree in MODULES.items() if constant in set(_names(tree)))
         assert owners == ["geometry"], (constant, owners)
+
+
+def test_every_evaluator_of_g_checks_t_by_the_one_rule():
+    # ClosedForm.eval checks t itself, so a registry row called directly and
+    # through the facade runs one check, and the facade runs none
+    facade = set(_names(_function(MODULES["green"], "GreenFunction.__call__")))
+    assert not facade & {"_check_t_for_eval", "_clamp_t"}, facade
+    for module, function in (("closedform", "ClosedForm.eval"),
+                             ("green", "green_series_batch"),
+                             ("green", "green_eval_integral")):
+        assert "_check_t_for_eval" in _calls(MODULES[module], function), function
 
 
 def test_green_rederives_no_fact_of_its_inputs():

@@ -2,7 +2,7 @@
 
 import warnings
 from dataclasses import replace
-from math import exp, gamma, lgamma, log, sqrt
+from math import exp, gamma, inf, lgamma, log, nan, sqrt
 
 import numpy as np
 import pytest
@@ -105,6 +105,16 @@ class TestScaleGrid:
             make_scale_grid(1.0, 0.5, 10)
         with pytest.raises(QuadratureError):
             make_scale_grid(0.1, 1.0, 1)
+        # non-finite bounds, and counts that are not whole numbers or that no
+        # array could hold, are refused, not turned into NaN nodes or a numpy error
+        for bounds in ((1e-3, inf), (nan, 1.0), (1e-3, nan), (-inf, 1.0)):
+            with pytest.raises(QuadratureError):
+                make_scale_grid(*bounds, 5)
+        for count in (2.5, nan, inf, "5", None, True, 10 ** 20):
+            with pytest.raises(QuadratureError):
+                make_scale_grid(1e-3, 1.0, count)
+        assert make_scale_grid(1e-3, 1.0, 5.0) == make_scale_grid(1e-3, 1.0, np.int64(5))
+        assert type(make_scale_grid(1e-3, 1.0, 5.0).count) is int
 
     @pytest.mark.parametrize("field", ["nodes", "weights"])
     def test_nodes_and_weights_cannot_be_passed(self, field):
