@@ -42,7 +42,7 @@ from .errors import (
 )
 from . import green_tables
 from .closedform import derive_green_closed_form
-from .geometry import gegenbauer_bound, make_context
+from .geometry import _SIZE_MAX, gegenbauer_bound, make_context
 from .green import (
     _ABEL_DIAG_GAP,
     _ABEL_RTOL,
@@ -53,7 +53,6 @@ from .green import (
     parameter_from_root,
 )
 from .spectra import (
-    _SIZE_MAX,
     ZonalSpectrum,
     format_spectrum,
     inner,
@@ -67,7 +66,9 @@ from .spectra import (
 from .solver import DEFAULT_RESONANT_TOL, SolveRequest, solve_helmholtz, solve_resonant
 from .wavelets import (
     _TAIL_TOL,
+    _relative_error,
     check_admissibility,
+    inverse_transform,
     poisson_scale_grid,
     poisson_wavelet,
     roundtrip_error,
@@ -162,7 +163,7 @@ def _emit_table(out, kv, columns, rows):
 
 
 def bounded_int(text):
-    """An int below spectra._SIZE_MAX, as an argparse type: a larger one
+    """An int below geometry._SIZE_MAX, as an argparse type: a larger one
     could size no array, and is a usage error."""
     val = int(text)
     if val >= _SIZE_MAX:
@@ -361,7 +362,7 @@ def cmd_wavelet(args):
           "mean tolerance": _sci(_MEAN_TOL)}
     err = None
     if args.mode == "roundtrip":
-        err = roundtrip_error(psi, psi, f, grid)
+        err = _relative_error(f, inverse_transform(psi, W, grid))
         kv["roundtrip relative error"] = _fmt(err)
     _emit_table(args.out, kv, ["rho", "l", "re", "im"],
                 ([rho, l, c.real, c.imag]

@@ -17,10 +17,12 @@ backend sums ~9e3 degrees at n = 2 to ~6e4 at n = 17, in double
 precision).  On [-1, 1] the
 polynomials obey the uniform bound |C_l^lambda(t)| <= (n + l - 2)^{n-2}.
 
-The recurrence comes in two shapes.  gegenbauer_rows steps it one degree
-at a time, each step one vectorised pass over the points: analysis and
-synthesis stream its rows, and the integral backend stacks them into its
-(degrees x points) matrix.  gegenbauer_sums, which needs only weighted
+The recurrence comes in two shapes.  gegenbauer_blocks steps it one degree
+at a time, each step one vectorised pass over the points, and hands the
+degrees out in blocks of rows of one reused buffer of BLOCK_SIZE doubles:
+analysis and synthesis take one matrix product per block, and the
+integral backend takes its whole (degrees x points) matrix as one block.
+gegenbauer_sums, which needs only weighted
 sums over many degrees (the series backend's Abel sums), splits the
 degrees into ~sqrt(N) blocks that step side by side from
 well-conditioned basis states, chains the blocks' true starting states
@@ -47,6 +49,15 @@ _DIAG_TOL = 1e-12   # t >= 1 - _DIAG_TOL counts as the diagonal
 
 # a sits on the root L of a = L(n+L-1) within this relative gap (helmholtz_root).
 RESONANCE_RTOL = 1e-9
+
+# Sizes stay below the count of complex doubles one array can hold: a
+# larger degree, order or node count is refused as a domain error, where
+# a smaller one that memory cannot hold fails with MemoryError.
+_SIZE_MAX = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
+# Doubles in one block of a blocked evaluation (1 MiB): the Gegenbauer rows
+# of gegenbauer_blocks, and the scales x degrees hat tables of the wavelets.
+BLOCK_SIZE = 1 << 17
 
 
 def helmholtz_root(n, a):
@@ -78,9 +89,10 @@ def helmholtz_root(n, a):
 
 
 def _whole_number(value, floor, name):
-    """value as an int when it is a whole number >= floor: an int, a NumPy int
-    or an integer-valued float.  Anything else (a bool, NaN, inf, a string,
-    None, 2.5) raises SphereDomainError naming the argument.
+    """value as an int when it is a whole number from floor to below
+    _SIZE_MAX: an int, a NumPy int or an integer-valued float.  Anything
+    else (a bool, NaN, inf, a string, None, 2.5, 10**20) raises
+    SphereDomainError naming the argument.
 
     The one rule for sphere dimensions, degrees, orders and scale node counts.
     """
@@ -91,6 +103,8 @@ def _whole_number(value, floor, name):
         raise SphereDomainError(f"{name} must be an integer >= {floor}, got {value!r}")
     if value < floor:
         raise SphereDomainError(f"{name} must be >= {floor}, got {value}")
+    if value >= _SIZE_MAX:
+        raise SphereDomainError(f"{name} is too large: must be below {_SIZE_MAX}, got {value}")
     return int(value)
 
 
@@ -156,23 +170,32 @@ def _check_t_for_eval(t):
     return t
 
 
-def gegenbauer_rows(ctx, l_max, t):
-    """Yield C_0^lambda(t), ..., C_{l_max}^lambda(t), each an array over t.
+def gegenbauer_blocks(ctx, l_max, t):
+    """Yield (l0, C) for l0 = 0, k, 2k, ...: C[i, j] = C_{l0+i}^lambda(t_j)
+    over the flattened t, for degrees up to l_max.
 
-    The one recurrence pass: a caller that needs one degree at a time
-    (analysis) streams the rows, and one that needs them all stacks them.
+    Every C is a view of one buffer of k = max(1, BLOCK_SIZE // points)
+    rows, which the next block overwrites: a caller takes what it needs
+    from a block before it asks for the next.
     """
     l_max = _whole_number(l_max, 0, "degree l")
-    t = np.atleast_1d(_clamp_t(t))
-    lam = ctx.lam
-    prev = np.ones_like(t)
-    yield prev
-    if l_max >= 1:
-        cur = 2.0 * lam * t
-        yield cur
-        for l in range(2, l_max + 1):
+    t = np.ravel(_clamp_t(t))
+    return _blocks(ctx.lam, l_max, t, max(1, BLOCK_SIZE // max(t.size, 1)))
+
+
+def _blocks(lam, l_max, t, rows):
+    """gegenbauer_blocks over a flat t already clamped, in blocks of rows
+    degrees; each row is the array _step returns, copied into the buffer,
+    so the values are those of one forward pass bit for bit."""
+    buf = np.empty((min(rows, l_max + 1), t.size))
+    prev, cur = np.zeros_like(t), np.ones_like(t)       # C_{-1} and C_0
+    for l in range(l_max + 1):
+        if l:
             prev, cur = cur, _step(l, lam, t, prev, cur)
-            yield cur
+        i = l % rows
+        buf[i] = cur
+        if i == rows - 1 or l == l_max:
+            yield l - i, buf[:i + 1]
 
 
 def _step(l, lam, t, prev, cur):

@@ -75,11 +75,11 @@ import numpy as np
 from .errors import ConvergenceError, NoClosedFormError, SphereDomainError
 from .geometry import (
     SphereContext,
+    _blocks,
     _check_t_for_eval,
     _whole_number,
     eigenvalue,
     gegenbauer_bound,
-    gegenbauer_rows,
     gegenbauer_sums,
     helmholtz_root,
 )
@@ -342,7 +342,7 @@ def green_eval_integral(param, t):
             f"{_DEPTH_MAX}, where the weight r^(-L-1) leaves the doubles")
     k = ctx.n + 2.0 * L - 1.0     # w(r) = -r^{-L-1} (r^k - 1)/k
     ls = np.arange(M + _TAIL_DEGREES + 1)
-    C = np.array(list(gegenbauer_rows(ctx, M + _TAIL_DEGREES, ts)))
+    (_, C), = _blocks(lam, M + _TAIL_DEGREES, ts, M + _TAIL_DEGREES + 1)
     c = ((lam + ls) / lam)[:, None] * C
 
     # [0, r_s]: int_0^{r_s} r^l w(r) dr in closed form, p = l - L, Re p > 0

@@ -28,6 +28,11 @@ in phase (never more than ~1e-3), Newton passes on the orthonormal recurrence po
 the sizes analysis uses), and the Christoffel-Darboux identity gives the
 weights from the last pass.  Analysis divides by the exact norms of the
 C_l, which the rule integrates exactly at the exactness analyze demands.
+Analysis and synthesis take the C_l in blocks of degrees from
+geometry.gegenbauer_blocks, one matrix product per block, so neither
+holds the (degrees x nodes) matrix; analysis first folds the weighted
+samples onto |x| (C_l(-x) = (-1)^l C_l(x)) and so runs the recurrence
+over half the nodes of a symmetric rule.
 
 The scalar product convention carries the 1/Sigma_n normalisation of the
 surface measure:
@@ -47,12 +52,13 @@ import numpy as np
 
 from .errors import QuadratureError, SphereDomainError, SpectrumParseError
 from .geometry import (
+    _SIZE_MAX,
     SphereContext,
     _clamp_t,
     _whole_number,
     eigenvalue,
     gegenbauer_at_one,
-    gegenbauer_rows,
+    gegenbauer_blocks,
     make_context,
     surface_measure,
 )
@@ -352,10 +358,15 @@ def analyze(ctx, samples, l_max, rule=None):
                 demand when omitted.
 
     Uses Gegenbauer orthogonality under the rule's weight: the numerator
-    of degree l is the rule applied to C_l times the samples, streamed
-    one degree at a time from the recurrence, and the denominator is the
-    exact norm int C_l^2 (1-t^2)^{lambda-1/2} dt, which that exactness
-    makes the rule reproduce.
+    of degree l is the rule applied to C_l times the samples, and the
+    denominator is the exact norm int C_l^2 (1-t^2)^{lambda-1/2} dt, which
+    that exactness makes the rule reproduce.  C_l(-x) = (-1)^l C_l(x), so
+    the weighted samples are folded onto |x| first, as their sums (even
+    degrees) and signed sums (odd degrees) over x and -x, and the
+    recurrence runs over the distinct |x| alone, half the nodes of a
+    symmetric rule, one matrix product per block of degrees.  Any node set
+    folds (one that is not symmetric keeps its nodes), and x = 0 is
+    counted once.
     """
     l_max = _whole_number(l_max, 0, "l_max")
     if rule is None:
@@ -371,19 +382,32 @@ def analyze(ctx, samples, l_max, rule=None):
     if not np.all(np.isfinite(vals)):
         raise SphereDomainError("samples must be finite on the quadrature nodes")
     wv = rule.weights * vals
-    num = np.array([row @ wv for row in gegenbauer_rows(ctx, l_max, rule.nodes)])
+    radii, group = np.unique(np.abs(rule.nodes), return_inverse=True)
+    folded = np.zeros((radii.size, 2), dtype=wv.dtype)
+    np.add.at(folded, group, np.stack([wv, np.sign(rule.nodes) * wv], axis=1))
+    complex_valued = np.iscomplexobj(folded)
+    if complex_valued:          # real and imaginary columns, so the blocks stay real
+        folded = folded.view(float)
+    num = np.empty((l_max + 1, folded.shape[1]))
+    for l0, rows in gegenbauer_blocks(ctx, l_max, radii):
+        np.matmul(rows, folded, out=num[l0:l0 + len(rows)])
+    if complex_valued:
+        num = num.view(complex)
+    l = np.arange(l_max + 1)
+    num = num[l, l % 2]
     return ZonalSpectrum(ctx, num / (degree_norms(ctx, l_max) / zonal_weight_constant(ctx)))
 
 
 def synthesize(spec, t):
-    """The partial sum sum_l coeffs[l] C_l^lambda(t), streamed degree by degree."""
-    t_arr = np.atleast_1d(_clamp_t(t))
-    out = np.zeros(t_arr.shape, dtype=np.result_type(spec.coeffs, float))
-    for c, row in zip(spec.coeffs, gegenbauer_rows(spec.ctx, spec.l_max, t_arr)):
-        out += c * row
+    """The partial sum sum_l coeffs[l] C_l^lambda(t), one matrix product per
+    block of degrees, added in degree order."""
+    t_arr = _clamp_t(t)
+    out = np.zeros(np.size(t_arr), dtype=np.result_type(spec.coeffs, float))
+    for l0, rows in gegenbauer_blocks(spec.ctx, spec.l_max, t_arr):
+        out += spec.coeffs[l0:l0 + len(rows)] @ rows
     if np.isscalar(t) or np.ndim(t) == 0:
         return out[0]
-    return out
+    return out.reshape(np.shape(t_arr))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +501,7 @@ def poisson_kernel_spectrum(ctx, r, l_max):
 # general: header "# general n=<n>",        lines "l <TAB> k <TAB> re <TAB> im"
 # Additional leading "#" comment lines are permitted and ignored.
 
-# Degrees stay below the count of complex doubles one array can hold: a
-# larger Lmax or degree is a malformed file, where a smaller one that
-# memory cannot hold fails with MemoryError.
-_SIZE_MAX = np.iinfo(np.intp).max // np.dtype(complex).itemsize
-
+# A degree or Lmax from geometry._SIZE_MAX on is a malformed file.
 
 def format_spectrum(spec, extra_comments=(), fmt="%.17g"):
     """Serialise a spectrum to the text format; returns a string.

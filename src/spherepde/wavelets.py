@@ -10,9 +10,13 @@ The transform of a zero-mean zonal f is W(rho, .) = f * conj(Psi_rho); it
 is inverted by integrating W(rho, .) * Omega_rho against drho/rho.  Both
 directions act diagonally per degree, so everything here is coefficient
 arithmetic plus a quadrature over log(rho): a family's hat broadcasts over
-arrays of scales and degrees, each transform evaluates it once as a
-(scales x degrees) table and sums the scales with one product by the
-quadrature weights.
+arrays of scales and degrees, and everything here evaluates it on blocks
+of consecutive scales by every degree, about geometry.BLOCK_SIZE cells
+each.  The forward transform writes each block, times the signal, into
+its preallocated output; the inverse, the admissibility integrals and the
+reconstruction family's norms sum each block over its scales with the
+quadrature weights in one fused product, so no other (scales x degrees)
+array is built.  Nothing here writes into what a hat returns.
 
 The scale integral is discretised by a trapezoid rule on a log-uniform
 grid.  For the Poisson pair the admissibility integrand over its target
@@ -35,8 +39,8 @@ from math import ceil, exp, frexp, gamma, inf, ldexp, lgamma, log, log1p, pi, sq
 import numpy as np
 
 from .errors import QuadratureError, SphereDomainError
-from .geometry import SphereContext, _whole_number
-from .spectra import _SIZE_MAX, ZonalSpectrum, norm_l2
+from .geometry import BLOCK_SIZE, SphereContext, _whole_number
+from .spectra import ZonalSpectrum, norm_l2
 
 # Endpoint integrand level (relative to the admissibility target) above
 # which a scale grid is considered too narrow; poisson_scale_grid also
@@ -50,8 +54,9 @@ class WaveletFamily:
 
     hat(rho, l) takes scales rho and integer degrees l as scalars or arrays
     that broadcast together, and returns the coefficients in the broadcast
-    shape: hat(nodes[:, None], ls) is the (scales x degrees) table.
-    Degree 0 gives 0 for every family defined here.
+    shape: hat(nodes[:, None], ls) is the (scales x degrees) table.  The
+    transforms call it on blocks of the grid's scales, and never write
+    into what it returns.  Degree 0 gives 0 for every family defined here.
     """
 
     ctx: SphereContext
@@ -65,7 +70,7 @@ class ScaleGrid:
     nodes and weights (exact for constants) follow from the three numbers.
 
     QuadratureError unless 0 < rho_min < rho_max < inf and count is a whole
-    number (stored as an int) from 2 to below spectra._SIZE_MAX.
+    number (stored as an int) from 2 to below geometry._SIZE_MAX.
     """
 
     rho_min: float
@@ -82,8 +87,6 @@ class ScaleGrid:
             count = _whole_number(self.count, 2, "scale node count")
         except SphereDomainError as exc:
             raise QuadratureError(str(exc)) from None
-        if count >= _SIZE_MAX:
-            raise QuadratureError(f"no array holds {count} scale nodes")
         object.__setattr__(self, "count", count)
         x = np.linspace(log(self.rho_min), log(self.rho_max), self.count)
         h = x[1] - x[0]
@@ -94,6 +97,20 @@ class ScaleGrid:
 
 
 make_scale_grid = ScaleGrid         # the grid of count nodes on [rho_min, rho_max]
+
+
+def _scale_blocks(grid, l_max):
+    """Slices of the grid's scales, in order, whose rows over degrees
+    0..l_max hold about BLOCK_SIZE cells (one scale at least).  A caller
+    drops each block's tables before it asks a hat for the next."""
+    step = max(1, BLOCK_SIZE // (l_max + 1))
+    return [slice(j, j + step) for j in range(0, grid.count, step)]
+
+
+def _conj_hat(family, rho, l):
+    """conj(family.hat(rho, l)): the hat's own array when it is real."""
+    table = family.hat(rho, l)
+    return np.conj(table) if np.iscomplexobj(table) else table
 
 
 # the largest Poisson wavelet order whose norm 2^d / sqrt(Gamma(2d)) is a
@@ -231,9 +248,15 @@ def check_admissibility(psi, omega, l_max, grid):
     ls = np.arange(l_max + 1)
     target = ((lam + ls) / lam) ** 2
     target[0] = 0.0
-    rho = grid.nodes[:, None]
-    vals = np.conj(psi.hat(rho, ls)) * omega.hat(rho, ls)
-    lo, hi = np.abs(vals[0]), np.abs(vals[-1])
+    integral = 0.0
+    for rows in _scale_blocks(grid, l_max):
+        rho = grid.nodes[rows, None]
+        table, other = _conj_hat(psi, rho, ls), omega.hat(rho, ls)
+        integral = integral + np.einsum("j,jl,jl->l", grid.weights[rows], table, other)
+        if rows.start == 0:
+            lo = np.abs(table[0] * other[0])
+        hi = np.abs(table[-1] * other[-1])      # the last block's is kept
+        del table, other
     limit = _TAIL_TOL * np.maximum(target, 1.0)
     wide = (lo > limit) | (hi > limit)
     wide[0] = False
@@ -244,7 +267,6 @@ def check_admissibility(psi, omega, l_max, grid):
             f"levels {lo[l]:.3e} (rho_min) / {hi[l]:.3e} (rho_max) exceed "
             f"{_TAIL_TOL:.0e} of the target {target[l]:.3e}; widen "
             f"[{grid.rho_min}, {grid.rho_max}]")
-    integral = grid.weights @ vals
     if np.all(integral.imag == 0.0):
         integral = integral.real
     return AdmissibilityReport(l=ls, integral=integral, target=target,
@@ -261,8 +283,14 @@ def reconstruction_wavelet(psi, l_max, grid):
     l_max = _whole_number(l_max, 0, "l_max")
     lam = psi.ctx.lam
     ls = np.arange(l_max + 1)
-    vals = np.abs(psi.hat(grid.nodes[:, None], ls)) ** 2
-    alpha = (lam / (lam + ls)) ** 2 * (grid.weights @ vals)
+    total = 0.0
+    for rows in _scale_blocks(grid, l_max):
+        table = psi.hat(grid.nodes[rows, None], ls)
+        if np.iscomplexobj(table):
+            table = np.abs(table)
+        total = total + np.einsum("j,jl,jl->l", grid.weights[rows], table, table)
+        del table
+    alpha = (lam / (lam + ls)) ** 2 * total
     vanishing = np.abs(alpha) <= 1e-12
     vanishing[0] = False
     if np.any(vanishing):
@@ -310,8 +338,12 @@ def wavelet_transform(psi, f, grid):
     lam = f.ctx.lam
     ls = np.arange(f.l_max + 1)
     factor = lam / (lam + ls) * f.coeffs
-    table = psi.hat(grid.nodes[:, None], ls)
-    coeffs = factor * (np.conj(table) if np.iscomplexobj(table) else table)
+    for rows in _scale_blocks(grid, f.l_max):
+        table = _conj_hat(psi, grid.nodes[rows, None], ls)
+        if rows.start == 0:
+            coeffs = np.empty((grid.count, ls.size), dtype=np.result_type(factor, table))
+        np.multiply(factor, table, out=coeffs[rows])
+        del table
     if np.iscomplexobj(coeffs) and np.all(coeffs.imag == 0.0):
         coeffs = coeffs.real
     return WaveletTransform(ctx=f.ctx, grid=grid, coeffs=coeffs)
@@ -328,8 +360,12 @@ def inverse_transform(omega, transform, grid):
     ctx = transform.ctx
     lam = ctx.lam
     ls = np.arange(transform.l_max + 1)
-    om = omega.hat(grid.nodes[:, None], ls)
-    out = lam / (lam + ls) * (grid.weights @ (transform.coeffs * om))
+    total = 0.0
+    for rows in _scale_blocks(grid, transform.l_max):
+        om = omega.hat(grid.nodes[rows, None], ls)
+        total = total + np.einsum("j,jl,jl->l", grid.weights[rows], transform.coeffs[rows], om)
+        del om
+    out = lam / (lam + ls) * total
     out[0] = 0.0
     if np.iscomplexobj(out) and np.all(out.imag == 0.0):
         out = out.real
@@ -338,7 +374,11 @@ def inverse_transform(omega, transform, grid):
 
 def roundtrip_error(psi, omega, f, grid):
     """Relative L^2 coefficient error of inverse(forward(f)) against f."""
-    rec = inverse_transform(omega, wavelet_transform(psi, f, grid), grid)
+    return _relative_error(f, inverse_transform(omega, wavelet_transform(psi, f, grid), grid))
+
+
+def _relative_error(f, rec):
+    """Relative L^2 coefficient error of the reconstruction rec against f."""
     diff = ZonalSpectrum(f.ctx, rec.padded(f.l_max) - f.coeffs)
     nf = norm_l2(f)
     return norm_l2(diff) / nf if nf > 0 else 0.0

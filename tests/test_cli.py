@@ -25,6 +25,7 @@ from spherepde import (
     parameter_from_root,
 )
 from spherepde.spectra import load_spectrum, save_spectrum
+from spherepde import wavelets
 
 
 def _write_spec(path, lines):
@@ -454,6 +455,31 @@ class TestWavelet:
         assert code == 0
         err = float(capsys.readouterr().out.split("roundtrip relative error:")[1].strip())
         assert err <= 1e-11
+
+    def test_roundtrip_computes_the_forward_transform_once(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the table's transform serves the round trip; the error is roundtrip_error's
+        coeffs = np.random.default_rng(5).standard_normal(65)
+        coeffs[0] = 0.0
+        f = tmp_path / "f.spec"
+        spec = ZonalSpectrum(make_context(3), coeffs)
+        save_spectrum(spec, f)
+        psi = wavelets.poisson_wavelet(spec.ctx, 2)
+        want = wavelets.roundtrip_error(psi, psi, spec, wavelets.poisson_scale_grid(2, 64))
+        calls = []
+        forward = wavelets.wavelet_transform
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(cli, "wavelet_transform", counted)
+        monkeypatch.setattr(wavelets, "wavelet_transform", counted)
+        code = main(["wavelet", "roundtrip", "--n", "3", "--d", "2",
+                     "--in", str(f), "--out", str(tmp_path / "w.csv")])
+        assert code == 0 and len(calls) == 1
+        err = capsys.readouterr().out.split("roundtrip relative error:")[1].strip()
+        assert err == cli._fmt(want)
 
     @pytest.mark.parametrize("mode", ["forward", "roundtrip"])
     def test_missing_input_flag_exit1(self, capsys, mode):

@@ -23,10 +23,11 @@ from spherepde import (
 )
 from spherepde.spectra import degree_norms
 from spherepde.geometry import (
+    BLOCK_SIZE,
     eigenvalue,
     gegenbauer_at_one,
+    gegenbauer_blocks,
     gegenbauer_bound,
-    gegenbauer_rows,
     gegenbauer_sums,
 )
 
@@ -43,8 +44,8 @@ EPS = np.finfo(float).eps
 
 
 def _matrix(ctx, l_max, t):
-    """C[l, j] = C_l^lambda(t_j): the streamed rows, stacked."""
-    return np.array(list(gegenbauer_rows(ctx, l_max, t)))
+    """C[l, j] = C_l^lambda(t_j): the blocks, copied out and stacked."""
+    return np.concatenate([rows.copy() for _l0, rows in gegenbauer_blocks(ctx, l_max, t)])
 
 
 def _value(ctx, l, t):
@@ -176,20 +177,31 @@ class TestBatch:
         for j, t in enumerate(ts):
             assert np.array_equal(mat[:, j], _matrix(ctx, 25, t)[:, 0])
 
-    def test_rows_match_the_plain_recurrence_bitwise(self):
+    # 4096 points make blocks of 32 rows: top degrees on and around the block edges
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 31, 32, 33, 200])
+    def test_blocks_match_the_plain_recurrence_bitwise(self, l_max):
         # the recurrence written over the rows of a matrix, as it stood
-        # before analysis streamed the rows: matrix and rows equal it bit
-        # for bit
+        # before analysis streamed the rows: every block equals it bit for
+        # bit, and the blocks follow each other through one buffer
         ctx = make_context(7)
-        ts = np.linspace(-1.0, 1.0, 41)
+        ts = np.linspace(-1.0, 1.0, 4096)
+        size = BLOCK_SIZE // ts.size
+        assert size == 32
         lam = ctx.lam
         want = [np.ones_like(ts), 2.0 * lam * ts]
-        for l in range(2, 61):
+        for l in range(2, l_max + 1):
             want.append((2.0 * (l + lam - 1.0) * ts * want[-1]
                          - (l + 2.0 * lam - 2.0) * want[-2]) / l)
-        assert np.array_equal(_matrix(ctx, 60, ts), np.array(want))
-        rows = list(gegenbauer_rows(ctx, 60, ts))
-        assert len(rows) == 61 and all(np.array_equal(r, w) for r, w in zip(rows, want))
+        want = np.array(want[:l_max + 1])
+        first = None
+        top = 0
+        for l0, rows in gegenbauer_blocks(ctx, l_max, ts):
+            assert l0 == top and rows.shape == (min(size, l_max + 1 - l0), ts.size)
+            assert np.array_equal(rows, want[l0:l0 + len(rows)])
+            first = rows if first is None else first
+            assert np.shares_memory(rows, first)
+            top = l0 + len(rows)
+        assert top == l_max + 1
 
 
 SUM_DIMS = (2, 3, 5, 8, 12, 17, 40)
@@ -318,7 +330,7 @@ _WHOLE_NUMBER_ENTRIES = {
     "green_coefficients": lambda v: (green_coefficients(_PARAM, v),),
     "reconstruction_wavelet": lambda v: (
         reconstruction_wavelet(_PSI, v, _GRID).hat(_NODES, np.arange(4)),),
-    "gegenbauer_rows": lambda v: (_matrix(_CTX, v, np.array([0.3, -0.7])),),
+    "gegenbauer_blocks": lambda v: (_matrix(_CTX, v, np.array([0.3, -0.7])),),
     "gegenbauer_at_one": lambda v: (gegenbauer_at_one(_CTX, v),),
     "degree_norms": lambda v: (degree_norms(_CTX, v),),
     "analyze": lambda v: (analyze(_CTX, lambda t: 1.0 + t * t, v).coeffs,),
@@ -334,6 +346,22 @@ class TestWholeNumberArguments:
     def test_refuses_anything_but_a_whole_number(self, entry, value):
         with pytest.raises(SphereDomainError):
             _WHOLE_NUMBER_ENTRIES[entry](value)
+
+    # whole numbers no array could hold are refused by the rule, not left to
+    # NumPy's ValueError or turned into a grid for degrees no spectrum holds
+    @pytest.mark.parametrize("value", [10**20, 1e300, np.uint64(2**63)], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(_WHOLE_NUMBER_ENTRIES))
+    def test_refuses_a_size_no_array_holds(self, entry, value):
+        with pytest.raises(SphereDomainError, match="too large"):
+            _WHOLE_NUMBER_ENTRIES[entry](value)
+
+    def test_the_ceiling_is_the_largest_array_of_complex_doubles(self):
+        # a single coefficient needs no array: the ceiling is the rule's, not memory's
+        top = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+        assert isinstance(green_coefficient(_PARAM, top - 1), float)
+        with pytest.raises(SphereDomainError,
+                           match=f"degree l is too large: must be below {top}, got {top}"):
+            green_coefficient(_PARAM, top)
 
     @pytest.mark.parametrize("entry", sorted(_WHOLE_NUMBER_ENTRIES))
     def test_int_numpy_int_and_integral_float_agree(self, entry):

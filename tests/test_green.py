@@ -478,7 +478,7 @@ class TestIntegral:
         def no_matrix(*args):
             raise AssertionError("allocated")
 
-        monkeypatch.setattr(green, "gegenbauer_rows", no_matrix)
+        monkeypatch.setattr(green, "_blocks", no_matrix)
         for n, a in ((2, 1e300), (2, 3000.37 * 3001.37), (8, 1023.2 * 1030.2), (3, 2000 * 2002)):
             with pytest.raises(ConvergenceError, match="subtraction depth above 1022"):
                 green_eval_integral(helmholtz_parameter(make_context(n), a), 0.0)

@@ -128,14 +128,17 @@ def test_closedform_has_one_term_type_and_one_evaluator():
 
 
 def test_analysis_streams_the_one_gegenbauer_recurrence():
-    # analyze and synthesize take C_l row by row from geometry and never
-    # build the (L+1) x m matrix (stacking the rows would list them); the
-    # only loop over a range in spectra.py
-    # is the orthonormal recurrence of the quadrature rule
+    # analyze and synthesize take C_l block by block from geometry and
+    # never build the (L+1) x m matrix (stacking the blocks would list,
+    # concatenate or stack them, or copy each one); the only loop over a
+    # range in spectra.py is the orthonormal recurrence of the quadrature rule
     tree = MODULES["spectra"]
     for function in ("analyze", "synthesize"):
-        assert "list" not in _calls(tree, function)
-        assert "gegenbauer_rows" in _calls(tree, function)
+        # plain and attribute calls alike: np.array and rows.copy count
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(_function(tree, function)) if isinstance(node, ast.Call)}
+        assert "gegenbauer_blocks" in called, called
+        assert not {"list", "array", "concatenate", "vstack", "copy"} & called, called
     ranged = sorted({function.name for function in tree.body
                      if isinstance(function, ast.FunctionDef)
                      for node in ast.walk(function)
@@ -353,7 +356,7 @@ def test_records_compute_what_their_inputs_fix():
 def test_abel_sums_use_the_blocked_recurrence():
     # the series backend's Abel sums never build the Gegenbauer matrix
     called = _calls(MODULES["green"], "_abel_values")
-    assert "gegenbauer_sums" in called and "gegenbauer_rows" not in called, called
+    assert "gegenbauer_sums" in called and not {"gegenbauer_blocks", "_blocks"} & called, called
 
 
 def test_the_solve_computes_each_gap_once_over_f_own_degrees():

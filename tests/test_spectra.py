@@ -1,5 +1,6 @@
 """Spectra, quadrature, convolution, and the Poisson kernel."""
 
+import tracemalloc
 import warnings
 from math import gamma
 
@@ -27,8 +28,9 @@ from spherepde import (
     synthesize,
 )
 from spherepde import spectra
-from spherepde.geometry import gegenbauer_rows
+from spherepde.geometry import BLOCK_SIZE, gegenbauer_blocks
 from spherepde.spectra import (
+    QuadratureRule,
     degree_norms,
     format_spectrum,
     parse_spectrum,
@@ -40,6 +42,22 @@ from oracles import (
     weight_moment_mp,
     zonal_convolution_quadrature,
 )
+
+
+def _matrix(ctx, l_max, t):
+    """C[l, j] = C_l^lambda(t_j): the blocks, copied out and stacked."""
+    return np.concatenate([rows.copy() for _l0, rows in gegenbauer_blocks(ctx, l_max, t)])
+
+
+def _peak_bytes(run):
+    """The traced peak of run() above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +160,7 @@ class TestQuadrature:
 class TestAnalyze:
     def test_single_mode(self):
         ctx = make_context(3)
-        spec = analyze(ctx, lambda t: list(gegenbauer_rows(ctx, 3, t))[3], 8)
+        spec = analyze(ctx, lambda t: _matrix(ctx, 3, t)[3], 8)
         expected = np.zeros(9)
         expected[3] = 1.0
         assert_allclose(spec.coeffs, expected, atol=1e-12)
@@ -215,6 +233,63 @@ class TestAnalyze:
             assert_allclose(back.coeffs, coeffs, rtol=1e-10, atol=1e-10)
 
 
+class TestAnalysisFold:
+    """analyze folds the weighted samples onto |x|; it must equal the
+    unfolded sum sum_j w_j v_j C_l(x_j) to roundoff in that sum's own
+    error scale sum_j |w_j v_j C_l(x_j)|, on any node set."""
+
+    @staticmethod
+    def _check(ctx, rule, values, l_max):
+        got = analyze(ctx, lambda t: values, l_max, rule).coeffs
+        C = _matrix(ctx, l_max, rule.nodes)
+        wv = rule.weights * values
+        norms = degree_norms(ctx, l_max) / zonal_weight_constant(ctx)
+        want = (C @ wv) / norms
+        scale = (np.abs(C) @ np.abs(wv)) / norms
+        assert got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale), \
+            np.max(np.abs(got - want) / scale)
+
+    @pytest.mark.parametrize("m", [40, 41, 2053, 2054])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_gauss_rules_with_and_without_the_middle_node(self, n, m):
+        # odd m puts a node at x = 0, which pairs with no other and counts once
+        ctx = make_context(n)
+        rule = gauss_gegenbauer_rule(ctx.lam, m)
+        assert (0.0 in rule.nodes) == (m % 2 == 1)
+        values = np.exp(rule.nodes) + np.random.default_rng(m).standard_normal(m)
+        self._check(ctx, rule, values, m - 5)
+
+    def test_asymmetric_hand_built_rule(self):
+        # some nodes pair (+-0.3, +-0.9), some do not (0.5, 0.7, -0.1), and 0 is one node
+        ctx = make_context(3)
+        nodes = np.array([-0.9, -0.3, -0.1, 0.0, 0.3, 0.5, 0.7, 0.9])
+        weights = np.array([0.1, 0.4, 0.2, 0.3, 0.35, 0.25, 0.15, 0.05])
+        rule = QuadratureRule(nodes=nodes, weights=weights, exactness=20, mu=ctx.lam)
+        values = np.array([1.0, -2.0, 0.5, 3.0, 0.25, -1.5, 2.0, 0.75])
+        self._check(ctx, rule, values, 9)
+
+    def test_complex_samples(self):
+        ctx = make_context(4)
+        rule = gauss_gegenbauer_rule(ctx.lam, 301)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+        self._check(ctx, rule, values, 296)
+
+
+class TestBoundedMemory:
+    def test_analysis_and_synthesis_within_two_blocks(self):
+        # the spectral_pipeline's top rung: neither builds the (L+1) x m matrix
+        ctx = make_context(8)
+        l_max = 2048
+        u = ZonalSpectrum(ctx, np.random.default_rng(8).standard_normal(l_max + 1))
+        rule = default_rule(ctx, l_max)
+        values = synthesize(u, rule.nodes)
+        budget = 2 * BLOCK_SIZE * np.dtype(float).itemsize
+        assert _peak_bytes(lambda: synthesize(u, rule.nodes)) <= budget
+        assert _peak_bytes(lambda: analyze(ctx, lambda t: values, l_max, rule)) <= budget
+
+
 class TestSynthesize:
     def test_constant(self):
         ctx = make_context(4)
@@ -238,7 +313,7 @@ class TestSynthesize:
         ctx = make_context(n)
         coeffs = np.random.default_rng(n).standard_normal(2049)
         ts = np.linspace(-1.0, 1.0, 301)
-        C = np.array(list(gegenbauer_rows(ctx, 2048, ts)))
+        C = _matrix(ctx, 2048, ts)
         want = coeffs @ C
         got = synthesize(ZonalSpectrum(ctx, coeffs), ts)
         scale = np.abs(coeffs) @ np.abs(C)
@@ -417,7 +492,7 @@ class TestInnerProduct:
         for n in (2, 3, 5):
             ctx = make_context(n)
             rule = gauss_gegenbauer_rule(ctx.lam, 80)
-            C = np.array(list(gegenbauer_rows(ctx, 6, rule.nodes)))
+            C = _matrix(ctx, 6, rule.nodes)
             quad = zonal_weight_constant(ctx) * ((C * C) @ rule.weights)
             assert_allclose(quad, degree_norms(ctx, 6), rtol=1e-12)
 

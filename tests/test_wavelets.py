@@ -1,5 +1,6 @@
 """Wavelet families, admissibility, transform and inversion."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 from math import exp, gamma, inf, lgamma, log, nan, sqrt
@@ -25,8 +26,20 @@ from spherepde import (
     roundtrip_error,
     wavelet_transform,
 )
+from spherepde.geometry import BLOCK_SIZE
 
 WIDE = dict(rho_min=1e-8, rho_max=60.0, count=800)
+
+
+def _peak_bytes(run):
+    """The traced peak of run() above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestPoissonWavelet:
@@ -269,6 +282,22 @@ class TestReconstruction:
         assert_allclose(omega.hat(0.7, 2), hat(0.7, 2) / ((lam / (lam + 2)) ** 2 / 4.0),
                         rtol=1e-8)
 
+    def test_complex_family_normalised_by_its_modulus(self):
+        # alpha_l integrates |Psi-hat|^2: a degree-dependent phase leaves it,
+        # and so Omega-hat / Psi-hat, as the Poisson family's
+        ctx = make_context(3)
+        poisson = poisson_wavelet(ctx, 2)
+
+        def hat(rho, l):
+            return poisson.hat(rho, l) * np.exp(0.3j * np.asarray(l))
+
+        grid = make_scale_grid(**WIDE)
+        phased = reconstruction_wavelet(WaveletFamily(ctx=ctx, hat=hat, tag="phased"), 12, grid)
+        plain = reconstruction_wavelet(poisson, 12, grid)
+        rho, ls = np.array([0.05, 0.4, 2.0])[:, None], np.arange(1, 13)
+        assert_allclose(phased.hat(rho, ls) / hat(rho, ls),
+                        plain.hat(rho, ls) / poisson.hat(rho, ls), rtol=1e-14)
+
     def test_vanishing_alpha_names_degree(self):
         ctx = make_context(2)
         poisson = poisson_wavelet(ctx, 1)
@@ -408,19 +437,33 @@ class TestInversion:
         assert_allclose(rec.coeffs, coeffs, rtol=0, atol=1e-6 * np.max(np.abs(coeffs)))
 
     def test_cached_hat_table_left_intact(self):
-        # the transforms read the table a family's hat returns and never
-        # write into it, so a family may hand out one stored array
+        # the transforms read the tables a family's hat returns and never
+        # write into them, so a family may hand out views of one stored
+        # table, indexed by the scales and degrees it is asked for; 1024
+        # degrees make blocks of 128 scales, so 300 scales take three
         ctx = make_context(4)
-        grid = make_scale_grid(1e-3, 30.0, 50)
-        ls = np.arange(9)
+        grid = make_scale_grid(1e-6, 30.0, 300)
+        ls = np.arange(1024)
         table = poisson_wavelet(ctx, 1).hat(grid.nodes[:, None], ls)
         kept = table.copy()
-        psi = WaveletFamily(ctx=ctx, hat=lambda rho, l: table, tag="stored")
+        asked = []
+
+        def hat(rho, l):
+            first = int(np.searchsorted(grid.nodes, rho[0, 0]))
+            rows = slice(first, first + rho.shape[0])
+            assert np.array_equal(rho[:, 0], grid.nodes[rows]) and np.array_equal(l, ls)
+            asked.append(rows)
+            return table[rows]
+
+        psi = WaveletFamily(ctx=ctx, hat=hat, tag="stored")
         rng = np.random.default_rng(43)
-        for coeffs in (rng.standard_normal(9), rng.standard_normal(9) + 1j):
-            W = wavelet_transform(psi, ZonalSpectrum(ctx, coeffs), grid)
+        for coeffs in (rng.standard_normal(1024), rng.standard_normal(1024) + 1j):
+            f = ZonalSpectrum(ctx, coeffs)
+            W = wavelet_transform(psi, f, grid)
+            assert np.array_equal(W.coeffs, wavelet_transform(poisson_wavelet(ctx, 1), f, grid).coeffs)
             inverse_transform(psi, W, grid)
             assert np.array_equal(table, kept)
+        assert len(asked) == 2 * 2 * 3
 
     def test_mean_forced_to_zero(self):
         ctx = make_context(2)
@@ -456,3 +499,66 @@ class TestInversion:
         f = ZonalSpectrum(make_context(2), [0.0, 1.0])
         with pytest.raises(SphereDomainError, match="family and signal live on different spheres"):
             wavelet_transform(psi, f, make_scale_grid(1e-3, 10.0, 50))
+
+
+class TestBlocks:
+    """The hats are evaluated on blocks of scales of about BLOCK_SIZE cells."""
+
+    def test_hat_calls_stay_within_the_block_and_are_never_written(self):
+        # every entry that evaluates a hat over a grid: each call covers a
+        # run of consecutive scales of at most BLOCK_SIZE cells (one scale
+        # at least), the runs cover every scale equally often, and every
+        # table handed out is read-only, so a write into one raises
+        ctx = make_context(3)
+        poisson = poisson_wavelet(ctx, 2)
+        calls = []
+
+        def hat(rho, l):
+            calls.append((np.array(rho, copy=True), np.size(l)))
+            table = poisson.hat(rho, l)
+            table.flags.writeable = False
+            return table
+
+        psi = WaveletFamily(ctx=ctx, hat=hat, tag="recording")
+        rng = np.random.default_rng(47)
+        for l_max, count in ((1000, 700), (BLOCK_SIZE, 3)):
+            grid = make_scale_grid(1e-6, 40.0, count)
+            coeffs = rng.standard_normal(l_max + 1)
+            coeffs[0] = 0.0
+            f = ZonalSpectrum(ctx, coeffs)
+            entries = (lambda: check_admissibility(psi, psi, l_max, grid),
+                       lambda: reconstruction_wavelet(psi, l_max, grid),
+                       lambda: inverse_transform(psi, wavelet_transform(psi, f, grid), grid))
+            for run in entries:
+                calls.clear()
+                try:
+                    run()
+                except QuadratureError:     # the 3-scale grid is too narrow; checked last
+                    pass
+                times = np.zeros(count, dtype=int)
+                for rho, degrees in calls:
+                    first = int(np.searchsorted(grid.nodes, rho[0, 0]))
+                    assert np.array_equal(rho[:, 0], grid.nodes[first:first + rho.size])
+                    assert degrees == l_max + 1 and rho.shape == (rho.size, 1)
+                    assert rho.size == 1 or rho.size * degrees <= BLOCK_SIZE
+                    times[first:first + rho.size] += 1
+                # each scale as often as every other, in more calls than passes
+                assert times.min() == times.max() >= 1
+                assert len(calls) > times[0] or count == 3
+
+    def test_transforms_within_two_blocks_of_their_output(self):
+        # the spectral_pipeline's top rung, Lmax 2048 on its 553 scales: the
+        # forward transform's output is the one scales x degrees array
+        ctx = make_context(8)
+        l_max = 2048
+        rho_min = 1e-3 / l_max
+        grid = make_scale_grid(rho_min, 50.0, int(30 * log(50.0 / rho_min)))
+        assert grid.count == 553
+        psi = poisson_wavelet(ctx, 2)
+        f = ZonalSpectrum(ctx, np.random.default_rng(53).standard_normal(l_max + 1))
+        budget = 2 * BLOCK_SIZE * np.dtype(float).itemsize
+        W = wavelet_transform(psi, f, grid)
+        forward = _peak_bytes(lambda: wavelet_transform(psi, f, grid))
+        assert forward <= W.coeffs.nbytes + budget, (forward, W.coeffs.nbytes)
+        inverse = _peak_bytes(lambda: inverse_transform(psi, W, grid))
+        assert inverse <= budget, inverse
